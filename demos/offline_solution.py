@@ -53,7 +53,7 @@ def main() -> None:
     print("  t   d_t      lambda*      lambda*_kkt   q*")
     for t in range(5):
         print(
-            f"  {t + 1}   {scenario.demand.d[t]:.3f}   "
+            f"  {t + 1}   {scenario.demand[t]:.3f}   "
             f"{sol.lambda_star[t]:.8f}   {kkt.lambda_star[t]:.8f}   "
             f"{sol.q_star[t]:.4f}"
         )

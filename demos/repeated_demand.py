@@ -25,7 +25,7 @@ from drpsim.rng import substream
 def run_kind(kind: str, reps: int = 300) -> None:
     cfg = ExperimentConfig(experiment=kind, reps=reps)
     scenario = build_scenario(cfg, substream(cfg.seed, 0))
-    d = np.asarray(scenario.demand.values)
+    d = scenario.demand
     _, counts = np.unique(d, return_counts=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

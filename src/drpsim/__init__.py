@@ -1,129 +1,57 @@
 """Online demand-response pricing: offline optima, online learning, regret.
 
-A numpy/scipy library plus a small CLI. The model module defines users,
-scenarios, and stage costs; offline computes the full-information
-optimum (with independent numerical oracles); estimator and online
-implement the iterative-linear-regression pricing loop; analysis turns
-replication sweeps into regret, bias/variance, and decay-rate reports;
+A numpy/scipy library plus a small CLI. The model module holds the
+population and demand as arrays, user responses, and stage costs;
+offline computes the full-information optimum (with independent
+numerical oracles); estimator and online implement the
+iterative-linear-regression pricing loop; analysis turns replication
+sweeps into regret, bias/variance, and decay-rate reports;
 experiments/cli reproduce the named experiment families end to end.
+
+The names below are the common entry points; everything else is
+imported from its submodule (drpsim.model, drpsim.offline, ...).
 """
 
 from .analysis import (
-    LogBoundResult,
-    RegretReport,
     analytic_gap,
     build_regret_report,
     empirical_gap,
     fit_decay,
-    log_bound_check,
     median_tracking_error,
-    price_bias_variance,
     regret_constants,
 )
-from .estimator import (
-    EstimatorError,
-    EstimatorState,
-    GammaEstimate,
-    InsufficientDataError,
-    UnidentifiableError,
-)
-from .experiments import (
-    ExperimentConfig,
-    build_scenario,
-    parse_config,
-    run_experiment,
-    serialize_config,
-)
-from .model import (
-    DemandProfile,
-    Population,
-    Scenario,
-    StageOutcome,
-    UserParams,
-    aggregate_response,
-    realize_outcome,
-    stage_cost,
-    user_cost,
-    user_response,
-)
+from .model import Population, Scenario
 from .offline import (
-    OfflineSolution,
     closed_form_solve,
-    compute_lambda_star,
-    compute_x_star,
     compute_y_star,
-    lambda_star_path,
     oracle_solve,
     oracle_y_star,
     reduced_objective,
 )
-from .online import (
-    DegenerateEstimateError,
-    OnlineConfig,
-    SweepResult,
-    Trajectory,
-    next_price,
-    run_episode,
-    run_replications,
-)
-from .rng import substream
+from .online import OnlineConfig, run_episode, run_replications
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # model
-    "UserParams",
     "Population",
-    "DemandProfile",
     "Scenario",
-    "StageOutcome",
-    "user_response",
-    "user_cost",
-    "realize_outcome",
-    "aggregate_response",
-    "stage_cost",
     # offline
-    "OfflineSolution",
     "compute_y_star",
-    "compute_lambda_star",
-    "lambda_star_path",
-    "compute_x_star",
     "closed_form_solve",
     "oracle_solve",
     "oracle_y_star",
     "reduced_objective",
-    # estimator (init/update/estimate stay module-qualified: drpsim.estimator)
-    "EstimatorError",
-    "InsufficientDataError",
-    "UnidentifiableError",
-    "EstimatorState",
-    "GammaEstimate",
     # online
-    "DegenerateEstimateError",
     "OnlineConfig",
-    "Trajectory",
-    "SweepResult",
-    "next_price",
     "run_episode",
     "run_replications",
     # analysis
-    "LogBoundResult",
-    "RegretReport",
     "regret_constants",
     "analytic_gap",
     "empirical_gap",
     "fit_decay",
-    "log_bound_check",
-    "price_bias_variance",
     "median_tracking_error",
     "build_regret_report",
-    # experiments
-    "ExperimentConfig",
-    "parse_config",
-    "serialize_config",
-    "build_scenario",
-    "run_experiment",
-    # rng
-    "substream",
 ]

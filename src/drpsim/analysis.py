@@ -44,6 +44,9 @@ __all__ = [
     "build_regret_report",
 ]
 
+#: optimal prices smaller than this in magnitude have no relative error
+LAMBDA_STAR_TOL = 1e-12
+
 
 def regret_constants(population: Population) -> tuple[float, float]:
     """Constants (C1, C2) of the one-step gap expansion.
@@ -171,8 +174,22 @@ def price_bias_variance(
 
 
 def median_tracking_error(sweep: SweepResult) -> NDArray[np.float64]:
-    """Per-slot median over replications of |lambda_t - lambda_star_t|/lambda_star_t."""
-    rel = np.abs(sweep.lambda_online - sweep.lambda_star) / sweep.lambda_star
+    """Per-slot median over replications of |lambda_t - lambda_star_t|/|lambda_star_t|.
+
+    Raises:
+        ValueError: some |lambda_star_t| < LAMBDA_STAR_TOL, where a
+            relative error is undefined; the message names the first
+            such slot (1-based).
+    """
+    scale = np.abs(sweep.lambda_star)
+    small = np.flatnonzero(~(scale >= LAMBDA_STAR_TOL))
+    if small.size:
+        t = int(small[0])
+        raise ValueError(
+            f"lambda_star at slot {t + 1} is {float(sweep.lambda_star[t])!r}, "
+            f"below {LAMBDA_STAR_TOL} in magnitude: relative tracking error undefined"
+        )
+    rel = np.abs(sweep.lambda_online - sweep.lambda_star) / scale
     return np.median(rel, axis=0)
 
 

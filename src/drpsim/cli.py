@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .experiments import (
     ExperimentConfig,
+    _fmt,
     build_scenario,
     parse_config,
     run_experiment,
@@ -98,10 +99,6 @@ def _scenario_and_capacity(config: ExperimentConfig) -> tuple[Scenario, float]:
     return scenario, y
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def cmd_offline(args: argparse.Namespace) -> int:
     config = _load_config(args)
     scenario, y = _scenario_and_capacity(config)
@@ -117,7 +114,7 @@ def cmd_offline(args: argparse.Namespace) -> int:
     print("t,d_t,lambda_star,q_star")
     for i in range(scenario.horizon):
         print(
-            f"{i + 1},{_fmt(scenario.demand.d[i])},"
+            f"{i + 1},{_fmt(scenario.demand[i])},"
             f"{_fmt(sol.lambda_star[i])},{_fmt(sol.q_star[i])}"
         )
     return 0

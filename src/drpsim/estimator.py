@@ -5,9 +5,9 @@ Each slot the operator observes one pair (lambda_s, Z_s) where
     Z_s = N*gamma1*lambda_s + gamma2 + noise
 
 so the unknown aggregates are the slope and intercept of an ordinary
-linear model with regressor u_s = N*lambda_s. The state keeps the full
-history for audit plus the 2x2 normal-equation sufficient statistics,
-updated in O(1) per observation:
+linear model with regressor u_s = N*lambda_s. The state keeps the sample
+count and the 2x2 normal-equation sufficient statistics, updated in O(1)
+per observation:
 
     X'X = [[sum u^2, sum u], [sum u, m]]      X'Z = [sum u*Z, sum Z]
 
@@ -19,7 +19,7 @@ prior mean (0, 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -53,25 +53,21 @@ class UnidentifiableError(EstimatorError):
 
 @dataclass
 class EstimatorState:
-    """History and sufficient statistics of the price-response regression.
+    """Sample count and sufficient statistics of the price-response regression.
 
     Attributes:
         ridge_param: l2 penalty weight, >= 0.
         n_scale: N used to form the regressor u = N*lambda.
-        history: observed (lambda_s, Z_s) pairs in arrival order.
+        n_samples: number of (lambda_s, Z_s) observations absorbed.
     """
 
     ridge_param: float
     n_scale: int = 1
-    history: list[tuple[float, float]] = field(default_factory=list)
+    n_samples: int = 0
     suu: float = 0.0
     su: float = 0.0
     sz: float = 0.0
     suz: float = 0.0
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.history)
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ class GammaEstimate:
 
 
 def init(ridge_param: float, n_scale: int = 1) -> EstimatorState:
-    """Fresh estimator with empty history.
+    """Fresh estimator with no observations.
 
     Args:
         ridge_param: regularization weight, >= 0. With a positive weight
@@ -114,7 +110,7 @@ def update(state: EstimatorState, lambda_t: float, z_t: float) -> EstimatorState
     if not (np.isfinite(lambda_t) and np.isfinite(z_t)):
         raise ValueError(f"observation must be finite, got ({lambda_t}, {z_t})")
     u = state.n_scale * lambda_t
-    state.history.append((lambda_t, z_t))
+    state.n_samples += 1
     state.suu += u * u
     state.su += u
     state.sz += z_t

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import RegretReport, build_regret_report, median_tracking_error
-from .model import DemandProfile, Population, Scenario
+from .model import Population, Scenario
 from .offline import compute_y_star
 from .online import SweepResult, Trajectory, run_replications
 from .rng import substream
@@ -113,14 +113,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         parse_experiment_kind(self.experiment)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _FLOAT_KEYS and value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # substream keys on the seed's low 64 bits: larger seeds would alias
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.c_rev <= 0:
             raise ValueError(f"c_rev must be > 0, got {self.c_rev}")
         if self.ridge < 0:
@@ -245,11 +250,10 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
                 d[idx] = rng.uniform(d_lo, d_hi)
     alpha_rev = config.c_rev * float(d.max())
     return Scenario(
-        population=Population.from_arrays(alphas, betas),
-        demand=DemandProfile(tuple(float(v) for v in d)),
+        population=Population(alphas, betas),
+        demand=d,
         alpha_rev=alpha_rev,
         noise_sd=config.noise_sd,
-        seed=config.seed,
     )
 
 
@@ -328,10 +332,8 @@ def _summarize_analysis(
     report: RegretReport, sweep: SweepResult, t_hor: int
 ) -> dict:
     """Headline analysis numbers plus the pass/fail acceptance checks."""
-    tracking = median_tracking_error(sweep)
     if t_hor >= 50:
-        tail = tracking[49:]
-        tracking_max = float(tail.max())
+        tracking_max = float(median_tracking_error(sweep)[49:].max())
         tracking_pass = bool(tracking_max < 0.05)
     else:
         tracking_max = None
@@ -367,9 +369,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Writes trajectory.csv (replication 0), regret.csv (when analysis is
     possible), and summary.json under config.out_dir, and returns the
     summary dict. Analysis failures that have a defined meaning (fewer
-    than 2 replications, horizon too short for the fit window) are
-    reported in the summary instead of aborting; the per-slot CSV is
-    always written.
+    than 2 replications, horizon too short for the fit window, an
+    optimal price ~0 where the relative tracking error is undefined)
+    are reported in the summary instead of aborting; the per-slot CSV
+    is always written.
     """
     out_dir = Path(config.out_dir)
     try:
@@ -417,13 +420,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     try:
         report = build_regret_report(sweep)
+        analysis = _summarize_analysis(report, sweep, config.horizon)
     except ValueError as exc:
         summary["analysis"] = None
         summary["analysis_note"] = str(exc)
         print(f"regret analysis skipped: {exc}", file=sys.stderr)
     else:
         write_regret_csv(out_dir / "regret.csv", report)
-        summary["analysis"] = _summarize_analysis(report, sweep, config.horizon)
+        summary["analysis"] = analysis
 
     with open(out_dir / "summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)

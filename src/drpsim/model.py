@@ -1,4 +1,4 @@
-"""Population, demand scenario, user response, and stage cost.
+"""Population and demand as arrays, user responses, and the stage cost.
 
 The operator broadcasts a price signal lambda_t each slot. User i holds a
 quadratic cost u_i(x) = 0.5*beta_i*x^2 + alpha_i*x for reducing consumption
@@ -27,66 +27,64 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 __all__ = [
-    "UserParams",
     "Population",
-    "DemandProfile",
     "Scenario",
-    "StageOutcome",
-    "user_response",
-    "user_cost",
     "realize_outcome",
-    "aggregate_response",
     "stage_cost",
 ]
 
 
-@dataclass(frozen=True)
-class UserParams:
-    """Quadratic cost coefficients of one user.
+def _checked_array(name: str, values: ArrayLike, positive: bool) -> NDArray[np.float64]:
+    """Read-only 1-D float64 copy of values, each finite and > 0 (or >= 0).
+
+    Raises:
+        ValueError: the array is empty or not 1-D, or an entry is out of
+            range; the message names the array and the first bad index.
+    """
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D array, got shape {arr.shape}")
+    ok = np.isfinite(arr) & ((arr > 0.0) if positive else (arr >= 0.0))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name}[{i}]={float(arr[i])} must be finite and {bound}")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class Population:
+    """N users' cost coefficients, with cached aggregates.
 
     Attributes:
-        alpha_i: linear coefficient (currency per unit response), >= 0.
-        beta_i: quadratic coefficient (currency per unit squared), > 0.
+        alphas: linear coefficients alpha_i (currency per unit response),
+            finite and >= 0; a read-only float64 array of length N.
+        betas: quadratic coefficients beta_i (currency per unit squared),
+            finite and > 0; a read-only float64 array of length N.
     """
 
-    alpha_i: float
-    beta_i: float
+    alphas: NDArray[np.float64]
+    betas: NDArray[np.float64]
 
     def __post_init__(self):
-        if not np.isfinite(self.beta_i) or self.beta_i <= 0:
-            raise ValueError(f"beta_i must be finite and > 0, got {self.beta_i}")
-        if not np.isfinite(self.alpha_i) or self.alpha_i < 0:
-            raise ValueError(f"alpha_i must be finite and >= 0, got {self.alpha_i}")
-
-
-@dataclass(frozen=True)
-class Population:
-    """Ordered collection of users with cached aggregates."""
-
-    users: tuple[UserParams, ...]
-
-    def __post_init__(self):
-        if len(self.users) < 1:
-            raise ValueError("population must contain at least one user")
-        object.__setattr__(self, "users", tuple(self.users))
+        alphas = _checked_array("alphas", self.alphas, positive=False)
+        betas = _checked_array("betas", self.betas, positive=True)
+        if alphas.shape != betas.shape:
+            raise ValueError(
+                f"alphas and betas must have equal length, got {alphas.size} and {betas.size}"
+            )
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "betas", betas)
 
     @property
     def n(self) -> int:
-        return len(self.users)
-
-    @cached_property
-    def alphas(self) -> NDArray[np.float64]:
-        return np.array([u.alpha_i for u in self.users], dtype=float)
-
-    @cached_property
-    def betas(self) -> NDArray[np.float64]:
-        return np.array([u.beta_i for u in self.users], dtype=float)
+        return self.alphas.shape[0]
 
     @cached_property
     def gamma1(self) -> float:
@@ -98,58 +96,26 @@ class Population:
         """-sum_i alpha_i/beta_i (the intercept of the aggregate response)."""
         return float(-np.sum(self.alphas / self.betas))
 
-    @classmethod
-    def from_arrays(cls, alphas, betas) -> "Population":
-        alphas = np.asarray(alphas, dtype=float)
-        betas = np.asarray(betas, dtype=float)
-        if alphas.shape != betas.shape:
-            raise ValueError("alpha and beta arrays must have equal length")
-        return cls(tuple(UserParams(float(a), float(b)) for a, b in zip(alphas, betas)))
 
-
-@dataclass(frozen=True)
-class DemandProfile:
-    """Normalized per-slot demand-reduction requirements d_t > 0."""
-
-    d: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", tuple(float(v) for v in self.d))
-        arr = np.array(self.d, dtype=float)
-        if arr.size == 0:
-            raise ValueError("demand profile must have at least one slot")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ValueError("every d_t must be finite and > 0")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.d)
-
-    @cached_property
-    def values(self) -> NDArray[np.float64]:
-        return np.array(self.d, dtype=float)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One simulation instance: who responds, to what demand, at what noise.
 
     Attributes:
         population: the N users.
-        demand: demand-reduction requirements, length T.
+        demand: normalized per-slot demand-reduction requirements d_t,
+            finite and > 0; a read-only float64 array of length T.
         alpha_rev: revenue price per standardized unit of reduction, > 0.
         noise_sd: per-user response noise standard deviation, >= 0.
-        seed: master seed recorded for provenance (stream splitting is done
-            by the caller; see rng.substream).
     """
 
     population: Population
-    demand: DemandProfile
+    demand: NDArray[np.float64]
     alpha_rev: float
     noise_sd: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "demand", _checked_array("demand", self.demand, positive=True))
         if not np.isfinite(self.alpha_rev) or self.alpha_rev <= 0:
             raise ValueError("alpha_rev must be finite and > 0")
         if not np.isfinite(self.noise_sd) or self.noise_sd < 0:
@@ -161,80 +127,36 @@ class Scenario:
 
     @property
     def horizon(self) -> int:
-        return self.demand.horizon
-
-
-@dataclass(frozen=True)
-class StageOutcome:
-    """Realized responses to one broadcast price.
-
-    aggregate is the sum of responses (numpy's deterministic reduction over
-    the fixed user order), so recomputing responses.sum() reproduces it
-    bit-for-bit. stage_cost is filled by stage_cost() when a capacity and
-    slot are known; it is None straight out of the response step.
-    """
-
-    lambda_t: float
-    responses: NDArray[np.float64]
-    aggregate: float
-    stage_cost: Optional[float] = None
-
-
-def user_response(user: UserParams, lambda_t: float, n_users: int, eps: float) -> float:
-    """Noisy best response of one user to price lambda_t.
-
-    Returns (N*lambda_t - alpha_i)/beta_i + eps; with eps=0 this is the exact
-    minimizer of u_i(x) - N*lambda_t*x.
-    """
-    return (n_users * lambda_t - user.alpha_i) / user.beta_i + eps
-
-
-def user_cost(user: UserParams, x: float) -> float:
-    """Cost 0.5*beta_i*x^2 + alpha_i*x incurred by one user for response x."""
-    return 0.5 * user.beta_i * x * x + user.alpha_i * x
+        return self.demand.shape[0]
 
 
 def realize_outcome(
     scenario: Scenario, lambda_t: float, eps: NDArray[np.float64]
-) -> StageOutcome:
-    """Deterministic response step given an explicit noise vector eps (length N)."""
-    pop = scenario.population
-    responses = (scenario.n * lambda_t - pop.alphas) / pop.betas + eps
-    return StageOutcome(
-        lambda_t=float(lambda_t),
-        responses=responses,
-        aggregate=float(responses.sum()),
-    )
+) -> NDArray[np.float64]:
+    """Responses (N*lambda_t - alpha_i)/beta_i + eps_i of every user to price lambda_t.
 
-
-def aggregate_response(
-    scenario: Scenario, lambda_t: float, rng: np.random.Generator
-) -> StageOutcome:
-    """Broadcast lambda_t and observe the noisy aggregate response.
-
-    Draws one i.i.d. Gaussian eps per user (sd = scenario.noise_sd) so that
-    E[Q_t] = N*gamma1*lambda_t + gamma2 and Var(Q_t) = N*noise_sd^2.
+    eps is an explicit noise vector of length N; with eps = 0 each entry
+    is the exact minimizer of u_i(x) - N*lambda_t*x.
     """
-    if not np.isfinite(lambda_t):
-        raise ValueError("lambda_t must be finite")
-    if scenario.noise_sd == 0.0:
-        eps = np.zeros(scenario.n)
-    else:
-        eps = rng.normal(0.0, scenario.noise_sd, scenario.n)
-    return realize_outcome(scenario, lambda_t, eps)
+    pop = scenario.population
+    return (scenario.n * lambda_t - pop.alphas) / pop.betas + eps
 
 
-def stage_cost(scenario: Scenario, y: float, t: int, outcome: StageOutcome) -> float:
-    """Realized operating cost of slot t (1-based) under capacity y.
+def stage_cost(
+    scenario: Scenario, y: float, t: int, x: NDArray[np.float64]
+) -> tuple[float, float]:
+    """Aggregate Q_t and realized operating cost C_t of responses x in slot t.
 
-    (1/N) sum_i [0.5*beta_i*x_i^2 + alpha_i*x_i] + (1/(2N)) (Q_t - y*d_t)^2.
-    The constant revenue term is excluded (see module docstring).
+    Q_t = sum_i x_i is numpy's deterministic reduction over the fixed user
+    order, and C_t = (1/N) sum_i [0.5*beta_i*x_i^2 + alpha_i*x_i]
+    + (1/(2N)) (Q_t - y*d_t)^2 under capacity y, with t 1-based. The
+    constant revenue term is excluded (see module docstring).
     """
     if not 1 <= t <= scenario.horizon:
         raise ValueError(f"slot index {t} out of range 1..{scenario.horizon}")
     pop = scenario.population
-    x = outcome.responses
     n = scenario.n
+    q = float(x.sum())
     user_term = float((0.5 * pop.betas * x + pop.alphas) @ x) / n
-    imbalance = outcome.aggregate - y * scenario.demand.d[t - 1]
-    return user_term + imbalance * imbalance / (2.0 * n)
+    imbalance = q - y * scenario.demand.item(t - 1)
+    return q, user_term + imbalance * imbalance / (2.0 * n)

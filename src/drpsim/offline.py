@@ -6,9 +6,11 @@ Closed forms (with gamma1 = sum 1/beta_i, S = sum_i alpha_i/beta_i = -gamma2):
     x*_i      = (N*lambda* - alpha_i) / beta_i
     Y*        = [T*a*(1+gamma1)^2 - S*(1+gamma1)*sum_t d_t] / [sum_t d_t^2 * (1+gamma1)]
 
-where a is the revenue price. Two independent numerical oracles validate
-them: a per-slot dense KKT solve, and a golden-section minimization of the
-reduced capacity objective.
+where a is the revenue price. lambda*_t is evaluated by next_price, the
+certainty-equivalent price the online loop sets from estimated
+aggregates, at the true (gamma1, gamma2). Two independent numerical
+oracles validate the closed forms: a per-slot dense KKT solve, and a
+golden-section minimization of the reduced capacity objective.
 """
 
 from __future__ import annotations
@@ -17,22 +19,30 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 from scipy.optimize import minimize_scalar
 
 from .model import Scenario, realize_outcome, stage_cost
 
 __all__ = [
+    "DegenerateEstimateError",
     "OfflineSolution",
     "compute_y_star",
-    "compute_lambda_star",
+    "next_price",
     "lambda_star_path",
-    "compute_x_star",
     "closed_form_solve",
     "oracle_solve",
     "oracle_y_star",
     "reduced_objective",
 ]
+
+
+#: denominators smaller than this (in magnitude) are degenerate
+DENOM_TOL = 1e-9
+
+
+class DegenerateEstimateError(RuntimeError):
+    """Certainty-equivalent price undefined: N*gamma1_hat + N is ~ 0."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +66,7 @@ def compute_y_star(scenario: Scenario) -> float:
     optimum of the quadratic objective, so we warn instead of rejecting.
     """
     pop = scenario.population
-    d = scenario.demand.values
+    d = scenario.demand
     g1 = pop.gamma1
     s = -pop.gamma2  # sum alpha_i/beta_i
     t_hor = scenario.horizon
@@ -74,27 +84,28 @@ def compute_y_star(scenario: Scenario) -> float:
     return y
 
 
-def compute_lambda_star(scenario: Scenario, y: float, t: int) -> float:
-    """Optimal price for slot t (1-based) under capacity y."""
-    if not 1 <= t <= scenario.horizon:
-        raise ValueError(f"slot index {t} out of range 1..{scenario.horizon}")
-    pop = scenario.population
-    s = -pop.gamma2
-    n = scenario.n
-    return (y * scenario.demand.d[t - 1] + s) / (n + n * pop.gamma1)
+def next_price(
+    gamma1_hat: float, gamma2_hat: float, y: float, d_t: ArrayLike, n: int
+) -> float | NDArray[np.float64]:
+    """Certainty-equivalent price (y*d_t - gamma2_hat)/(N*gamma1_hat + N).
+
+    At the true aggregates this is the optimal price lambda*_t; d_t may
+    be one demand level or an array of them.
+
+    Raises:
+        DegenerateEstimateError: |N*gamma1_hat + N| < DENOM_TOL; the
+            online loop substitutes the previous slot's price.
+    """
+    denom = n * gamma1_hat + n
+    if abs(denom) < DENOM_TOL:
+        raise DegenerateEstimateError("degenerate estimate")
+    return (y * d_t - gamma2_hat) / denom
 
 
 def lambda_star_path(scenario: Scenario, y: float) -> NDArray[np.float64]:
-    """Vectorized compute_lambda_star over all T slots."""
+    """Optimal price of every slot under capacity y: next_price at the true aggregates."""
     pop = scenario.population
-    s = -pop.gamma2
-    n = scenario.n
-    return (y * scenario.demand.values + s) / (n + n * pop.gamma1)
-
-
-def compute_x_star(user, lambda_star: float, n_users: int) -> float:
-    """Optimal allocation of one user: (N*lambda* - alpha_i)/beta_i."""
-    return (n_users * lambda_star - user.alpha_i) / user.beta_i
+    return next_price(pop.gamma1, pop.gamma2, y, scenario.demand, scenario.n)
 
 
 def closed_form_solve(scenario: Scenario, y: float | None = None) -> OfflineSolution:
@@ -135,7 +146,7 @@ def oracle_solve(scenario: Scenario, y: float) -> OfflineSolution:
     lam_star = np.empty(t_hor)
     rhs = np.empty(n + 1)
     rhs[:n] = -pop.alphas
-    for j, d_t in enumerate(scenario.demand.d):
+    for j, d_t in enumerate(scenario.demand):
         rhs[n] = y * d_t
         try:
             sol = np.linalg.solve(kkt, rhs)
@@ -163,8 +174,8 @@ def reduced_objective(scenario: Scenario, y: float) -> float:
     zero_eps = np.zeros(scenario.n)
     total = 0.0
     for t in range(1, scenario.horizon + 1):
-        outcome = realize_outcome(scenario, float(sol.lambda_star[t - 1]), zero_eps)
-        total += stage_cost(scenario, y, t, outcome)
+        x = realize_outcome(scenario, float(sol.lambda_star[t - 1]), zero_eps)
+        total += stage_cost(scenario, y, t, x)[1]
     total -= scenario.alpha_rev * y * scenario.horizon / scenario.n
     return total
 
@@ -181,7 +192,7 @@ def oracle_y_star(scenario: Scenario, xtol: float = 1e-10) -> float:
     machine precision.
     """
     pop = scenario.population
-    d = scenario.demand.values
+    d = scenario.demand
     magnitude = (
         scenario.horizon * scenario.alpha_rev * (1.0 + pop.gamma1)
         + abs(pop.gamma2) * float(d.sum())

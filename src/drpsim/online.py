@@ -2,7 +2,8 @@
 
 Slot 1 broadcasts an initial price (given, or drawn uniformly from
 [0, 2*alpha_rev/N]). Every later slot first estimates (gamma1, gamma2)
-from the accumulated history, then prices by certainty equivalence,
+from the accumulated history, then prices by certainty equivalence
+(offline.next_price),
 
     lambda_t = (y*d_t - gamma2_hat) / (N*gamma1_hat + N)
 
@@ -31,25 +32,16 @@ from numpy.typing import NDArray
 
 from .estimator import EstimatorError, EstimatorState, estimate, init, update
 from .model import Scenario, realize_outcome, stage_cost
-from .offline import lambda_star_path
+from .offline import DegenerateEstimateError, lambda_star_path, next_price
 from .rng import substream
 
 __all__ = [
-    "DegenerateEstimateError",
     "OnlineConfig",
     "Trajectory",
     "SweepResult",
-    "next_price",
     "run_episode",
     "run_replications",
 ]
-
-#: denominators smaller than this (in magnitude) are degenerate
-DENOM_TOL = 1e-9
-
-
-class DegenerateEstimateError(RuntimeError):
-    """Certainty-equivalent price undefined: N*gamma1_hat + N is ~ 0."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +53,6 @@ class OnlineConfig:
         y_capacity: committed capacity (offline Y* or externally chosen).
         lambda_init: slot-1 price; None draws U[0, 2*alpha_rev/N].
         ridge_param: estimator regularization weight.
-        record_users: keep the (N, T) matrix of per-user responses.
         coupled_noise: counterfactual costs reuse the online noise draws.
         initial_estimator: start from this estimator state instead of a
             fresh init(ridge_param, N); its own ridge/n_scale govern.
@@ -71,7 +62,6 @@ class OnlineConfig:
     y_capacity: float
     lambda_init: Optional[float] = None
     ridge_param: float = 0.001
-    record_users: bool = False
     coupled_noise: bool = False
     initial_estimator: Optional[EstimatorState] = None
 
@@ -88,7 +78,6 @@ class Trajectory:
 
     All arrays have length T; gamma columns hold the estimate used to
     price the slot (slot 1 prices from the prior mean, recorded (0, 0)).
-    user_responses is (N, T) when recorded, else None.
     """
 
     t: NDArray[np.int64]
@@ -104,22 +93,6 @@ class Trajectory:
     estimator: EstimatorState
     degenerate_events: int = 0
     fallback_events: int = 0
-    user_responses: Optional[NDArray[np.float64]] = None
-
-
-def next_price(
-    gamma1_hat: float, gamma2_hat: float, y: float, d_t: float, n: int
-) -> float:
-    """Certainty-equivalent price (y*d_t - gamma2_hat)/(N*gamma1_hat + N).
-
-    Raises:
-        DegenerateEstimateError: |N*gamma1_hat + N| < DENOM_TOL; the
-            caller substitutes the previous slot's price.
-    """
-    denom = n * gamma1_hat + n
-    if abs(denom) < DENOM_TOL:
-        raise DegenerateEstimateError("degenerate estimate")
-    return (y * d_t - gamma2_hat) / denom
 
 
 def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
@@ -133,6 +106,7 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
     n = scenario.n
     t_hor = scenario.horizon
     y = config.y_capacity
+    demand = scenario.demand.tolist()
     noise_sd = scenario.noise_sd
     lam_star = lambda_star_path(scenario, y)
     residual_var = n * noise_sd * noise_sd
@@ -154,7 +128,6 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
     q_star = np.empty(t_hor)
     cost_online = np.empty(t_hor)
     cost_star = np.empty(t_hor)
-    users = np.empty((n, t_hor)) if config.record_users else None
     degenerate_events = 0
     fallback_events = 0
     g1, g2 = 0.0, 0.0
@@ -169,7 +142,7 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
                 g1, g2 = 0.0, 0.0
                 fallback_events += 1
             try:
-                lam = next_price(g1, g2, y, scenario.demand.d[t - 1], n)
+                lam = next_price(g1, g2, y, demand[t - 1], n)
             except DegenerateEstimateError:
                 degenerate_events += 1
                 warnings.warn(
@@ -185,24 +158,21 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
             if config.coupled_noise:
                 eps_cf = eps_online
 
-        outcome = realize_outcome(scenario, lam, eps_online)
-        counterfactual = realize_outcome(scenario, float(lam_star[t - 1]), eps_cf)
+        x_online = realize_outcome(scenario, lam, eps_online)
+        x_cf = realize_outcome(scenario, float(lam_star[t - 1]), eps_cf)
 
         lam_path[t - 1] = lam
         g1_path[t - 1] = g1
         g2_path[t - 1] = g2
-        q_online[t - 1] = outcome.aggregate
-        q_star[t - 1] = counterfactual.aggregate
-        cost_online[t - 1] = stage_cost(scenario, y, t, outcome)
-        cost_star[t - 1] = stage_cost(scenario, y, t, counterfactual)
-        if users is not None:
-            users[:, t - 1] = outcome.responses
+        q, cost_online[t - 1] = stage_cost(scenario, y, t, x_online)
+        q_online[t - 1] = q
+        q_star[t - 1], cost_star[t - 1] = stage_cost(scenario, y, t, x_cf)
 
-        update(est_state, lam, outcome.aggregate)
+        update(est_state, lam, q)
 
     return Trajectory(
         t=np.arange(1, t_hor + 1, dtype=np.int64),
-        d=scenario.demand.values.copy(),
+        d=scenario.demand.copy(),
         lambda_online=lam_path,
         lambda_star=lam_star,
         gamma1_hat=g1_path,
@@ -214,7 +184,6 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
         estimator=est_state,
         degenerate_events=degenerate_events,
         fallback_events=fallback_events,
-        user_responses=users,
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drpsim import DemandProfile, Population, Scenario
+from drpsim import Population, Scenario
 
 
 def _random_scenario(rng, n=None, t=None, noise_sd=1.0):
@@ -13,8 +13,8 @@ def _random_scenario(rng, n=None, t=None, noise_sd=1.0):
     d = tuple(float(v) for v in rng.uniform(0.5, 4.0, t))
     alpha_rev = float(rng.uniform(0.5, 2.0)) * max(d)
     return Scenario(
-        population=Population.from_arrays(alphas, betas),
-        demand=DemandProfile(d),
+        population=Population(alphas, betas),
+        demand=d,
         alpha_rev=alpha_rev,
         noise_sd=noise_sd,
     )
@@ -29,8 +29,8 @@ def scenario_factory():
 def unit_scenario():
     """N=1, T=1, alpha=0, beta=1, d=1, alpha_rev=1: every closed form is 1 or 2."""
     return Scenario(
-        population=Population.from_arrays([0.0], [1.0]),
-        demand=DemandProfile((1.0,)),
+        population=Population([0.0], [1.0]),
+        demand=(1.0,),
         alpha_rev=1.0,
         noise_sd=0.0,
     )

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from drpsim import (
-    DemandProfile,
     Population,
     Scenario,
     analytic_gap,
@@ -67,8 +66,8 @@ def _random_small_scenario(rng):
     d = tuple(float(v) for v in rng.uniform(0.5, 4.0, t))
     alpha_rev = float(rng.uniform(0.5, 2.0)) * max(d)
     return Scenario(
-        Population.from_arrays(alphas, betas),
-        DemandProfile(d),
+        Population(alphas, betas),
+        d,
         alpha_rev=alpha_rev,
         noise_sd=0.0,
     )
@@ -119,9 +118,9 @@ def test_criterion_2_noiseless_identification():
     # relative of lambda*_t for every t >= 3, < 1 s
     start = time.perf_counter()
     rng = np.random.default_rng(11)
-    pop = Population.from_arrays(rng.uniform(1.0, 2.0, 4), rng.uniform(4.0, 8.0, 4))
+    pop = Population(rng.uniform(1.0, 2.0, 4), rng.uniform(4.0, 8.0, 4))
     d = tuple(float(v) for v in rng.uniform(3.0, 6.0, 10))
-    sc = Scenario(pop, DemandProfile(d), alpha_rev=6.0, noise_sd=0.0)
+    sc = Scenario(pop, d, alpha_rev=6.0, noise_sd=0.0)
     assert d[0] != d[1]
     y = compute_y_star(sc)
     config = OnlineConfig(
@@ -223,10 +222,10 @@ def test_criterion_7_structured_demand_robustness():
 def test_criterion_8_analytic_empirical_consistency():
     # analytic one-step gap from MC price moments vs raw empirical gap:
     # within 3 combined standard errors at every slot, N=2, T=5, 1e4 reps
-    pop = Population.from_arrays([0.0, 0.0], [1.0, 2.0])
+    pop = Population([0.0, 0.0], [1.0, 2.0])
     sc = Scenario(
         pop,
-        DemandProfile((1.0, 2.0, 1.5, 1.2, 1.8)),
+        (1.0, 2.0, 1.5, 1.2, 1.8),
         alpha_rev=2.0,
         noise_sd=0.1,
     )

@@ -1,23 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from drpsim import (
-    DemandProfile,
-    Population,
-    Scenario,
-    SweepResult,
+from drpsim.analysis import (
     analytic_gap,
     build_regret_report,
-    compute_y_star,
     empirical_gap,
     fit_decay,
     log_bound_check,
     median_tracking_error,
     price_bias_variance,
     regret_constants,
-    run_replications,
 )
 from drpsim.experiments import ExperimentConfig, build_scenario
+from drpsim.model import Population, Scenario
+from drpsim.offline import compute_y_star
+from drpsim.online import SweepResult, run_replications
 from drpsim.rng import substream
 
 
@@ -25,9 +24,9 @@ from drpsim.rng import substream
 def small_sweep():
     """N=3, T=12, 60 replications: cheap but real moments."""
     rng = np.random.default_rng(21)
-    pop = Population.from_arrays(rng.uniform(1.0, 2.0, 3), rng.uniform(4.0, 8.0, 3))
+    pop = Population(rng.uniform(1.0, 2.0, 3), rng.uniform(4.0, 8.0, 3))
     d = tuple(float(v) for v in rng.uniform(3.0, 6.0, 12))
-    sc = Scenario(pop, DemandProfile(d), alpha_rev=6.0, noise_sd=1.0)
+    sc = Scenario(pop, d, alpha_rev=6.0, noise_sd=1.0)
     return run_replications(sc, 0.5, 60, master_seed=2024)
 
 
@@ -50,15 +49,15 @@ def excited_sweep():
 
 
 def test_regret_constants_pinned():
-    pop = Population.from_arrays([0.0, 0.0], [1.0, 1.0])
+    pop = Population([0.0, 0.0], [1.0, 1.0])
     c1, c2 = regret_constants(pop)
     assert c1 == pytest.approx(6.0, abs=1e-12)
     assert c2 == 0.0
-    pop = Population.from_arrays([1.0, 1.0], [1.0, 1.0])
+    pop = Population([1.0, 1.0], [1.0, 1.0])
     c1, c2 = regret_constants(pop)
     assert c1 == pytest.approx(6.0, abs=1e-12)
     assert c2 == pytest.approx(2.0, abs=1e-12)
-    pop = Population.from_arrays([0.0], [3.0])
+    pop = Population([0.0], [3.0])
     _, c2 = regret_constants(pop)
     assert c2 == 0.0
 
@@ -173,23 +172,40 @@ def test_price_bias_variance_identical_replications(small_sweep):
 
 def test_price_bias_variance_noiseless_recovery():
     rng = np.random.default_rng(8)
-    pop = Population.from_arrays(rng.uniform(1.0, 2.0, 4), rng.uniform(4.0, 8.0, 4))
+    pop = Population(rng.uniform(1.0, 2.0, 4), rng.uniform(4.0, 8.0, 4))
     d = tuple(float(v) for v in rng.uniform(3.0, 6.0, 8))
-    sc = Scenario(pop, DemandProfile(d), alpha_rev=6.0, noise_sd=0.0)
+    sc = Scenario(pop, d, alpha_rev=6.0, noise_sd=0.0)
     sweep = run_replications(sc, 0.4, 5, master_seed=6, ridge_param=0.0)
     bias, var = price_bias_variance(sweep)
     assert np.all(np.abs(bias[2:]) <= 1e-12)
     assert np.all(var[2:] <= 1e-24)
 
 
-def test_median_tracking_error_manual(small_sweep):
-    med = median_tracking_error(small_sweep)
-    manual = np.median(
-        np.abs(small_sweep.lambda_online - small_sweep.lambda_star)
-        / small_sweep.lambda_star,
-        axis=0,
-    )
-    assert np.array_equal(med, manual)
+@pytest.fixture(scope="module")
+def negative_price_sweep(small_sweep):
+    """small_sweep's scenario under y = -1, where every lambda*_t < 0."""
+    sweep = run_replications(small_sweep.scenario, -1.0, 60, master_seed=2024)
+    assert np.all(sweep.lambda_star < 0)
+    return sweep
+
+
+def test_median_tracking_error_manual(small_sweep, negative_price_sweep):
+    for sweep in (small_sweep, negative_price_sweep):
+        med = median_tracking_error(sweep)
+        manual = np.median(
+            np.abs(sweep.lambda_online - sweep.lambda_star) / np.abs(sweep.lambda_star),
+            axis=0,
+        )
+        assert np.array_equal(med, manual)
+        assert np.all(med >= 0.0)
+
+
+def test_median_tracking_error_rejects_zero_lambda_star(small_sweep):
+    lam_star = small_sweep.lambda_star.copy()
+    lam_star[4] = 0.0
+    lam_star[7] = 1e-13
+    with pytest.raises(ValueError, match="lambda_star at slot 5 is 0.0"):
+        median_tracking_error(replace(small_sweep, lambda_star=lam_star))
 
 
 def test_report_quadratic_gap_identity(small_sweep):

@@ -157,6 +157,16 @@ def test_unknown_experiment_is_a_clean_error(small_config, clean_env, capsys):
     assert err.startswith("error: unknown experiment kind")
 
 
+def test_seed_beyond_64_bits_is_a_clean_error(small_config, clean_env, capsys):
+    # seeds s and s + 2**64 would share every stream
+    rc = main(["offline", "--config", small_config, "--seed", str(2**64 + 3)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: seed must be in [0, 2**64)")
+    clean_env.setenv("DRPSIM_SEED", str(2**64))
+    assert main(["offline", "--config", small_config]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_a_clean_error(clean_env, capsys, tmp_path):
     rc = main(["offline", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 2

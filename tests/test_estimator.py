@@ -61,7 +61,6 @@ def test_update_accumulates_pinned_stats():
     assert state.n_samples == 2
     assert state.sz == 4.0
     assert state.suz == 7.0
-    assert state.history == [(1.0, 1.0), (2.0, 3.0)]
 
 
 def test_update_uses_n_scale():

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drpsim.experiments import (
     ExperimentConfig,
@@ -86,6 +88,21 @@ def test_config_validation():
         ExperimentConfig(alpha_low=2.5)  # default alpha_high is 2.0
     with pytest.raises(ValueError, match="must be > 0"):
         ExperimentConfig(beta_low=-1.0)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        ExperimentConfig(seed=2**64)
+    for key, value in (
+        ("c_rev", "nan"),
+        ("ridge", "nan"),
+        ("noise_sd", "nan"),
+        ("d_low", "nan"),
+        ("y_capacity", "inf"),
+        ("alpha_high", "inf"),
+        ("beta_low", "-inf"),
+    ):
+        with pytest.raises(ValueError, match=f"{key} must be finite, got {value}"):
+            parse_config(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            ExperimentConfig(**{key: float(value)})
 
 
 def test_parse_config_happy_path():
@@ -141,6 +158,56 @@ def test_config_round_trip():
     assert parse_config(serialize_config(ExperimentConfig())) == ExperimentConfig()
 
 
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def _configs(draw):
+    """Valid configs over every key; interval overrides come in ordered pairs."""
+    fields = dict(
+        experiment=draw(
+            st.sampled_from(["baseline", "paramset2", "repeated-dt:0.25", "blocked-dt:3"])
+        ),
+        n_users=draw(st.integers(1, 10**6)),
+        horizon=draw(st.integers(1, 10**6)),
+        reps=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        c_rev=draw(_positive),
+        ridge=draw(st.floats(0.0, 1e3)),
+        noise_sd=draw(st.floats(0.0, 1e3)),
+        coupled_noise=draw(st.booleans()),
+        y_capacity=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
+        out_dir=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)),
+    )
+    for name in ("alpha", "beta", "d"):
+        if draw(st.booleans()):
+            lo, hi = sorted(draw(st.tuples(_positive, _positive)))
+            fields[f"{name}_low"], fields[f"{name}_high"] = lo, hi
+    return ExperimentConfig(**fields)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _configs(),
+    st.sampled_from(["c_rev", "ridge", "noise_sd", "y_capacity", "alpha_low", "d_high"]),
+    st.sampled_from(["nan", "inf", "-inf"]),
+    st.integers(2**64, 2**66),
+)
+def test_config_round_trip_property(cfg, float_key, bad, big_seed):
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+
+    def with_line(key, value):
+        kept = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+        return "\n".join([*kept, f"{key} = {value}"])
+
+    # one non-finite float or one seed past 64 bits makes the text invalid
+    with pytest.raises(ValueError, match=f"{float_key} must be finite"):
+        parse_config(with_line(float_key, bad))
+    with pytest.raises(ValueError, match="seed must be in"):
+        parse_config(with_line("seed", big_seed))
+
+
 def test_with_overrides_drops_none():
     cfg = ExperimentConfig()
     assert with_overrides(cfg, seed=None, reps=None) is cfg
@@ -159,7 +226,7 @@ def test_build_scenario_baseline_ranges():
     assert pop.n == 50
     assert np.all((pop.alphas >= 1.0) & (pop.alphas <= 2.0))
     assert np.all((pop.betas >= 4.0) & (pop.betas <= 8.0))
-    d = np.asarray(sc.demand.values)
+    d = np.asarray(sc.demand)
     assert d.shape == (30,)
     assert np.all((d >= 3.0) & (d <= 6.0))
     assert sc.alpha_rev == cfg.c_rev * d.max()
@@ -171,7 +238,7 @@ def test_build_scenario_paramset2_ranges():
     sc = build_scenario(cfg, substream(cfg.seed, 0))
     assert np.all((sc.population.alphas >= 1.0) & (sc.population.alphas <= 3.0))
     assert np.all((sc.population.betas >= 3.0) & (sc.population.betas <= 10.0))
-    d = np.asarray(sc.demand.values)
+    d = np.asarray(sc.demand)
     assert np.all((d >= 2.0) & (d <= 5.0))
 
 
@@ -181,13 +248,13 @@ def test_build_scenario_reproducible():
     b = build_scenario(cfg, substream(cfg.seed, 0))
     assert np.array_equal(a.population.alphas, b.population.alphas)
     assert np.array_equal(a.population.betas, b.population.betas)
-    assert np.array_equal(a.demand.values, b.demand.values)
+    assert np.array_equal(a.demand, b.demand)
     assert a.alpha_rev == b.alpha_rev
 
 
 def test_blocked_demand_structure():
     cfg = ExperimentConfig(experiment="blocked-dt:4", horizon=100, seed=3)
-    d = np.asarray(build_scenario(cfg, substream(3, 0)).demand.values)
+    d = np.asarray(build_scenario(cfg, substream(3, 0)).demand)
     blocks = d.reshape(25, 4)
     assert np.all(blocks == blocks[:, :1])
     assert len(np.unique(d)) == 25
@@ -195,7 +262,7 @@ def test_blocked_demand_structure():
 
 def test_blocked_demand_partial_last_block():
     cfg = ExperimentConfig(experiment="blocked-dt:4", horizon=10, seed=3)
-    d = np.asarray(build_scenario(cfg, substream(3, 0)).demand.values)
+    d = np.asarray(build_scenario(cfg, substream(3, 0)).demand)
     assert d.shape == (10,)
     assert len(set(d[0:4])) == 1
     assert len(set(d[4:8])) == 1
@@ -211,7 +278,7 @@ def test_repeated_demand_share_counts(fraction, horizon, expected):
     # ceil(p*T) slots share one freshly drawn value; 0.3*100 must give
     # 30 despite 0.3*100 = 30.000000000000004 in floating point.
     cfg = ExperimentConfig(experiment=f"repeated-dt:{fraction}", horizon=horizon, seed=13)
-    d = np.asarray(build_scenario(cfg, substream(13, 0)).demand.values)
+    d = np.asarray(build_scenario(cfg, substream(13, 0)).demand)
     _, counts = np.unique(d, return_counts=True)
     assert counts.max() == expected
     assert np.sort(counts)[:-1].max(initial=1) == 1  # everything else distinct
@@ -223,7 +290,7 @@ def test_repeated_zero_fraction_is_baseline_draw():
         ExperimentConfig(experiment="repeated-dt:0.0", horizon=15, seed=2),
         substream(2, 0),
     )
-    assert np.array_equal(base.demand.values, rep0.demand.values)
+    assert np.array_equal(base.demand, rep0.demand)
 
 
 def test_alpha_rev_reflects_transformed_demand():
@@ -231,7 +298,7 @@ def test_alpha_rev_reflects_transformed_demand():
     # which only exists after the repeat transform runs
     cfg = ExperimentConfig(experiment="repeated-dt:1.0", horizon=12, seed=4, c_rev=2.0)
     sc = build_scenario(cfg, substream(4, 0))
-    d = np.asarray(sc.demand.values)
+    d = np.asarray(sc.demand)
     assert len(np.unique(d)) == 1
     assert sc.alpha_rev == 2.0 * d[0]
 
@@ -314,6 +381,19 @@ def test_run_experiment_single_replication(tmp_path, capsys):
     assert "need >= 2 replications" in summary["analysis_note"]
     assert not (tmp_path / "solo" / "regret.csv").exists()
     assert (tmp_path / "solo" / "trajectory.csv").exists()
+    assert "regret analysis skipped" in capsys.readouterr().err
+
+
+def test_run_experiment_reports_undefined_tracking(tmp_path, capsys):
+    # a capacity with y*d_11 = -sum alpha/beta puts lambda*_11 at 0 exactly
+    base = dict(n_users=20, horizon=60, reps=3, seed=5)
+    sc = build_scenario(ExperimentConfig(**base), substream(5, 0))
+    y = sc.population.gamma2 / float(sc.demand[10])
+    cfg = ExperimentConfig(y_capacity=y, out_dir=str(tmp_path / "zero"), **base)
+    summary = run_experiment(cfg)
+    assert summary["analysis"] is None
+    assert "lambda_star at slot 11 is" in summary["analysis_note"]
+    assert (tmp_path / "zero" / "summary.json").exists()
     assert "regret analysis skipped" in capsys.readouterr().err
 
 

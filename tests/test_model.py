@@ -1,85 +1,114 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drpsim import (
-    DemandProfile,
-    Population,
-    Scenario,
-    StageOutcome,
-    UserParams,
-    aggregate_response,
-    closed_form_solve,
-    realize_outcome,
-    stage_cost,
-    user_cost,
-    user_response,
-)
+from drpsim.model import Population, Scenario, realize_outcome, stage_cost
+from drpsim.offline import closed_form_solve
+
+
+# ------------------------------------------------ per-user oracle (plain Python)
+
+
+def oracle_responses(alphas, betas, lambda_t, eps):
+    """x_i = (N*lambda - alpha_i)/beta_i + eps_i, one user at a time."""
+    n = len(alphas)
+    return [(n * lambda_t - a) / b + e for a, b, e in zip(alphas, betas, eps)]
+
+
+def oracle_stage_cost(alphas, betas, y, d_t, x):
+    """(Q_t, C_t) with exactly rounded sums (math.fsum)."""
+    n = len(x)
+    q = math.fsum(x)
+    user = math.fsum(0.5 * b * xi * xi + a * xi for a, b, xi in zip(alphas, betas, x))
+    return q, user / n + (q - y * d_t) ** 2 / (2.0 * n)
+
+
+def _uniform_scenario(alpha, beta, n):
+    """n identical users and d = (1,): the array form of one (alpha, beta) user at size N."""
+    return Scenario(Population([alpha] * n, [beta] * n), (1.0,), alpha_rev=1.0, noise_sd=0.0)
+
+
+def _cost(sc, y, t, x):
+    return stage_cost(sc, y, t, np.asarray(x, dtype=float))[1]
+
+
+# ------------------------------------------------------------- responses
 
 
 def test_user_response_pinned_values():
     # alpha=1, beta=2, N=10, lambda=0.5: x = (10*0.5 - 1)/2 = 2.0
-    assert user_response(UserParams(1.0, 2.0), 0.5, 10, 0.0) == pytest.approx(2.0, abs=1e-15)
-    assert user_response(UserParams(0.0, 1.0), 0.0, 1, 0.0) == 0.0
+    sc = _uniform_scenario(1.0, 2.0, 10)
+    x = realize_outcome(sc, 0.5, np.zeros(10))
+    assert x == pytest.approx(np.full(10, 2.0), abs=1e-15)
+    assert realize_outcome(_uniform_scenario(0.0, 1.0, 1), 0.0, np.zeros(1))[0] == 0.0
     # additive noise enters unscaled
-    assert user_response(UserParams(1.0, 2.0), 0.5, 10, 0.25) == pytest.approx(2.25, abs=1e-15)
+    x = realize_outcome(sc, 0.5, np.full(10, 0.25))
+    assert x == pytest.approx(np.full(10, 2.25), abs=1e-15)
 
 
 def test_user_response_matches_grid_argmin():
     # Brute-force the surrogate objective u_i(x) - N*lambda*x on a fine grid.
-    user = UserParams(1.0, 4.0)
-    n, lam = 100, 0.37
-    x_closed = user_response(user, lam, n, 0.0)
+    alpha, beta, n, lam = 1.0, 4.0, 100, 0.37
+    x_closed = realize_outcome(_uniform_scenario(alpha, beta, n), lam, np.zeros(n))[0]
     grid = np.arange(x_closed - 1.0, x_closed + 1.0, 1e-4)
-    values = 0.5 * user.beta_i * grid**2 + user.alpha_i * grid - n * lam * grid
+    values = 0.5 * beta * grid**2 + alpha * grid - n * lam * grid
     x_grid = grid[np.argmin(values)]
     assert abs(x_grid - x_closed) <= 1e-4
 
 
 def test_user_response_monotone_in_price(rng):
     for _ in range(20):
-        user = UserParams(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.5, 5.0)))
+        sc = _uniform_scenario(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.5, 5.0)), 50)
         lams = np.sort(rng.uniform(0.0, 2.0, 5))
-        xs = [user_response(user, float(l), 50, 0.0) for l in lams]
+        xs = [realize_outcome(sc, float(l), np.zeros(50))[0] for l in lams]
         assert all(b > a for a, b in zip(xs, xs[1:]))
 
 
 def test_user_cost_pinned_and_convex(rng):
+    # one user, d=1, y=x: the imbalance vanishes and C_t is the user cost
     # alpha=1, beta=2, x=3: 0.5*2*9 + 1*3 = 12
-    assert user_cost(UserParams(1.0, 2.0), 3.0) == pytest.approx(12.0, abs=1e-15)
-    assert user_cost(UserParams(2.0, 4.0), 0.0) == 0.0
+    assert _cost(_uniform_scenario(1.0, 2.0, 1), 3.0, 1, [3.0]) == pytest.approx(12.0, abs=1e-15)
+    assert _cost(_uniform_scenario(2.0, 4.0, 1), 0.0, 1, [0.0]) == 0.0
     for _ in range(20):
-        user = UserParams(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.5, 5.0)))
+        sc = _uniform_scenario(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.5, 5.0)), 1)
+        y = float(rng.uniform(-2.0, 2.0))
         a, b = rng.uniform(-4.0, 4.0, 2)
-        mid = user_cost(user, 0.5 * (a + b))
-        avg = 0.5 * (user_cost(user, float(a)) + user_cost(user, float(b)))
+        mid = _cost(sc, y, 1, [0.5 * (a + b)])
+        avg = 0.5 * (_cost(sc, y, 1, [a]) + _cost(sc, y, 1, [b]))
         assert mid <= avg + 1e-12
 
 
 def test_aggregate_response_noiseless_single_user(unit_scenario):
-    outcome = aggregate_response(unit_scenario, 1.0, np.random.default_rng(0))
-    assert outcome.aggregate == 1.0
-    assert outcome.responses.shape == (1,)
+    x = realize_outcome(unit_scenario, 1.0, np.zeros(1))
+    assert stage_cost(unit_scenario, 0.0, 1, x)[0] == 1.0
+    assert x.shape == (1,)
 
 
 def test_aggregate_response_noiseless_matches_per_user_sum(scenario_factory, rng):
     sc = scenario_factory(rng, n=6, t=2, noise_sd=0.0)
     lam = 0.8
-    outcome = aggregate_response(sc, lam, np.random.default_rng(0))
-    per_user = np.array([user_response(u, lam, sc.n, 0.0) for u in sc.population.users])
-    assert np.array_equal(outcome.responses, per_user)
-    assert outcome.aggregate == float(per_user.sum())
+    x = realize_outcome(sc, lam, np.zeros(sc.n))
+    pop = sc.population
+    per_user = np.array(oracle_responses(pop.alphas, pop.betas, lam, [0.0] * sc.n))
+    assert np.array_equal(x, per_user)
+    assert stage_cost(sc, 1.0, 1, x)[0] == float(per_user.sum())
 
 
 def test_aggregate_response_noise_moments():
     # With noise_sd=1 and N=100 the aggregate has variance N = 100.  Sample
     # moments over 1e5 draws concentrate well inside these fixed-seed bands.
     pop_rng = np.random.default_rng(7)
-    pop = Population.from_arrays(pop_rng.uniform(1.0, 2.0, 100), pop_rng.uniform(4.0, 8.0, 100))
-    sc = Scenario(pop, DemandProfile((1.0,)), alpha_rev=1.0, noise_sd=1.0)
+    pop = Population(pop_rng.uniform(1.0, 2.0, 100), pop_rng.uniform(4.0, 8.0, 100))
+    sc = Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=1.0)
     lam = 0.4
     draws_rng = np.random.default_rng(99)
     m = 100_000
-    totals = np.array([aggregate_response(sc, lam, draws_rng).aggregate for _ in range(m)])
+    totals = np.array(
+        [realize_outcome(sc, lam, draws_rng.normal(0.0, 1.0, pop.n)).sum() for _ in range(m)]
+    )
     expected_mean = pop.n * pop.gamma1 * lam + pop.gamma2
     mean_tol = 4.0 * np.sqrt(pop.n) / np.sqrt(m)
     assert abs(totals.mean() - expected_mean) <= mean_tol
@@ -87,11 +116,22 @@ def test_aggregate_response_noise_moments():
     assert abs(totals.var(ddof=1) - pop.n) <= var_tol
 
 
+def test_realize_outcome_explicit_noise(scenario_factory, rng):
+    sc = scenario_factory(rng, n=5, t=2, noise_sd=0.0)
+    eps = np.zeros(5)
+    a = realize_outcome(sc, 0.7, eps)
+    pop = sc.population
+    assert np.array_equal(a, oracle_responses(pop.alphas, pop.betas, 0.7, eps))
+    shifted = realize_outcome(sc, 0.7, eps + 0.5)
+    assert np.allclose(shifted - a, 0.5, atol=1e-15)
+
+
+# ------------------------------------------------------------ stage cost
+
+
 def test_stage_cost_pinned_values(unit_scenario):
-    outcome = StageOutcome(lambda_t=1.0, responses=np.array([1.0]), aggregate=1.0)
-    assert stage_cost(unit_scenario, 2.0, 1, outcome) == pytest.approx(1.0, abs=1e-15)
-    zero = StageOutcome(lambda_t=0.0, responses=np.array([0.0]), aggregate=0.0)
-    assert stage_cost(unit_scenario, 0.0, 1, zero) == 0.0
+    assert stage_cost(unit_scenario, 2.0, 1, np.array([1.0])) == pytest.approx((1.0, 1.0), abs=1e-15)
+    assert stage_cost(unit_scenario, 0.0, 1, np.array([0.0])) == (0.0, 0.0)
 
 
 def test_stage_cost_minimized_by_offline_responses(scenario_factory, rng):
@@ -100,67 +140,35 @@ def test_stage_cost_minimized_by_offline_responses(scenario_factory, rng):
         sc = scenario_factory(rng, n=4, t=3)
         y = float(rng.uniform(0.1, 2.0))
         sol = closed_form_solve(sc, y)
-        for t in range(1, sc.demand.horizon + 1):
+        for t in range(1, sc.horizon + 1):
             x = sol.x_star[:, t - 1]
-            base = stage_cost(sc, y, t, StageOutcome(0.0, x, float(x.sum())))
+            base = _cost(sc, y, t, x)
             for _ in range(5):
-                xp = x + rng.normal(0.0, 0.1, x.shape)
-                perturbed = stage_cost(sc, y, t, StageOutcome(0.0, xp, float(xp.sum())))
+                perturbed = _cost(sc, y, t, x + rng.normal(0.0, 0.1, x.shape))
                 assert perturbed >= base - 1e-12
 
 
 def test_stage_cost_user_permutation_invariant(scenario_factory, rng):
     sc = scenario_factory(rng, n=6, t=2)
     x = rng.uniform(-1.0, 3.0, 6)
-    base = stage_cost(sc, 1.0, 1, StageOutcome(0.0, x, float(x.sum())))
+    base = _cost(sc, 1.0, 1, x)
     perm = rng.permutation(6)
     sc_p = Scenario(
-        population=Population.from_arrays(sc.population.alphas[perm], sc.population.betas[perm]),
+        population=Population(sc.population.alphas[perm], sc.population.betas[perm]),
         demand=sc.demand,
         alpha_rev=sc.alpha_rev,
         noise_sd=sc.noise_sd,
     )
-    xp = x[perm]
-    permuted = stage_cost(sc_p, 1.0, 1, StageOutcome(0.0, xp, float(xp.sum())))
+    permuted = _cost(sc_p, 1.0, 1, x[perm])
     assert permuted == pytest.approx(base, rel=1e-12)
 
 
 def test_stage_cost_slot_out_of_range(unit_scenario):
-    outcome = StageOutcome(1.0, np.array([1.0]), 1.0)
+    x = np.array([1.0])
     with pytest.raises(ValueError, match=r"slot index 0 out of range 1\.\.1"):
-        stage_cost(unit_scenario, 1.0, 0, outcome)
+        stage_cost(unit_scenario, 1.0, 0, x)
     with pytest.raises(ValueError, match=r"slot index 2 out of range 1\.\.1"):
-        stage_cost(unit_scenario, 1.0, 2, outcome)
-
-
-def test_realize_outcome_explicit_noise(scenario_factory, rng):
-    sc = scenario_factory(rng, n=5, t=2, noise_sd=0.0)
-    eps = np.zeros(5)
-    a = realize_outcome(sc, 0.7, eps)
-    b = aggregate_response(sc, 0.7, np.random.default_rng(2))
-    assert np.array_equal(a.responses, b.responses)
-    assert a.aggregate == b.aggregate
-    shifted = realize_outcome(sc, 0.7, eps + 0.5)
-    assert np.allclose(shifted.responses - a.responses, 0.5, atol=1e-15)
-
-
-def test_parameter_validation():
-    with pytest.raises(ValueError):
-        UserParams(-0.5, 1.0)
-    with pytest.raises(ValueError):
-        UserParams(1.0, 0.0)
-    with pytest.raises(ValueError):
-        Population(users=())
-    with pytest.raises(ValueError):
-        DemandProfile((1.0, 0.0))
-    pop = Population.from_arrays([1.0], [2.0])
-    with pytest.raises(ValueError):
-        Scenario(pop, DemandProfile((1.0,)), alpha_rev=0.0)
-    with pytest.raises(ValueError):
-        Scenario(pop, DemandProfile((1.0,)), alpha_rev=1.0, noise_sd=-1.0)
-    sc = Scenario(pop, DemandProfile((1.0,)), alpha_rev=1.0)
-    with pytest.raises(ValueError):
-        aggregate_response(sc, float("nan"), np.random.default_rng(0))
+        stage_cost(unit_scenario, 1.0, 2, x)
 
 
 def test_stage_cost_at_lambda_star_matches_offline_value(scenario_factory, rng):
@@ -171,19 +179,141 @@ def test_stage_cost_at_lambda_star_matches_offline_value(scenario_factory, rng):
         y = float(rng.uniform(0.2, 2.0))
         sol = closed_form_solve(sc, y)
         pop = sc.population
-        for t in range(1, sc.demand.horizon + 1):
-            outcome = realize_outcome(sc, float(sol.lambda_star[t - 1]), np.zeros(sc.n))
-            realized = stage_cost(sc, y, t, outcome)
+        for t in range(1, sc.horizon + 1):
+            x_t = realize_outcome(sc, float(sol.lambda_star[t - 1]), np.zeros(sc.n))
+            realized = stage_cost(sc, y, t, x_t)[1]
             x = sol.x_star[:, t - 1]
             expected = float((0.5 * pop.betas * x + pop.alphas) @ x) / sc.n
-            expected += (sol.q_star[t - 1] - y * sc.demand.d[t - 1]) ** 2 / (2.0 * sc.n)
+            expected += (sol.q_star[t - 1] - y * sc.demand[t - 1]) ** 2 / (2.0 * sc.n)
             assert realized == pytest.approx(expected, rel=1e-10)
+
+
+# ------------------------------------------------------ population, demand
+
+
+def test_parameter_validation():
+    with pytest.raises(ValueError, match=r"alphas\[0\]=-0.5 must be finite and >= 0"):
+        Population([-0.5], [1.0])
+    with pytest.raises(ValueError, match=r"betas\[0\]=0.0 must be finite and > 0"):
+        Population([1.0], [0.0])
+    with pytest.raises(ValueError, match="alphas must be a non-empty 1-D array"):
+        Population([], [])
+    with pytest.raises(ValueError, match="equal length"):
+        Population([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match=r"demand\[1\]=0.0 must be finite and > 0"):
+        Scenario(Population([1.0], [2.0]), (1.0, 0.0), alpha_rev=1.0)
+    with pytest.raises(ValueError, match="demand must be a non-empty 1-D array"):
+        Scenario(Population([1.0], [2.0]), (), alpha_rev=1.0)
+    pop = Population([1.0], [2.0])
+    with pytest.raises(ValueError):
+        Scenario(pop, (1.0,), alpha_rev=0.0)
+    with pytest.raises(ValueError):
+        Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=-1.0)
 
 
 def test_population_cached_aggregates(rng):
     alphas = rng.uniform(0.5, 2.0, 8)
     betas = rng.uniform(1.0, 5.0, 8)
-    pop = Population.from_arrays(alphas, betas)
+    pop = Population(alphas, betas)
     assert pop.gamma1 == pytest.approx(float(np.sum(1.0 / betas)), rel=1e-15)
     assert pop.gamma2 == pytest.approx(float(-np.sum(alphas / betas)), rel=1e-15)
     assert pop.n == 8
+
+
+def test_arrays_are_read_only_copies():
+    alphas, betas, d = np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0])
+    sc = Scenario(Population(alphas, betas), d, alpha_rev=1.0)
+    alphas[0] = d[0] = 9.0  # the caller's arrays stay writable and detached
+    assert sc.population.alphas[0] == 1.0 and sc.demand[0] == 5.0
+    for arr in (sc.population.alphas, sc.population.betas, sc.demand):
+        assert arr.dtype == np.float64
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert sc.horizon == 1 and sc.n == 2
+
+
+# --------------------------------------------------------- property tests
+
+@st.composite
+def _instances(draw):
+    n = draw(st.integers(1, 12))
+    alphas = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    betas = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    demand = draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4))
+    eps = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    lam = draw(st.floats(-5.0, 5.0))
+    y = draw(st.floats(-10.0, 10.0))
+    t = draw(st.integers(1, len(demand)))
+    return alphas, betas, demand, eps, lam, y, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(_instances())
+def test_outcome_and_cost_match_per_user_oracle(instance):
+    alphas, betas, demand, eps, lam, y, t = instance
+    sc = Scenario(Population(alphas, betas), demand, alpha_rev=1.0)
+    x = realize_outcome(sc, lam, np.array(eps))
+    # elementwise float64 arithmetic: bit-equal to the scalar loop
+    assert x.tolist() == oracle_responses(alphas, betas, lam, eps)
+    q, cost = stage_cost(sc, y, t, x)
+    q_ref, cost_ref = oracle_stage_cost(alphas, betas, y, demand[t - 1], x.tolist())
+    size = math.fsum(abs(v) for v in x) + abs(y * demand[t - 1])
+    assert abs(q - q_ref) <= 1e-13 * size
+    scale = math.fsum(
+        abs(0.5 * b * v * v) + abs(a * v) for a, b, v in zip(alphas, betas, x)
+    ) / len(x) + size * size / (2.0 * len(x))
+    assert abs(cost - cost_ref) <= 1e-12 * scale
+
+
+_bad_entries = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1e-300, 0.0, -0.0])
+
+
+def _first_bad(values, positive):
+    for i, v in enumerate(values):
+        if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
+            return i
+    return None
+
+
+@st.composite
+def _arrays(draw):
+    """alphas, betas, demand: valid values, each list sometimes with one entry replaced."""
+
+    def values(size, lo):
+        out = draw(st.lists(st.floats(lo, 5.0), min_size=size, max_size=size))
+        if out and draw(st.booleans()):
+            out[draw(st.integers(0, size - 1))] = draw(_bad_entries)
+        return out
+
+    n = draw(st.integers(0, 4))
+    return values(n, 0.0), values(n + draw(st.sampled_from([0, 0, 0, 1])), 1e-3), values(
+        draw(st.integers(0, 4)), 1e-3
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arrays())
+def test_population_and_scenario_accept_exactly_valid_arrays(arrays):
+    alphas, betas, demand = arrays
+    bad_a, bad_b, bad_d = _first_bad(alphas, False), _first_bad(betas, True), _first_bad(demand, True)
+    valid_pop = alphas and bad_a is None and bad_b is None and len(alphas) == len(betas)
+    if not valid_pop:
+        with pytest.raises(ValueError) as info:
+            Population(alphas, betas)
+        if not alphas:
+            assert "alphas must be a non-empty" in str(info.value)
+        elif bad_a is not None:
+            assert str(info.value).startswith(f"alphas[{bad_a}]=")
+        elif bad_b is not None:
+            assert str(info.value).startswith(f"betas[{bad_b}]=")
+        return
+    pop = Population(alphas, betas)
+    assert pop.alphas.tolist() == alphas and pop.betas.tolist() == betas
+    if not demand or bad_d is not None:
+        with pytest.raises(ValueError) as info:
+            Scenario(pop, demand, alpha_rev=1.0)
+        if demand:
+            assert str(info.value).startswith(f"demand[{bad_d}]=")
+        return
+    sc = Scenario(pop, demand, alpha_rev=1.0)
+    assert sc.demand.tolist() == demand and sc.horizon == len(demand)

@@ -3,21 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
-from drpsim import (
-    DemandProfile,
+from drpsim.model import Population, Scenario
+from drpsim.offline import (
     OfflineSolution,
-    Population,
-    Scenario,
     closed_form_solve,
-    compute_lambda_star,
-    compute_x_star,
     compute_y_star,
     lambda_star_path,
     oracle_solve,
     oracle_y_star,
     reduced_objective,
 )
-from drpsim.model import UserParams
 
 
 def test_y_star_unit_case(unit_scenario):
@@ -28,9 +23,9 @@ def test_y_star_unit_case(unit_scenario):
 def test_y_star_zero_alpha_reduction(rng):
     # With every alpha_i = 0 the formula collapses to T*a*(1+g1)/sum(d^2).
     betas = rng.uniform(1.0, 6.0, 7)
-    pop = Population.from_arrays(np.zeros(7), betas)
+    pop = Population(np.zeros(7), betas)
     d = tuple(float(v) for v in rng.uniform(0.5, 3.0, 4))
-    sc = Scenario(pop, DemandProfile(d), alpha_rev=1.7)
+    sc = Scenario(pop, d, alpha_rev=1.7)
     g1 = pop.gamma1
     expected = 4 * 1.7 * (1.0 + g1) / float(np.sum(np.square(d)))
     assert compute_y_star(sc) == pytest.approx(expected, rel=1e-12)
@@ -38,8 +33,8 @@ def test_y_star_zero_alpha_reduction(rng):
 
 def test_y_star_negative_warns():
     # Large baseline willingness (alpha_i >> revenue price) drives Y* < 0.
-    pop = Population.from_arrays([50.0, 60.0], [1.0, 1.0])
-    sc = Scenario(pop, DemandProfile((1.0, 1.0)), alpha_rev=0.01)
+    pop = Population([50.0, 60.0], [1.0, 1.0])
+    sc = Scenario(pop, (1.0, 1.0), alpha_rev=0.01)
     with pytest.warns(RuntimeWarning, match="optimal capacity is negative"):
         y = compute_y_star(sc)
     assert y < 0
@@ -47,9 +42,9 @@ def test_y_star_negative_warns():
 
 def test_y_star_golden_section_oracle_table1_style():
     rng = np.random.default_rng(42)
-    pop = Population.from_arrays(rng.uniform(1.0, 2.0, 100), rng.uniform(4.0, 8.0, 100))
+    pop = Population(rng.uniform(1.0, 2.0, 100), rng.uniform(4.0, 8.0, 100))
     d = tuple(float(v) for v in rng.uniform(3.0, 6.0, 100))
-    sc = Scenario(pop, DemandProfile(d), alpha_rev=1.0 * max(d))
+    sc = Scenario(pop, d, alpha_rev=1.0 * max(d))
     with warnings.catch_warnings():
         # this draw happens to sit at a slightly negative optimum
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -75,28 +70,23 @@ def test_y_star_stationarity_finite_difference(scenario_factory, rng):
 
 
 def test_lambda_star_unit_case(unit_scenario):
-    assert compute_lambda_star(unit_scenario, 2.0, 1) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError, match="slot index"):
-        compute_lambda_star(unit_scenario, 2.0, 2)
+    assert lambda_star_path(unit_scenario, 2.0)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_lambda_star_homogeneous_in_demand(rng):
     # alpha_i = 0 makes lambda* proportional to d_t.
-    pop = Population.from_arrays(np.zeros(5), rng.uniform(1.0, 4.0, 5))
-    sc1 = Scenario(pop, DemandProfile((1.0, 2.5)), alpha_rev=1.0)
-    sc2 = Scenario(pop, DemandProfile((2.0, 5.0)), alpha_rev=1.0)
+    pop = Population(np.zeros(5), rng.uniform(1.0, 4.0, 5))
+    sc1 = Scenario(pop, (1.0, 2.5), alpha_rev=1.0)
+    sc2 = Scenario(pop, (2.0, 5.0), alpha_rev=1.0)
     y = 1.3
-    for t in (1, 2):
-        assert compute_lambda_star(sc2, y, t) == pytest.approx(
-            2.0 * compute_lambda_star(sc1, y, t), rel=1e-14
-        )
+    assert lambda_star_path(sc2, y) == pytest.approx(2.0 * lambda_star_path(sc1, y), rel=1e-14)
 
 
 def test_lambda_star_affine_in_demand_sorts_identically(scenario_factory, rng):
     sc = scenario_factory(rng, n=6, t=5)
     y = float(rng.uniform(0.2, 2.0))
     lam = lambda_star_path(sc, y)
-    d = sc.demand.values
+    d = sc.demand
     order_d = np.argsort(d)
     assert np.array_equal(order_d, np.argsort(lam))
     # affine with positive slope: lambda = y*d/(N+N*g1) + const
@@ -105,18 +95,15 @@ def test_lambda_star_affine_in_demand_sorts_identically(scenario_factory, rng):
     assert np.allclose(lam, slope * d + (lam - slope * d).mean(), rtol=0, atol=1e-12)
 
 
-def test_x_star_unit_and_boundary():
-    assert compute_x_star(UserParams(0.0, 1.0), 1.0, 1) == pytest.approx(1.0, abs=1e-15)
-    # N*lambda equal to alpha_i pins the response at zero
-    assert compute_x_star(UserParams(3.0, 2.0), 1.5, 2) == 0.0
-
-
-def test_lambda_star_path_matches_scalar(scenario_factory, rng):
-    sc = scenario_factory(rng, n=4, t=5)
-    y = 0.9
-    path = lambda_star_path(sc, y)
-    for t in range(1, 6):
-        assert path[t - 1] == compute_lambda_star(sc, y, t)
+def test_x_star_unit_and_boundary(unit_scenario):
+    # unit case: y = 2 gives lambda* = 1 and x* = (1*1 - 0)/1
+    assert closed_form_solve(unit_scenario, 2.0).x_star[0, 0] == pytest.approx(1.0, abs=1e-15)
+    # N*lambda equal to alpha_i pins the response at zero: two users with
+    # alpha = 3, beta = 2 and y*d = 3 price at lambda* = 1.5
+    sc = Scenario(Population([3.0, 3.0], [2.0, 2.0]), (1.0,), alpha_rev=1.0)
+    sol = closed_form_solve(sc, 3.0)
+    assert sol.lambda_star[0] == 1.5
+    assert np.all(sol.x_star == 0.0)
 
 
 def test_oracle_solve_unit_case(unit_scenario):
@@ -129,8 +116,8 @@ def test_oracle_solve_unit_case(unit_scenario):
 def test_oracle_solve_symmetric_pair():
     # Two identical users, y*d_t = 2: the 3x3 stationarity system gives
     # x = (2/3, 2/3) with multiplier N*lambda = 2/3, i.e. price lambda = 1/3.
-    pop = Population.from_arrays([0.0, 0.0], [1.0, 1.0])
-    sc = Scenario(pop, DemandProfile((1.0,)), alpha_rev=1.0)
+    pop = Population([0.0, 0.0], [1.0, 1.0])
+    sc = Scenario(pop, (1.0,), alpha_rev=1.0)
     sol = oracle_solve(sc, 2.0)
     assert sol.x_star[:, 0] == pytest.approx([2.0 / 3.0, 2.0 / 3.0], rel=1e-12)
     assert sol.lambda_star[0] == pytest.approx(1.0 / 3.0, rel=1e-12)

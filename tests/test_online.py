@@ -3,31 +3,26 @@ import warnings
 import numpy as np
 import pytest
 
-from drpsim import (
+from drpsim import estimator
+from drpsim.experiments import ExperimentConfig, build_scenario
+from drpsim.model import Population, Scenario
+from drpsim.offline import (
     DegenerateEstimateError,
-    DemandProfile,
-    OnlineConfig,
-    Population,
-    Scenario,
     closed_form_solve,
-    compute_lambda_star,
     compute_y_star,
     lambda_star_path,
     next_price,
-    run_episode,
-    run_replications,
 )
-from drpsim import estimator
-from drpsim.experiments import ExperimentConfig, build_scenario
+from drpsim.online import OnlineConfig, run_episode, run_replications
 from drpsim.rng import substream
 
 
 def _noiseless_table_scenario():
     """N=4, T=10 instance from the baseline intervals, noise turned off."""
     g = np.random.default_rng(11)
-    pop = Population.from_arrays(g.uniform(1.0, 2.0, 4), g.uniform(4.0, 8.0, 4))
+    pop = Population(g.uniform(1.0, 2.0, 4), g.uniform(4.0, 8.0, 4))
     d = tuple(float(v) for v in g.uniform(3.0, 6.0, 10))
-    return Scenario(pop, DemandProfile(d), alpha_rev=6.0, noise_sd=0.0)
+    return Scenario(pop, d, alpha_rev=6.0, noise_sd=0.0)
 
 
 def test_next_price_unit_case():
@@ -44,19 +39,21 @@ def test_next_price_degenerate():
 
 
 def test_next_price_at_truth_equals_lambda_star(scenario_factory, rng):
+    # the scalar evaluation at one d_t agrees with the path over the array
     for _ in range(100):
         sc = scenario_factory(rng)
         y = float(rng.uniform(-1.0, 2.0))
         pop = sc.population
-        for t in range(1, sc.demand.horizon + 1):
-            lam = next_price(pop.gamma1, pop.gamma2, y, sc.demand.d[t - 1], sc.n)
-            assert lam == pytest.approx(compute_lambda_star(sc, y, t), rel=1e-12)
+        path = lambda_star_path(sc, y)
+        for t in range(1, sc.horizon + 1):
+            lam = next_price(pop.gamma1, pop.gamma2, y, float(sc.demand[t - 1]), sc.n)
+            assert lam == pytest.approx(path[t - 1], rel=1e-12)
 
 
 def test_noiseless_identification_from_arbitrary_init():
     sc = _noiseless_table_scenario()
     y = compute_y_star(sc)
-    assert sc.demand.d[0] != sc.demand.d[1]
+    assert sc.demand[0] != sc.demand[1]
     traj = run_episode(
         OnlineConfig(scenario=sc, y_capacity=y, lambda_init=0.05, ridge_param=0.0),
         np.random.default_rng(0),
@@ -77,7 +74,7 @@ def test_noiseless_identification_from_arbitrary_init():
 def test_noiseless_identification_from_lambda_star_init():
     sc = _noiseless_table_scenario()
     y = compute_y_star(sc)
-    lam1 = compute_lambda_star(sc, y, 1)
+    lam1 = float(lambda_star_path(sc, y)[0])
     traj = run_episode(
         OnlineConfig(scenario=sc, y_capacity=y, lambda_init=lam1, ridge_param=0.0),
         np.random.default_rng(0),
@@ -97,7 +94,7 @@ def test_true_estimate_is_fixed_point():
         OnlineConfig(
             scenario=sc,
             y_capacity=y,
-            lambda_init=compute_lambda_star(sc, y, 1),
+            lambda_init=float(lambda_star_path(sc, y)[0]),
             initial_estimator=state,
         ),
         np.random.default_rng(0),
@@ -156,22 +153,6 @@ def test_lambda_star_column_and_counterfactual_aggregate():
     assert np.allclose(traj.q_star, sol.q_star, rtol=1e-12)
 
 
-def test_record_users_matches_aggregate():
-    sc = _noiseless_table_scenario()
-    noisy = Scenario(sc.population, sc.demand, sc.alpha_rev, noise_sd=1.0)
-    traj = run_episode(
-        OnlineConfig(scenario=noisy, y_capacity=0.5, record_users=True),
-        substream(5, 1, 0),
-    )
-    assert traj.user_responses.shape == (4, 10)
-    assert np.array_equal(traj.user_responses.sum(axis=0), traj.q_online)
-    plain = run_episode(
-        OnlineConfig(scenario=noisy, y_capacity=0.5), substream(5, 1, 0)
-    )
-    assert plain.user_responses is None
-    assert np.array_equal(plain.lambda_online, traj.lambda_online)
-
-
 def test_slot1_draw_range_and_override():
     sc = _noiseless_table_scenario()
     hi = 2.0 * sc.alpha_rev / sc.n
@@ -194,8 +175,8 @@ def test_degenerate_recovery_keeps_previous_price():
     state = estimator.init(0.0, 1)
     estimator.update(state, 1.0, 4.0)
     estimator.update(state, 2.0, 3.0)
-    pop = Population.from_arrays([0.5], [1.0])
-    sc = Scenario(pop, DemandProfile((1.0, 1.2, 0.9, 1.1)), alpha_rev=1.0, noise_sd=0.0)
+    pop = Population([0.5], [1.0])
+    sc = Scenario(pop, (1.0, 1.2, 0.9, 1.1), alpha_rev=1.0, noise_sd=0.0)
     config = OnlineConfig(
         scenario=sc, y_capacity=1.0, lambda_init=2.75, initial_estimator=state
     )
