@@ -23,6 +23,7 @@ from pathlib import Path
 from .experiments import (
     ExperimentConfig,
     _fmt,
+    _parse_number,
     build_scenario,
     parse_config,
     run_experiment,
@@ -86,7 +87,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         config = replace(config, coupled_noise=True)
     env_seed = os.environ.get("DRPSIM_SEED")
     if env_seed is not None:
-        config = replace(config, seed=int(env_seed))
+        config = replace(config, seed=_parse_number(int, env_seed, "DRPSIM_SEED"))
     env_out = os.environ.get("DRPSIM_OUT")
     if env_out is not None:
         config = replace(config, out_dir=env_out)

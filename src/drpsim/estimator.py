@@ -11,14 +11,15 @@ per observation:
 
     X'X = [[sum u^2, sum u], [sum u, m]]      X'Z = [sum u*Z, sum Z]
 
-estimate() solves (X'X + ridge*I) theta = X'Z in closed form. With
-ridge = 0 this is plain least squares and needs two distinct prices;
-with ridge > 0 it is well-defined from zero data and shrinks toward the
-prior mean (0, 0).
+solve_normal_equations() solves (X'X + ridge*I) theta = X'Z in closed
+form; estimate() adds the covariance. With ridge = 0 this is plain least
+squares and needs two distinct prices; with ridge > 0 it is well-defined
+from zero data and shrinks toward the prior mean (0, 0).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "GammaEstimate",
     "init",
     "update",
+    "solve_normal_equations",
     "estimate",
 ]
 
@@ -107,7 +109,7 @@ def update(state: EstimatorState, lambda_t: float, z_t: float) -> EstimatorState
     """
     lambda_t = float(lambda_t)
     z_t = float(z_t)
-    if not (np.isfinite(lambda_t) and np.isfinite(z_t)):
+    if not (math.isfinite(lambda_t) and math.isfinite(z_t)):
         raise ValueError(f"observation must be finite, got ({lambda_t}, {z_t})")
     u = state.n_scale * lambda_t
     state.n_samples += 1
@@ -116,6 +118,39 @@ def update(state: EstimatorState, lambda_t: float, z_t: float) -> EstimatorState
     state.sz += z_t
     state.suz += u * z_t
     return state
+
+
+def solve_normal_equations(state: EstimatorState) -> tuple[float, float, float]:
+    """(gamma1_hat, gamma2_hat, det) of (X'X + ridge*I) theta = X'Z in closed form.
+
+    Scalar arithmetic only, cheap enough for the online loop to call
+    every slot; det is the determinant of the regularized normal matrix.
+
+    Raises:
+        InsufficientDataError: no samples and ridge_param == 0.
+        UnidentifiableError: condition number of the regularized normal
+            matrix exceeds COND_LIMIT (prices carry too little variation).
+    """
+    r = state.ridge_param
+    m = state.n_samples
+    if m == 0 and r == 0.0:
+        raise InsufficientDataError("insufficient data")
+
+    a00 = state.suu + r
+    a01 = state.su
+    a11 = m + r
+
+    # condition number from the closed-form symmetric 2x2 eigenvalues
+    mean = 0.5 * (a00 + a11)
+    disc = math.hypot(0.5 * (a00 - a11), a01)
+    lo = mean - disc
+    if lo <= 0.0 or (mean + disc) > COND_LIMIT * lo:
+        raise UnidentifiableError("unidentifiable: insufficient price variation")
+
+    det = a00 * a11 - a01 * a01
+    g1 = (a11 * state.suz - a01 * state.sz) / det
+    g2 = (a00 * state.sz - a01 * state.suz) / det
+    return g1, g2, det
 
 
 def estimate(state: EstimatorState, residual_var: float = 1.0) -> GammaEstimate:
@@ -131,30 +166,14 @@ def estimate(state: EstimatorState, residual_var: float = 1.0) -> GammaEstimate:
         GammaEstimate with covariance (X'X + ridge*I)^{-1} * residual_var.
 
     Raises:
-        InsufficientDataError: no samples and ridge_param == 0.
-        UnidentifiableError: condition number of the regularized normal
-            matrix exceeds COND_LIMIT (prices carry too little variation).
+        InsufficientDataError, UnidentifiableError: as solve_normal_equations.
     """
     if residual_var < 0:
         raise ValueError(f"residual_var must be >= 0, got {residual_var}")
+    g1, g2, det = solve_normal_equations(state)
     r = state.ridge_param
-    m = state.n_samples
-    if m == 0 and r == 0.0:
-        raise InsufficientDataError("insufficient data")
-
-    a00 = state.suu + r
     a01 = state.su
-    a11 = m + r
-
-    # condition number from the closed-form symmetric 2x2 eigenvalues
-    mean = 0.5 * (a00 + a11)
-    disc = np.hypot(0.5 * (a00 - a11), a01)
-    lo = mean - disc
-    if lo <= 0.0 or (mean + disc) > COND_LIMIT * lo:
-        raise UnidentifiableError("unidentifiable: insufficient price variation")
-
-    det = a00 * a11 - a01 * a01
-    g1 = (a11 * state.suz - a01 * state.sz) / det
-    g2 = (a00 * state.sz - a01 * state.suz) / det
-    cov = (residual_var / det) * np.array([[a11, -a01], [-a01, a00]])
+    cov = (residual_var / det) * np.array(
+        [[state.n_samples + r, -a01], [-a01, state.suu + r]]
+    )
     return GammaEstimate(gamma1_hat=g1, gamma2_hat=g2, covariance=cov)

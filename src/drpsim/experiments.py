@@ -54,6 +54,15 @@ KIND_INTERVALS = {
 }
 
 
+def _parse_number(number: type, text: str, what: str):
+    """int(text) or float(text); the error names what was being parsed."""
+    try:
+        return number(text)
+    except ValueError:
+        expected = "an integer" if number is int else "a number"
+        raise ValueError(f"{what} must be {expected}, got '{text}'") from None
+
+
 def parse_experiment_kind(kind: str) -> tuple[str, Optional[float]]:
     """Split an experiment-kind string into (family, parameter).
 
@@ -67,14 +76,14 @@ def parse_experiment_kind(kind: str) -> tuple[str, Optional[float]]:
     if family == "repeated-dt":
         if not sep:
             raise ValueError("repeated-dt requires a fraction, e.g. repeated-dt:0.3")
-        p = float(arg)
+        p = _parse_number(float, arg, "repeated-dt fraction")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"repeated-dt fraction must be in [0, 1], got {p}")
         return family, p
     if family == "blocked-dt":
         if not sep:
             raise ValueError("blocked-dt requires a block size, e.g. blocked-dt:4")
-        b = int(arg)
+        b = _parse_number(int, arg, "blocked-dt block size")
         if b < 1:
             raise ValueError(f"blocked-dt block size must be >= 1, got {b}")
         return family, float(b)
@@ -173,8 +182,9 @@ _CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat key = value text ('#' starts a comment) into a config.
 
-    Unknown or duplicate keys are rejected with the offending line
-    number; omitted keys keep their defaults.
+    Unknown or duplicate keys, and values that do not parse as the key's
+    type, are rejected with the offending line number; omitted keys keep
+    their defaults.
     """
     data: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -190,10 +200,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: unknown key '{key}'")
         if key in data:
             raise ValueError(f"config line {lineno}: duplicate key '{key}'")
-        if key in _INT_KEYS:
-            data[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            data[key] = float(value)
+        if key in _INT_KEYS or key in _FLOAT_KEYS:
+            number = int if key in _INT_KEYS else float
+            data[key] = _parse_number(number, value, f"config line {lineno}: {key}")
         elif key in _BOOL_KEYS:
             lowered = value.lower()
             if lowered not in ("true", "false"):

@@ -21,6 +21,12 @@ committed capacity Y and demand level d_t is
 The operator's revenue term -alpha_rev*Y*T/N is constant in lambda and is
 excluded here (it cancels in every cost difference); totals that include it
 can be formed by the caller.
+
+stage_cost evaluates C_t from the N responses of one slot.
+aggregate_from_noise and stage_costs_from_noise evaluate Q_t and C_t for a
+whole horizon from two statistics of each slot's noise vector, sum_i eps_i
+and sum_i beta_i*eps_i^2, through algebraic identities derived in their
+docstrings.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ __all__ = [
     "Scenario",
     "realize_outcome",
     "stage_cost",
+    "aggregate_from_noise",
+    "stage_costs_from_noise",
 ]
 
 
@@ -160,3 +168,56 @@ def stage_cost(
     user_term = float((0.5 * pop.betas * x + pop.alphas) @ x) / n
     imbalance = q - y * scenario.demand.item(t - 1)
     return q, user_term + imbalance * imbalance / (2.0 * n)
+
+
+def aggregate_from_noise(
+    scenario: Scenario, lam: NDArray[np.float64], eps_sum: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Aggregates Q_t = N*gamma1*lambda_t + gamma2 + sum_i eps_it of whole price paths.
+
+    Summing realize_outcome's x_i = (N*lambda_t - alpha_i)/beta_i + eps_i
+    over users gives this identity, so Q_t needs the per-slot noise sum
+    eps_sum instead of the N responses. It agrees with the summed
+    responses up to rounding, not bit for bit.
+    """
+    pop = scenario.population
+    return scenario.n * lam * pop.gamma1 + pop.gamma2 + eps_sum
+
+
+def stage_costs_from_noise(
+    scenario: Scenario,
+    y: float,
+    lam: NDArray[np.float64],
+    q: NDArray[np.float64],
+    eps_sum: NDArray[np.float64],
+    beta_eps2_sum: NDArray[np.float64],
+) -> NDArray[np.float64]:
+    """Stage cost C_t of every slot from two noise statistics per slot.
+
+    The cost stage_cost gives to the responses realize_outcome(scenario,
+    lam[t], eps_t) with aggregate q[t], for all T slots at once. Writing
+    x_i = m_i + eps_i with m_i = (N*lambda - alpha_i)/beta_i, so that
+    beta_i*m_i = N*lambda - alpha_i, each user's cost is
+
+        0.5*beta_i*x_i^2 + alpha_i*x_i
+            = (N^2*lambda^2 - alpha_i^2)/(2*beta_i) + N*lambda*eps_i + 0.5*beta_i*eps_i^2
+
+    and the user term of C_t is therefore
+
+        (N^2*lambda^2*gamma1 - sum_i alpha_i^2/beta_i)/(2N)
+            + lambda*sum_i eps_i + sum_i beta_i*eps_i^2/(2N),
+
+    which needs only eps_sum = sum_i eps_it and beta_eps2_sum =
+    sum_i beta_i*eps_it^2. The imbalance term (q - y*d_t)^2/(2N) is
+    stage_cost's. The result agrees with stage_cost up to rounding.
+    """
+    pop = scenario.population
+    n = scenario.n
+    a2_over_b = float(np.sum(pop.alphas * pop.alphas / pop.betas))
+    user = (
+        (n * n * pop.gamma1 * lam * lam - a2_over_b) / (2.0 * n)
+        + lam * eps_sum
+        + beta_eps2_sum / (2.0 * n)
+    )
+    imbalance = q - y * scenario.demand
+    return user + imbalance * imbalance / (2.0 * n)

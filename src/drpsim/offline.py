@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.optimize import minimize_scalar
 
 from .model import Scenario, realize_outcome, stage_cost
 
@@ -191,6 +190,10 @@ def oracle_y_star(scenario: Scenario, xtol: float = 1e-10) -> float:
     evaluations, which pins the minimizer of a true quadratic to near
     machine precision.
     """
+    # scipy.optimize takes ~45 MB and ~0.7 s to import and nothing else
+    # in the package needs it, so only this oracle pays for it
+    from scipy.optimize import minimize_scalar
+
     pop = scenario.population
     d = scenario.demand
     magnitude = (

@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimator import EstimatorError, EstimatorState, estimate, init, update
-from .model import Scenario, realize_outcome, stage_cost
+from .estimator import EstimatorError, EstimatorState, init, solve_normal_equations, update
+from .model import Scenario, aggregate_from_noise, stage_costs_from_noise
 from .offline import DegenerateEstimateError, lambda_star_path, next_price
 from .rng import substream
 
@@ -42,6 +42,12 @@ __all__ = [
     "run_episode",
     "run_replications",
 ]
+
+#: most normals drawn per call (4 MB); a block holds at least one slot's
+#: 2*N. At N = 1e5 a block holds two slots: with one-slot (1.6 MB) blocks
+#: glibc trimmed the heap after every episode, and the next scenario build
+#: page-faulted all of its arrays again.
+NOISE_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -101,15 +107,27 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
     Deterministic given (config, rng state). The stream is consumed in a
     fixed order: the slot-1 draw (only if lambda_init is None), then per
     slot the online noise vector followed by the counterfactual one.
+    Those vectors are drawn as (k, 2, N) blocks of consecutive slots,
+    which yields the same values as slot-by-slot draws.
+
+    Per slot the loop does O(1) scalar work plus the one O(N) sum that
+    the estimator observes, Q_t = sum_i x_i of the online responses.
+    Every other quantity needs only two statistics of each noise vector,
+    sum_i eps_i and sum_i beta_i*eps_i^2, reduced per block; the stage
+    costs and the counterfactual aggregates are formed from them after
+    the loop (model.stage_costs_from_noise, model.aggregate_from_noise).
+    Degenerate prices are counted and reported by one RuntimeWarning per
+    episode.
     """
     scenario = config.scenario
+    alphas = scenario.population.alphas
+    betas = scenario.population.betas
     n = scenario.n
     t_hor = scenario.horizon
     y = config.y_capacity
     demand = scenario.demand.tolist()
     noise_sd = scenario.noise_sd
     lam_star = lambda_star_path(scenario, y)
-    residual_var = n * noise_sd * noise_sd
 
     if config.initial_estimator is not None:
         est_state = config.initial_estimator
@@ -121,66 +139,75 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
     else:
         lam = float(rng.uniform(0.0, 2.0 * scenario.alpha_rev / n))
 
-    lam_path = np.empty(t_hor)
-    g1_path = np.empty(t_hor)
-    g2_path = np.empty(t_hor)
-    q_online = np.empty(t_hor)
-    q_star = np.empty(t_hor)
-    cost_online = np.empty(t_hor)
-    cost_star = np.empty(t_hor)
+    lam_path = []
+    g1_path = []
+    g2_path = []
+    q_path = []
+    eps_sum = np.empty((t_hor, 2))
+    beta_eps2_sum = np.empty((t_hor, 2))
     degenerate_events = 0
     fallback_events = 0
     g1, g2 = 0.0, 0.0
-    zero_eps = np.zeros(n)
+    block = max(1, NOISE_BLOCK // (2 * n))
 
-    for t in range(1, t_hor + 1):
-        if t > 1:
-            try:
-                gam = estimate(est_state, residual_var)
-                g1, g2 = gam.gamma1_hat, gam.gamma2_hat
-            except EstimatorError:
-                g1, g2 = 0.0, 0.0
-                fallback_events += 1
-            try:
-                lam = next_price(g1, g2, y, demand[t - 1], n)
-            except DegenerateEstimateError:
-                degenerate_events += 1
-                warnings.warn(
-                    "degenerate estimate: reusing previous price", RuntimeWarning
-                )
-
+    for start in range(0, t_hor, block):
+        k = min(block, t_hor - start)
         if noise_sd == 0.0:
-            eps_online = zero_eps
-            eps_cf = zero_eps
+            eps = np.zeros((k, 2, n))
         else:
-            eps_online = rng.normal(0.0, noise_sd, n)
-            eps_cf = rng.normal(0.0, noise_sd, n)
-            if config.coupled_noise:
-                eps_cf = eps_online
+            eps = rng.normal(0.0, noise_sd, (k, 2, n))
+        eps_sum[start : start + k] = eps.sum(axis=2)
+        for j in range(k):
+            t = start + j
+            if t > 0:
+                try:
+                    g1, g2, _ = solve_normal_equations(est_state)
+                except EstimatorError:
+                    g1, g2 = 0.0, 0.0
+                    fallback_events += 1
+                try:
+                    lam = next_price(g1, g2, y, demand[t], n)
+                except DegenerateEstimateError:
+                    degenerate_events += 1
+            # realize_outcome(...).sum() bit for bit, written out to save a call per slot
+            q = float(((n * lam - alphas) / betas + eps[j, 0]).sum())
+            lam_path.append(lam)
+            g1_path.append(g1)
+            g2_path.append(g2)
+            q_path.append(q)
+            update(est_state, lam, q)
+        # the block is no longer needed: square it in place
+        np.square(eps, out=eps)
+        eps *= betas
+        beta_eps2_sum[start : start + k] = eps.sum(axis=2)
 
-        x_online = realize_outcome(scenario, lam, eps_online)
-        x_cf = realize_outcome(scenario, float(lam_star[t - 1]), eps_cf)
+    if degenerate_events:
+        warnings.warn(
+            "degenerate estimate: reusing previous price "
+            f"in {degenerate_events} of {t_hor} slots",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
-        lam_path[t - 1] = lam
-        g1_path[t - 1] = g1
-        g2_path[t - 1] = g2
-        q, cost_online[t - 1] = stage_cost(scenario, y, t, x_online)
-        q_online[t - 1] = q
-        q_star[t - 1], cost_star[t - 1] = stage_cost(scenario, y, t, x_cf)
-
-        update(est_state, lam, q)
-
+    lambda_online = np.array(lam_path)
+    q_online = np.array(q_path)
+    cf = 0 if config.coupled_noise else 1
+    q_star = aggregate_from_noise(scenario, lam_star, eps_sum[:, cf])
     return Trajectory(
         t=np.arange(1, t_hor + 1, dtype=np.int64),
         d=scenario.demand.copy(),
-        lambda_online=lam_path,
+        lambda_online=lambda_online,
         lambda_star=lam_star,
-        gamma1_hat=g1_path,
-        gamma2_hat=g2_path,
+        gamma1_hat=np.array(g1_path),
+        gamma2_hat=np.array(g2_path),
         q_online=q_online,
         q_star=q_star,
-        cost_online=cost_online,
-        cost_star=cost_star,
+        cost_online=stage_costs_from_noise(
+            scenario, y, lambda_online, q_online, eps_sum[:, 0], beta_eps2_sum[:, 0]
+        ),
+        cost_star=stage_costs_from_noise(
+            scenario, y, lam_star, q_star, eps_sum[:, cf], beta_eps2_sum[:, cf]
+        ),
         estimator=est_state,
         degenerate_events=degenerate_events,
         fallback_events=fallback_events,

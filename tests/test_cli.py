@@ -167,6 +167,18 @@ def test_seed_beyond_64_bits_is_a_clean_error(small_config, clean_env, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_unparsable_numbers_name_their_source(small_config, clean_env, capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("n_users = 10\nhorizon = abc\n")
+    assert main(["offline", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config line 2: horizon must be an integer, got 'abc'\n"
+    )
+    clean_env.setenv("DRPSIM_SEED", "abc")
+    assert main(["offline", "--config", small_config]) == 2
+    assert capsys.readouterr().err == "error: DRPSIM_SEED must be an integer, got 'abc'\n"
+
+
 def test_missing_config_file_is_a_clean_error(clean_env, capsys, tmp_path):
     rc = main(["offline", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 2

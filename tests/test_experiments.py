@@ -41,6 +41,10 @@ def test_parse_kind_errors():
         parse_experiment_kind("blocked-dt")
     with pytest.raises(ValueError, match="must be >= 1"):
         parse_experiment_kind("blocked-dt:0")
+    with pytest.raises(ValueError, match="repeated-dt fraction must be a number, got 'abc'"):
+        parse_experiment_kind("repeated-dt:abc")
+    with pytest.raises(ValueError, match="blocked-dt block size must be an integer, got '2.5'"):
+        parse_experiment_kind("blocked-dt:2.5")
     with pytest.raises(ValueError, match="unknown experiment kind"):
         parse_experiment_kind("warmstart")
 
@@ -136,6 +140,15 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config("n_users =\n")
     with pytest.raises(ValueError, match="expected true/false"):
         parse_config("coupled_noise = yes\n")
+
+
+def test_parse_config_names_unparsable_numbers():
+    with pytest.raises(ValueError, match="config line 2: n_users must be an integer, got 'abc'"):
+        parse_config("horizon = 7\nn_users = abc\n")
+    with pytest.raises(ValueError, match="config line 1: seed must be an integer, got '1.5'"):
+        parse_config("seed = 1.5\n")
+    with pytest.raises(ValueError, match="config line 3: c_rev must be a number, got 'x'"):
+        parse_config("# comment\nreps = 2\nc_rev = x  # trailing\n")
 
 
 def test_config_round_trip():

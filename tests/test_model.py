@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpsim.model import Population, Scenario, realize_outcome, stage_cost
+from drpsim.model import (
+    Population,
+    Scenario,
+    aggregate_from_noise,
+    realize_outcome,
+    stage_cost,
+    stage_costs_from_noise,
+)
 from drpsim.offline import closed_form_solve
 
 
@@ -263,6 +270,32 @@ def test_outcome_and_cost_match_per_user_oracle(instance):
         abs(0.5 * b * v * v) + abs(a * v) for a, b, v in zip(alphas, betas, x)
     ) / len(x) + size * size / (2.0 * len(x))
     assert abs(cost - cost_ref) <= 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(_instances())
+def test_costs_from_noise_statistics_match_per_user_oracle(instance):
+    alphas, betas, demand, eps, lam, y, _ = instance
+    sc = Scenario(Population(alphas, betas), demand, alpha_rev=1.0)
+    t_hor = sc.horizon
+    lam_path = np.full(t_hor, lam)
+    eps_sum = np.full(t_hor, math.fsum(eps))
+    beta_eps2_sum = np.full(t_hor, math.fsum(b * e * e for b, e in zip(betas, eps)))
+    q = aggregate_from_noise(sc, lam_path, eps_sum)
+    cost = stage_costs_from_noise(sc, y, lam_path, q, eps_sum, beta_eps2_sum)
+    x = oracle_responses(alphas, betas, lam, eps)
+    n = len(x)
+    # rounding is relative to the identities' terms, which can cancel
+    terms = math.fsum(abs(n * lam / b) + a / b + abs(e) for a, b, e in zip(alphas, betas, eps))
+    user_terms = math.fsum(
+        ((n * lam) ** 2 + a * a) / (2.0 * b) + abs(n * lam * e) + 0.5 * b * e * e
+        for a, b, e in zip(alphas, betas, eps)
+    ) / n
+    for t in range(t_hor):
+        q_ref, cost_ref = oracle_stage_cost(alphas, betas, y, demand[t], x)
+        size = terms + abs(y * demand[t])
+        assert abs(q[t] - q_ref) <= 1e-13 * size
+        assert abs(cost[t] - cost_ref) <= 1e-12 * (user_terms + size * size / (2.0 * n))
 
 
 _bad_entries = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1e-300, 0.0, -0.0])

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drpsim.model import Population, Scenario
 from drpsim.offline import (
@@ -179,6 +181,37 @@ def test_oracle_y_star_matches_closed_random(scenario_factory, rng):
         y_oracle = oracle_y_star(sc)
         assert abs(y_oracle - y_closed) <= 1e-6 * abs(y_closed)
         checked += 1
+
+
+@st.composite
+def offline_scenarios(draw):
+    """Valid scenarios over the whole coefficient range, N <= 12 and T <= 8."""
+    n = draw(st.integers(1, 12))
+    t_hor = draw(st.integers(1, 8))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a_hi = draw(st.floats(0.0, 5.0))
+    b_lo = draw(st.floats(0.1, 5.0))
+    b_hi = b_lo * draw(st.floats(1.0, 10.0))
+    d = g.uniform(0.2, 6.0, t_hor)
+    return Scenario(
+        Population(g.uniform(0.0, a_hi, n), g.uniform(b_lo, b_hi, n)),
+        d,
+        alpha_rev=draw(st.floats(0.1, 3.0)) * float(d.max()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(offline_scenarios(), st.floats(-3.0, 3.0))
+def test_closed_form_matches_oracles_property(sc, y):
+    closed = closed_form_solve(sc, y)
+    kkt = oracle_solve(sc, y)
+    for key in ("lambda_star", "x_star", "q_star"):
+        want, got = getattr(kkt, key), getattr(closed, key)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), key
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        y_closed = compute_y_star(sc)
+    assert abs(oracle_y_star(sc) - y_closed) <= 1e-6 * max(1.0, abs(y_closed))
 
 
 def test_reduced_objective_is_quadratic_in_y(scenario_factory, rng):

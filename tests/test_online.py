@@ -188,6 +188,23 @@ def test_degenerate_recovery_keeps_previous_price():
     assert traj.t.shape == (4,)
 
 
+def test_degenerate_prices_warn_once_per_episode():
+    state = estimator.init(0.0, 1)
+    estimator.update(state, 1.0, 4.0)
+    estimator.update(state, 2.0, 3.0)
+    sc = Scenario(Population([0.5], [1.0]), (1.0, 1.2, 0.9, 1.1), alpha_rev=1.0, noise_sd=0.0)
+    config = OnlineConfig(
+        scenario=sc, y_capacity=1.0, lambda_init=2.75, initial_estimator=state
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_episode(config, np.random.default_rng(0))
+    assert [str(w.message) for w in caught] == [
+        "degenerate estimate: reusing previous price in 3 of 4 slots"
+    ]
+    assert caught[0].category is RuntimeWarning
+
+
 def test_price_positivity_under_baseline_parameters():
     cfg = ExperimentConfig()
     sc = build_scenario(cfg, substream(cfg.seed, 0))
