@@ -47,6 +47,10 @@ __all__ = [
 #: optimal prices smaller than this in magnitude have no relative error
 LAMBDA_STAR_TOL = 1e-12
 
+#: first slot and largest k2/k1 of the log-t regret envelope check
+LOG_BOUND_T0 = 10
+LOG_BOUND_RATIO_CAP = 20.0
+
 
 def regret_constants(population: Population) -> tuple[float, float]:
     """Constants (C1, C2) of the one-step gap expansion.
@@ -138,7 +142,7 @@ class LogBoundResult(NamedTuple):
 
 
 def log_bound_check(
-    cum_regret: NDArray, t0: int = 10, ratio_cap: float = 20.0
+    cum_regret: NDArray, t0: int = LOG_BOUND_T0, ratio_cap: float = LOG_BOUND_RATIO_CAP
 ) -> LogBoundResult:
     """Test whether cumulative regret stays within constant log-t bounds.
 
@@ -200,7 +204,8 @@ class RegretReport:
     gap_mean/gap_se are the raw replication averages of the cost
     difference; cum_regret is their running sum. gap_quadratic is
     c1 * mean((lambda_t - lambda_star_t)^2), the variance-reduced gap
-    estimate used for decay_slope.
+    estimate used for decay_slope. t0 and ratio_cap are the envelope
+    check's LOG_BOUND_T0 and LOG_BOUND_RATIO_CAP.
     """
 
     t: NDArray[np.int64]
@@ -210,7 +215,6 @@ class RegretReport:
     gap_quadratic: NDArray[np.float64]
     c1: float
     c2: float
-    lambda_mean: NDArray[np.float64]
     lambda_bias: NDArray[np.float64]
     lambda_var: NDArray[np.float64]
     gamma1_bias: NDArray[np.float64]
@@ -228,8 +232,6 @@ class RegretReport:
 def build_regret_report(
     sweep: SweepResult,
     decay_window: tuple[float, float] = (10.0, 100.0),
-    t0: int = 10,
-    ratio_cap: float = 20.0,
 ) -> RegretReport:
     """Full regret/bias/variance analysis of one replication sweep."""
     if sweep.reps < 2:
@@ -247,13 +249,12 @@ def build_regret_report(
     dev = sweep.lambda_online - sweep.lambda_star
     gap_quadratic = c1 * np.mean(dev * dev, axis=0)
 
-    lambda_mean = sweep.lambda_online.mean(axis=0)
     lambda_bias, lambda_var = price_bias_variance(sweep)
     gamma1_bias = sweep.gamma1_hat.mean(axis=0) - scenario.population.gamma1
     gamma1_var = sweep.gamma1_hat.var(axis=0, ddof=1)
 
     decay_slope = fit_decay(t, gap_quadratic, decay_window)
-    bound = log_bound_check(cum_regret, t0=t0, ratio_cap=ratio_cap)
+    bound = log_bound_check(cum_regret)
 
     return RegretReport(
         t=t,
@@ -263,7 +264,6 @@ def build_regret_report(
         gap_quadratic=gap_quadratic,
         c1=c1,
         c2=c2,
-        lambda_mean=lambda_mean,
         lambda_bias=lambda_bias,
         lambda_var=lambda_var,
         gamma1_bias=gamma1_bias,
@@ -272,8 +272,8 @@ def build_regret_report(
         decay_window=decay_window,
         k1=bound.k1,
         k2=bound.k2,
-        t0=t0,
-        ratio_cap=ratio_cap,
+        t0=LOG_BOUND_T0,
+        ratio_cap=LOG_BOUND_RATIO_CAP,
         log_bound_passed=bound.passed,
         reps=sweep.reps,
     )

@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .model import Scenario
 from .offline import closed_form_solve, compute_y_star
-from .online import OnlineConfig, run_episode
+from .online import run_replications
 from .rng import substream
 
 __all__ = ["main"]
@@ -124,13 +124,10 @@ def cmd_offline(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     scenario, y = _scenario_and_capacity(config)
-    online = OnlineConfig(
-        scenario=scenario,
-        y_capacity=y,
-        ridge_param=config.ridge,
-        coupled_noise=config.coupled_noise,
-    )
-    traj = run_episode(online, substream(config.seed, 1, 0))
+    # replication 0 of a sweep is the episode; only online knows its stream
+    traj = run_replications(
+        scenario, y, 1, config.seed, ridge_param=config.ridge, coupled_noise=config.coupled_noise
+    ).first_trajectory
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "trajectory.csv"

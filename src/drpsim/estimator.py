@@ -12,9 +12,10 @@ per observation:
     X'X = [[sum u^2, sum u], [sum u, m]]      X'Z = [sum u*Z, sum Z]
 
 solve_normal_equations() solves (X'X + ridge*I) theta = X'Z in closed
-form; estimate() adds the covariance. With ridge = 0 this is plain least
-squares and needs two distinct prices; with ridge > 0 it is well-defined
-from zero data and shrinks toward the prior mean (0, 0).
+form for the point estimate the pricing rule uses. With ridge = 0 this
+is plain least squares and needs two distinct prices; with ridge > 0
+it is well-defined from zero data and shrinks toward the prior mean
+(0, 0).
 """
 
 from __future__ import annotations
@@ -23,18 +24,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 __all__ = [
     "EstimatorError",
     "InsufficientDataError",
     "UnidentifiableError",
     "EstimatorState",
-    "GammaEstimate",
     "init",
     "update",
     "solve_normal_equations",
-    "estimate",
 ]
 
 #: condition numbers beyond this are treated as rank deficiency
@@ -72,19 +70,6 @@ class EstimatorState:
     suz: float = 0.0
 
 
-@dataclass(frozen=True)
-class GammaEstimate:
-    """Point estimate of (gamma1, gamma2) with its scaled covariance.
-
-    covariance is (X'X + ridge*I)^{-1} * residual_var, a symmetric PSD
-    2x2 array; gamma2_hat estimates the intercept -sum_i alpha_i/beta_i.
-    """
-
-    gamma1_hat: float
-    gamma2_hat: float
-    covariance: NDArray[np.float64]
-
-
 def init(ridge_param: float, n_scale: int = 1) -> EstimatorState:
     """Fresh estimator with no observations.
 
@@ -120,11 +105,11 @@ def update(state: EstimatorState, lambda_t: float, z_t: float) -> EstimatorState
     return state
 
 
-def solve_normal_equations(state: EstimatorState) -> tuple[float, float, float]:
-    """(gamma1_hat, gamma2_hat, det) of (X'X + ridge*I) theta = X'Z in closed form.
+def solve_normal_equations(state: EstimatorState) -> tuple[float, float]:
+    """(gamma1_hat, gamma2_hat) solving (X'X + ridge*I) theta = X'Z in closed form.
 
     Scalar arithmetic only, cheap enough for the online loop to call
-    every slot; det is the determinant of the regularized normal matrix.
+    every slot; gamma2_hat estimates the intercept -sum_i alpha_i/beta_i.
 
     Raises:
         InsufficientDataError: no samples and ridge_param == 0.
@@ -150,30 +135,5 @@ def solve_normal_equations(state: EstimatorState) -> tuple[float, float, float]:
     det = a00 * a11 - a01 * a01
     g1 = (a11 * state.suz - a01 * state.sz) / det
     g2 = (a00 * state.sz - a01 * state.suz) / det
-    return g1, g2, det
+    return g1, g2
 
-
-def estimate(state: EstimatorState, residual_var: float = 1.0) -> GammaEstimate:
-    """Ridge/OLS solve of the accumulated normal equations.
-
-    Args:
-        state: estimator state.
-        residual_var: variance of the regression residual, used only to
-            scale the covariance. For aggregate observations this is
-            N*noise_sd^2.
-
-    Returns:
-        GammaEstimate with covariance (X'X + ridge*I)^{-1} * residual_var.
-
-    Raises:
-        InsufficientDataError, UnidentifiableError: as solve_normal_equations.
-    """
-    if residual_var < 0:
-        raise ValueError(f"residual_var must be >= 0, got {residual_var}")
-    g1, g2, det = solve_normal_equations(state)
-    r = state.ridge_param
-    a01 = state.su
-    cov = (residual_var / det) * np.array(
-        [[state.n_samples + r, -a01], [-a01, state.suu + r]]
-    )
-    return GammaEstimate(gamma1_hat=g1, gamma2_hat=g2, covariance=cov)

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .analysis import RegretReport, build_regret_report, median_tracking_error
 from .model import Population, Scenario
@@ -40,7 +41,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_experiment_kind",
     "parse_config",
-    "serialize_config",
     "build_scenario",
     "run_experiment",
     "write_trajectory_csv",
@@ -215,23 +215,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    """Render a config as key = value lines; parse() of the result is exact."""
-    lines = []
-    for key in _CONFIG_KEYS:
-        value = getattr(config, key)
-        if value is None:
-            continue
-        if key in _BOOL_KEYS:
-            rendered = "true" if value else "false"
-        elif key in _FLOAT_KEYS:
-            rendered = repr(float(value))
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"
-
-
 def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenario:
     """Draw one scenario: coefficients, demand, kind transform, alpha_rev.
 
@@ -271,70 +254,49 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    """Per-slot CSV of one episode (fixed column order)."""
+def _write_columns(path: Path, t: NDArray[np.int64], columns: dict[str, NDArray]) -> None:
+    """CSV of an integer t column followed by the given float columns, in order."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(
-            [
-                "t",
-                "d_t",
-                "lambda_online",
-                "lambda_star",
-                "gamma1_hat",
-                "gamma2_hat",
-                "Q_online",
-                "Q_star",
-                "cost_online",
-                "cost_star",
-            ]
-        )
-        for i in range(traj.t.shape[0]):
-            w.writerow(
-                [
-                    str(int(traj.t[i])),
-                    _fmt(traj.d[i]),
-                    _fmt(traj.lambda_online[i]),
-                    _fmt(traj.lambda_star[i]),
-                    _fmt(traj.gamma1_hat[i]),
-                    _fmt(traj.gamma2_hat[i]),
-                    _fmt(traj.q_online[i]),
-                    _fmt(traj.q_star[i]),
-                    _fmt(traj.cost_online[i]),
-                    _fmt(traj.cost_star[i]),
-                ]
-            )
+        w.writerow(["t", *columns])
+        for t_i, *row in zip(t.tolist(), *columns.values()):
+            w.writerow([str(t_i), *map(_fmt, row)])
+
+
+def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
+    """Per-slot CSV of one episode (fixed column order)."""
+    _write_columns(
+        path,
+        traj.t,
+        {
+            "d_t": traj.d,
+            "lambda_online": traj.lambda_online,
+            "lambda_star": traj.lambda_star,
+            "gamma1_hat": traj.gamma1_hat,
+            "gamma2_hat": traj.gamma2_hat,
+            "Q_online": traj.q_online,
+            "Q_star": traj.q_star,
+            "cost_online": traj.cost_online,
+            "cost_star": traj.cost_star,
+        },
+    )
 
 
 def write_regret_csv(path: Path, report: RegretReport) -> None:
     """Per-slot regret/bias/variance CSV (fixed column order)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(
-            [
-                "t",
-                "R_t_mean",
-                "R_t_se",
-                "cum_regret",
-                "lambda_bias",
-                "lambda_var",
-                "gamma1_bias",
-                "gamma1_var",
-            ]
-        )
-        for i in range(report.t.shape[0]):
-            w.writerow(
-                [
-                    str(int(report.t[i])),
-                    _fmt(report.gap_mean[i]),
-                    _fmt(report.gap_se[i]),
-                    _fmt(report.cum_regret[i]),
-                    _fmt(report.lambda_bias[i]),
-                    _fmt(report.lambda_var[i]),
-                    _fmt(report.gamma1_bias[i]),
-                    _fmt(report.gamma1_var[i]),
-                ]
-            )
+    _write_columns(
+        path,
+        report.t,
+        {
+            "R_t_mean": report.gap_mean,
+            "R_t_se": report.gap_se,
+            "cum_regret": report.cum_regret,
+            "lambda_bias": report.lambda_bias,
+            "lambda_var": report.lambda_var,
+            "gamma1_bias": report.gamma1_bias,
+            "gamma1_var": report.gamma1_var,
+        },
+    )
 
 
 def _summarize_analysis(
@@ -376,12 +338,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Scenario draw, offline solve, replication sweep, analysis, files.
 
     Writes trajectory.csv (replication 0), regret.csv (when analysis is
-    possible), and summary.json under config.out_dir, and returns the
-    summary dict. Analysis failures that have a defined meaning (fewer
-    than 2 replications, horizon too short for the fit window, an
-    optimal price ~0 where the relative tracking error is undefined)
-    are reported in the summary instead of aborting; the per-slot CSV
-    is always written.
+    possible; otherwise any earlier regret.csv is removed), and
+    summary.json under config.out_dir, and returns the summary dict.
+    Analysis failures that have a defined meaning (fewer than 2
+    replications, horizon too short for the fit window, an optimal price
+    ~0 where the relative tracking error is undefined) are reported in
+    the summary instead of aborting; the per-slot CSV is always written.
     """
     out_dir = Path(config.out_dir)
     try:
@@ -398,7 +360,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         config.reps,
         config.seed,
         ridge_param=config.ridge,
-        lambda_init=None,
         coupled_noise=config.coupled_noise,
     )
 
@@ -433,6 +394,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     except ValueError as exc:
         summary["analysis"] = None
         summary["analysis_note"] = str(exc)
+        # a regret.csv left by an earlier run would contradict this summary
+        (out_dir / "regret.csv").unlink(missing_ok=True)
         print(f"regret analysis skipped: {exc}", file=sys.stderr)
     else:
         write_regret_csv(out_dir / "regret.csv", report)

@@ -139,12 +139,13 @@ class Scenario:
 
 
 def realize_outcome(
-    scenario: Scenario, lambda_t: float, eps: NDArray[np.float64]
+    scenario: Scenario, lambda_t: ArrayLike, eps: ArrayLike
 ) -> NDArray[np.float64]:
     """Responses (N*lambda_t - alpha_i)/beta_i + eps_i of every user to price lambda_t.
 
-    eps is an explicit noise vector of length N; with eps = 0 each entry
-    is the exact minimizer of u_i(x) - N*lambda_t*x.
+    eps is an explicit noise vector of length N (or a scalar); with
+    eps = 0 each entry is the exact minimizer of u_i(x) - N*lambda_t*x.
+    A (T, 1) column of prices gives the (T, N) responses of T slots.
     """
     pop = scenario.population
     return (scenario.n * lambda_t - pop.alphas) / pop.betas + eps

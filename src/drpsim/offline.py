@@ -110,13 +110,14 @@ def lambda_star_path(scenario: Scenario, y: float) -> NDArray[np.float64]:
 def closed_form_solve(scenario: Scenario, y: float | None = None) -> OfflineSolution:
     """Assemble the full offline solution from the closed forms.
 
-    If y is None the capacity is computed via compute_y_star.
+    If y is None the capacity is computed via compute_y_star. x_star is
+    realize_outcome's noiseless (T, N) response grid stored as a C-ordered
+    (N, T) array, so q_star sums each slot's users in a fixed order.
     """
     if y is None:
         y = compute_y_star(scenario)
-    pop = scenario.population
     lam = lambda_star_path(scenario, y)
-    x = (scenario.n * lam[None, :] - pop.alphas[:, None]) / pop.betas[:, None]
+    x = np.ascontiguousarray(realize_outcome(scenario, lam[:, None], 0.0).T)
     q = x.sum(axis=0)
     return OfflineSolution(y_star=float(y), lambda_star=lam, x_star=x, q_star=q)
 
@@ -169,17 +170,15 @@ def reduced_objective(scenario: Scenario, y: float) -> float:
     candidate y, and the revenue term -alpha_rev*y*T/N (constant in lambda
     but not in y) is included; minimizing this over y yields Y*.
     """
-    sol = closed_form_solve(scenario, y)
-    zero_eps = np.zeros(scenario.n)
     total = 0.0
-    for t in range(1, scenario.horizon + 1):
-        x = realize_outcome(scenario, float(sol.lambda_star[t - 1]), zero_eps)
+    for t, lam in enumerate(lambda_star_path(scenario, y).tolist(), start=1):
+        x = realize_outcome(scenario, lam, 0.0)
         total += stage_cost(scenario, y, t, x)[1]
     total -= scenario.alpha_rev * y * scenario.horizon / scenario.n
     return total
 
 
-def oracle_y_star(scenario: Scenario, xtol: float = 1e-10) -> float:
+def oracle_y_star(scenario: Scenario) -> float:
     """Independent capacity optimum via golden-section search.
 
     The reduced objective is a strictly convex parabola in y, so a
@@ -205,7 +204,7 @@ def oracle_y_star(scenario: Scenario, xtol: float = 1e-10) -> float:
         lambda y: reduced_objective(scenario, y),
         bracket=(-bound, 0.0, bound),
         method="golden",
-        options={"xtol": xtol},
+        options={"xtol": 1e-10},
     )
     y0 = float(res.x)
     h = 0.5 * max(1.0, abs(y0))

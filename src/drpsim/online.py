@@ -161,7 +161,7 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
             t = start + j
             if t > 0:
                 try:
-                    g1, g2, _ = solve_normal_equations(est_state)
+                    g1, g2 = solve_normal_equations(est_state)
                 except EstimatorError:
                     g1, g2 = 0.0, 0.0
                     fallback_events += 1
@@ -223,7 +223,6 @@ class SweepResult:
     """
 
     scenario: Scenario
-    y_capacity: float
     lambda_star: NDArray[np.float64]
     lambda_online: NDArray[np.float64]
     gamma1_hat: NDArray[np.float64]
@@ -245,7 +244,6 @@ def run_replications(
     reps: int,
     master_seed: int,
     ridge_param: float = 0.001,
-    lambda_init: Optional[float] = None,
     coupled_noise: bool = False,
 ) -> SweepResult:
     """Independent episodes on one scenario, one substream per replication.
@@ -258,7 +256,6 @@ def run_replications(
     config = OnlineConfig(
         scenario=scenario,
         y_capacity=y,
-        lambda_init=lambda_init,
         ridge_param=ridge_param,
         coupled_noise=coupled_noise,
     )
@@ -284,7 +281,6 @@ def run_replications(
             first = traj
     return SweepResult(
         scenario=scenario,
-        y_capacity=y,
         lambda_star=first.lambda_star,
         lambda_online=lam,
         gamma1_hat=g1,

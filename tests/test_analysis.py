@@ -94,7 +94,6 @@ def test_empirical_gap_matches_manual_mean(small_sweep):
 def test_empirical_gap_needs_replications(small_sweep):
     single = SweepResult(
         scenario=small_sweep.scenario,
-        y_capacity=small_sweep.y_capacity,
         lambda_star=small_sweep.lambda_star,
         lambda_online=small_sweep.lambda_online[:1],
         gamma1_hat=small_sweep.gamma1_hat[:1],
@@ -154,7 +153,6 @@ def test_price_bias_variance_identical_replications(small_sweep):
     row = small_sweep.lambda_online[:1]
     tiled = SweepResult(
         scenario=small_sweep.scenario,
-        y_capacity=small_sweep.y_capacity,
         lambda_star=small_sweep.lambda_star,
         lambda_online=np.tile(row, (2, 1)),
         gamma1_hat=np.tile(small_sweep.gamma1_hat[:1], (2, 1)),
@@ -265,7 +263,6 @@ def test_gap_times_t_stays_in_band(excited_sweep):
 def test_report_needs_replications(small_sweep):
     single = SweepResult(
         scenario=small_sweep.scenario,
-        y_capacity=small_sweep.y_capacity,
         lambda_star=small_sweep.lambda_star,
         lambda_online=small_sweep.lambda_online[:1],
         gamma1_hat=small_sweep.gamma1_hat[:1],

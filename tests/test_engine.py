@@ -3,7 +3,7 @@
 loop_episode is the slot-by-slot body of run_episode before noise was
 drawn in blocks and costs were formed from noise statistics: one noise
 vector per call, realize_outcome and stage_cost on the N responses of
-both streams, estimate/update on an EstimatorState. Prices, gamma
+both streams, solve_normal_equations/update on an EstimatorState. Prices, gamma
 estimates and Q_online must agree bit for bit; stage costs and Q_star
 come from algebraically equal formulas and agree to rounding.
 """
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpsim.estimator import EstimatorError, estimate, init, update
+from drpsim.estimator import EstimatorError, init, solve_normal_equations, update
 from drpsim.experiments import ExperimentConfig, build_scenario
 from drpsim.model import Population, Scenario, realize_outcome, stage_cost
 from drpsim.offline import DegenerateEstimateError, compute_y_star, lambda_star_path, next_price
@@ -35,7 +35,6 @@ def loop_episode(config, rng):
     y = config.y_capacity
     noise_sd = scenario.noise_sd
     lam_star = lambda_star_path(scenario, y)
-    residual_var = n * noise_sd * noise_sd
     if config.initial_estimator is not None:
         est_state = config.initial_estimator
     else:
@@ -54,8 +53,7 @@ def loop_episode(config, rng):
     for t in range(1, t_hor + 1):
         if t > 1:
             try:
-                gam = estimate(est_state, residual_var)
-                g1, g2 = gam.gamma1_hat, gam.gamma2_hat
+                g1, g2 = solve_normal_equations(est_state)
             except EstimatorError:
                 g1, g2 = 0.0, 0.0
                 fallback += 1

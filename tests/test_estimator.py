@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from drpsim.estimator import (
-    GammaEstimate,
     InsufficientDataError,
     UnidentifiableError,
-    estimate,
     init,
+    solve_normal_equations,
     update,
 )
 
@@ -27,14 +26,14 @@ def test_init_validation():
 
 
 def test_zero_data_ridge_returns_prior_mean():
-    gam = estimate(init(0.001))
-    assert gam.gamma1_hat == 0.0
-    assert gam.gamma2_hat == 0.0
+    g1, g2 = solve_normal_equations(init(0.001))
+    assert g1 == 0.0
+    assert g2 == 0.0
 
 
 def test_zero_data_no_ridge_is_insufficient():
     with pytest.raises(InsufficientDataError, match="insufficient data"):
-        estimate(init(0.0))
+        solve_normal_equations(init(0.0))
 
 
 def test_single_sample_ridge_solve():
@@ -42,15 +41,15 @@ def test_single_sample_ridge_solve():
     # has the symmetric solution 1/(2.001) in both components.  The closed-form
     # 2x2 solve loses ~cond*eps here (cond ~ 2e3), so pin at 1e-9 relative.
     state = _feed(init(0.001, n_scale=1), [(1.0, 1.0)])
-    gam = estimate(state)
-    assert gam.gamma1_hat == pytest.approx(1.0 / 2.001, rel=1e-9)
-    assert gam.gamma2_hat == pytest.approx(1.0 / 2.001, rel=1e-9)
+    g1, g2 = solve_normal_equations(state)
+    assert g1 == pytest.approx(1.0 / 2.001, rel=1e-9)
+    assert g2 == pytest.approx(1.0 / 2.001, rel=1e-9)
 
 
 def test_single_sample_no_ridge_unidentifiable():
     state = _feed(init(0.0, n_scale=1), [(1.0, 1.0)])
     with pytest.raises(UnidentifiableError, match="unidentifiable: insufficient price variation"):
-        estimate(state)
+        solve_normal_equations(state)
 
 
 def test_update_accumulates_pinned_stats():
@@ -81,15 +80,15 @@ def test_update_rejects_nonfinite():
 def test_two_point_exact_ols():
     # Noiseless line Z = 2u - 1 through u in {1, 2}: integer arithmetic, exact.
     state = _feed(init(0.0, n_scale=1), [(1.0, 1.0), (2.0, 3.0)])
-    gam = estimate(state)
-    assert gam.gamma1_hat == 2.0
-    assert gam.gamma2_hat == -1.0
+    g1, g2 = solve_normal_equations(state)
+    assert g1 == 2.0
+    assert g2 == -1.0
 
 
 def test_identical_prices_unidentifiable():
     state = _feed(init(0.0, n_scale=1), [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)])
     with pytest.raises(UnidentifiableError, match="insufficient price variation"):
-        estimate(state)
+        solve_normal_equations(state)
 
 
 def test_exact_recovery_random_design(rng):
@@ -101,9 +100,9 @@ def test_exact_recovery_random_design(rng):
         lams = rng.uniform(0.1, 1.0, 6)
         for lam in lams:
             update(state, float(lam), g1 * n * float(lam) + g2)
-        gam = estimate(state)
-        assert gam.gamma1_hat == pytest.approx(g1, rel=1e-10)
-        assert gam.gamma2_hat == pytest.approx(g2, rel=1e-10, abs=1e-10)
+        g1_hat, g2_hat = solve_normal_equations(state)
+        assert g1_hat == pytest.approx(g1, rel=1e-10)
+        assert g2_hat == pytest.approx(g2, rel=1e-10, abs=1e-10)
 
 
 def test_ridge_shrinkage_bound_and_explicit_solution(rng):
@@ -114,14 +113,14 @@ def test_ridge_shrinkage_bound_and_explicit_solution(rng):
     state = init(0.001, n_scale=1)
     for lam in lams:
         update(state, float(lam), 2.0 * lam - 1.0)
-    gam = estimate(state)
-    assert abs(gam.gamma1_hat - 2.0) <= 1e-2 * 2.0
-    assert abs(gam.gamma2_hat - (-1.0)) <= 1e-2 * 1.0
+    g1, g2 = solve_normal_equations(state)
+    assert abs(g1 - 2.0) <= 1e-2 * 2.0
+    assert abs(g2 - (-1.0)) <= 1e-2 * 1.0
     x = np.column_stack([lams, np.ones_like(lams)])
     z = 2.0 * lams - 1.0
     dense = np.linalg.solve(x.T @ x + 0.001 * np.eye(2), x.T @ z)
-    assert gam.gamma1_hat == pytest.approx(dense[0], rel=1e-9)
-    assert gam.gamma2_hat == pytest.approx(dense[1], rel=1e-9)
+    assert g1 == pytest.approx(dense[0], rel=1e-9)
+    assert g2 == pytest.approx(dense[1], rel=1e-9)
 
 
 def test_ridge_to_ols_monotone_approach(rng):
@@ -132,14 +131,14 @@ def test_ridge_to_ols_monotone_approach(rng):
         state = init(ridge, n_scale=1)
         for lam, z in zip(lams, zs):
             update(state, float(lam), float(z))
-        gam = estimate(state)
-        errs.append(abs(gam.gamma1_hat - 3.0) + abs(gam.gamma2_hat + 0.5))
+        g1, g2 = solve_normal_equations(state)
+        errs.append(abs(g1 - 3.0) + abs(g2 + 0.5))
     assert errs[0] > errs[1] > errs[2]
     state = init(0.0, n_scale=1)
     for lam, z in zip(lams, zs):
         update(state, float(lam), float(z))
-    gam = estimate(state)
-    assert abs(gam.gamma1_hat - 3.0) + abs(gam.gamma2_hat + 0.5) <= 1e-10
+    g1, g2 = solve_normal_equations(state)
+    assert abs(g1 - 3.0) + abs(g2 + 0.5) <= 1e-10
 
 
 def test_incremental_matches_batch_recomputation(rng):
@@ -181,36 +180,7 @@ def test_fixed_design_unbiasedness():
         state = init(0.0, n_scale=1)
         for lam in lams:
             update(state, float(lam), g1 * lam + g2 + float(rng.normal()))
-        gam = estimate(state)
-        draws[i] = (gam.gamma1_hat, gam.gamma2_hat)
+        draws[i] = solve_normal_equations(state)
     se = draws.std(axis=0, ddof=1) / np.sqrt(m)
     assert abs(draws[:, 0].mean() - g1) <= 4.0 * se[0]
     assert abs(draws[:, 1].mean() - g2) <= 4.0 * se[1]
-
-
-def test_covariance_matches_dense_inverse(rng):
-    lams = rng.uniform(0.1, 2.0, 25)
-    zs = rng.normal(0.0, 1.0, 25)
-    ridge = 0.01
-    state = init(ridge, n_scale=2)
-    for lam, z in zip(lams, zs):
-        update(state, float(lam), float(z))
-    rv = 4.0
-    gam = estimate(state, residual_var=rv)
-    u = 2.0 * lams
-    x = np.column_stack([u, np.ones_like(u)])
-    expected = np.linalg.inv(x.T @ x + ridge * np.eye(2)) * rv
-    assert np.allclose(gam.covariance, expected, rtol=1e-9)
-    assert np.array_equal(gam.covariance, gam.covariance.T)
-    assert np.all(np.linalg.eigvalsh(gam.covariance) >= -1e-12)
-    zero = estimate(state, residual_var=0.0)
-    assert np.all(zero.covariance == 0.0)
-    with pytest.raises(ValueError):
-        estimate(state, residual_var=-1.0)
-
-
-def test_estimate_is_immutable_record():
-    gam = estimate(init(0.001))
-    assert isinstance(gam, GammaEstimate)
-    with pytest.raises(AttributeError):
-        gam.gamma1_hat = 1.0

@@ -1,5 +1,7 @@
 import json
+import typing
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drpsim.experiments import (
+    _BOOL_KEYS,
+    _FLOAT_KEYS,
+    _INT_KEYS,
     ExperimentConfig,
     build_scenario,
     parse_config,
     parse_experiment_kind,
     run_experiment,
-    serialize_config,
     with_overrides,
     write_regret_csv,
     write_trajectory_csv,
@@ -151,6 +155,36 @@ def test_parse_config_names_unparsable_numbers():
         parse_config("# comment\nreps = 2\nc_rev = x  # trailing\n")
 
 
+def _config_text(config):
+    """key = value lines of every field that is not None, as parse_config reads them."""
+    lines = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{f.name} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def test_config_key_tables_match_field_types():
+    # a float field missing from _FLOAT_KEYS would parse as a string and
+    # escape the finiteness check
+    by_type = {}
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        base = next(a for a in typing.get_args(hint) or (hint,) if a is not type(None))
+        by_type.setdefault(base, set()).add(name)
+    assert by_type.pop(int) == _INT_KEYS
+    assert by_type.pop(float) == _FLOAT_KEYS
+    assert by_type.pop(bool) == _BOOL_KEYS
+    assert list(by_type) == [str]
+    typed = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | by_type[str]
+    assert typed == {f.name for f in fields(ExperimentConfig)}
+
+
 def test_config_round_trip():
     cfg = ExperimentConfig(
         experiment="blocked-dt:5",
@@ -166,9 +200,9 @@ def test_config_round_trip():
         d_high=7.5,
         out_dir="elsewhere",
     )
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert parse_config(_config_text(cfg)) == cfg
     # None-valued fields are omitted and come back as None
-    assert parse_config(serialize_config(ExperimentConfig())) == ExperimentConfig()
+    assert parse_config(_config_text(ExperimentConfig())) == ExperimentConfig()
 
 
 _positive = st.floats(min_value=1e-6, max_value=1e6)
@@ -207,7 +241,7 @@ def _configs(draw):
     st.integers(2**64, 2**66),
 )
 def test_config_round_trip_property(cfg, float_key, bad, big_seed):
-    text = serialize_config(cfg)
+    text = _config_text(cfg)
     assert parse_config(text) == cfg
 
     def with_line(key, value):
@@ -395,6 +429,18 @@ def test_run_experiment_single_replication(tmp_path, capsys):
     assert not (tmp_path / "solo" / "regret.csv").exists()
     assert (tmp_path / "solo" / "trajectory.csv").exists()
     assert "regret analysis skipped" in capsys.readouterr().err
+
+
+def test_skipped_analysis_removes_earlier_regret_csv(tmp_path):
+    out = tmp_path / "rerun"
+    cfg = ExperimentConfig(n_users=6, horizon=20, reps=5, seed=1, out_dir=str(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_experiment(cfg)["analysis"] is not None
+        assert (out / "regret.csv").exists()
+        summary = run_experiment(replace(cfg, reps=1))
+    assert summary["analysis"] is None
+    assert not (out / "regret.csv").exists()
 
 
 def test_run_experiment_reports_undefined_tracking(tmp_path, capsys):
