@@ -141,11 +141,12 @@ class ExperimentConfig:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
         if self.noise_sd < 0:
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
-        for lo, hi in self.intervals():
+        for name, (lo, hi) in zip(("alpha", "beta", "d"), self.intervals()):
+            keys = f"{name}_low, {name}_high"
             if lo <= 0 or hi <= 0:
-                raise ValueError(f"interval bounds must be > 0, got [{lo}, {hi}]")
+                raise ValueError(f"interval bounds {keys} must be > 0, got [{lo}, {hi}]")
             if lo > hi:
-                raise ValueError(f"interval bounds out of order: [{lo}, {hi}]")
+                raise ValueError(f"interval bounds {keys} out of order: [{lo}, {hi}]")
 
     def intervals(self) -> tuple[tuple[float, float], ...]:
         """Resolved (alpha, beta, d) sampling intervals."""

@@ -23,10 +23,10 @@ excluded here (it cancels in every cost difference); totals that include it
 can be formed by the caller.
 
 stage_cost evaluates C_t from the N responses of one slot.
-aggregate_from_noise and stage_costs_from_noise evaluate Q_t and C_t for a
-whole horizon from two statistics of each slot's noise vector, sum_i eps_i
-and sum_i beta_i*eps_i^2, through algebraic identities derived in their
-docstrings.
+aggregate_from_noise (one slot or a whole horizon) and
+stage_costs_from_noise evaluate Q_t and C_t from two statistics of each
+slot's noise vector, sum_i eps_i and sum_i beta_i*eps_i^2, through
+algebraic identities derived in their docstrings.
 """
 
 from __future__ import annotations
@@ -172,14 +172,17 @@ def stage_cost(
 
 
 def aggregate_from_noise(
-    scenario: Scenario, lam: NDArray[np.float64], eps_sum: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Aggregates Q_t = N*gamma1*lambda_t + gamma2 + sum_i eps_it of whole price paths.
+    scenario: Scenario, lam: ArrayLike, eps_sum: ArrayLike
+) -> float | NDArray[np.float64]:
+    """Aggregate Q_t = N*gamma1*lambda_t + gamma2 + sum_i eps_it of a price or price path.
 
     Summing realize_outcome's x_i = (N*lambda_t - alpha_i)/beta_i + eps_i
     over users gives this identity, so Q_t needs the per-slot noise sum
     eps_sum instead of the N responses. It agrees with the summed
-    responses up to rounding, not bit for bit.
+    responses up to rounding, not bit for bit. Given floats it returns a
+    float, and the online loop calls it that way once per slot; given
+    arrays it evaluates the same expression elementwise, bit-equal to
+    the scalar calls.
     """
     pop = scenario.population
     return scenario.n * lam * pop.gamma1 + pop.gamma2 + eps_sum

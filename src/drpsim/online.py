@@ -13,6 +13,13 @@ never fatal: a degenerate denominator reuses the previous price, and an
 estimator failure (possible only with ridge_param = 0) falls back to
 the prior mean (0, 0); both event kinds are counted on the Trajectory.
 
+The operator observes only the aggregate response, and the loop forms
+it from the slot's noise sum by the identity
+Q_t = N*gamma1*lambda_t + gamma2 + sum_i eps_it
+(model.aggregate_from_noise); the N individual responses are never
+built. The noise is reduced to per-slot statistics before the loop, so
+the recursion itself is scalar work only.
+
 Each slot also realizes the counterfactual outcome at the optimal price
 so that online and optimal stage costs are recorded side by side. The
 counterfactual uses fresh independent noise by default; coupled_noise
@@ -110,23 +117,25 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
     Those vectors are drawn as (k, 2, N) blocks of consecutive slots,
     which yields the same values as slot-by-slot draws.
 
-    Per slot the loop does O(1) scalar work plus the one O(N) sum that
-    the estimator observes, Q_t = sum_i x_i of the online responses.
-    Every other quantity needs only two statistics of each noise vector,
-    sum_i eps_i and sum_i beta_i*eps_i^2, reduced per block; the stage
-    costs and the counterfactual aggregates are formed from them after
-    the loop (model.stage_costs_from_noise, model.aggregate_from_noise).
+    The episode runs in three steps:
+
+    1. Noise statistics: each block is reduced at once to sum_i eps_i
+       and sum_i beta_i*eps_i^2 of both rows, and then dropped.
+    2. Recursion: estimate, price and observe on plain floats, O(1) per
+       slot. The observed aggregate is model.aggregate_from_noise's
+       Q_t = N*lambda_t*gamma1 + gamma2 + sum_i eps_it, so the loop never
+       forms the N responses.
+    3. Costs: the stage costs and the counterfactual aggregates are
+       formed after the loop (model.stage_costs_from_noise,
+       model.aggregate_from_noise).
+
     Degenerate prices are counted and reported by one RuntimeWarning per
     episode.
     """
     scenario = config.scenario
-    alphas = scenario.population.alphas
-    betas = scenario.population.betas
     n = scenario.n
     t_hor = scenario.horizon
     y = config.y_capacity
-    demand = scenario.demand.tolist()
-    noise_sd = scenario.noise_sd
     lam_star = lambda_star_path(scenario, y)
 
     if config.initial_estimator is not None:
@@ -139,47 +148,32 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
     else:
         lam = float(rng.uniform(0.0, 2.0 * scenario.alpha_rev / n))
 
+    eps_sum, beta_eps2_sum = _noise_statistics(scenario, rng)
+
     lam_path = []
     g1_path = []
     g2_path = []
     q_path = []
-    eps_sum = np.empty((t_hor, 2))
-    beta_eps2_sum = np.empty((t_hor, 2))
     degenerate_events = 0
     fallback_events = 0
     g1, g2 = 0.0, 0.0
-    block = max(1, NOISE_BLOCK // (2 * n))
-
-    for start in range(0, t_hor, block):
-        k = min(block, t_hor - start)
-        if noise_sd == 0.0:
-            eps = np.zeros((k, 2, n))
-        else:
-            eps = rng.normal(0.0, noise_sd, (k, 2, n))
-        eps_sum[start : start + k] = eps.sum(axis=2)
-        for j in range(k):
-            t = start + j
-            if t > 0:
-                try:
-                    g1, g2 = solve_normal_equations(est_state)
-                except EstimatorError:
-                    g1, g2 = 0.0, 0.0
-                    fallback_events += 1
-                try:
-                    lam = next_price(g1, g2, y, demand[t], n)
-                except DegenerateEstimateError:
-                    degenerate_events += 1
-            # realize_outcome(...).sum() bit for bit, written out to save a call per slot
-            q = float(((n * lam - alphas) / betas + eps[j, 0]).sum())
-            lam_path.append(lam)
-            g1_path.append(g1)
-            g2_path.append(g2)
-            q_path.append(q)
-            update(est_state, lam, q)
-        # the block is no longer needed: square it in place
-        np.square(eps, out=eps)
-        eps *= betas
-        beta_eps2_sum[start : start + k] = eps.sum(axis=2)
+    for t, (d_t, eps_sum_t) in enumerate(zip(scenario.demand.tolist(), eps_sum[:, 0].tolist())):
+        if t > 0:
+            try:
+                g1, g2 = solve_normal_equations(est_state)
+            except EstimatorError:
+                g1, g2 = 0.0, 0.0
+                fallback_events += 1
+            try:
+                lam = next_price(g1, g2, y, d_t, n)
+            except DegenerateEstimateError:
+                degenerate_events += 1
+        q = aggregate_from_noise(scenario, lam, eps_sum_t)
+        lam_path.append(lam)
+        g1_path.append(g1)
+        g2_path.append(g2)
+        q_path.append(q)
+        update(est_state, lam, q)
 
     if degenerate_events:
         warnings.warn(
@@ -212,6 +206,34 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
         degenerate_events=degenerate_events,
         fallback_events=fallback_events,
     )
+
+
+def _noise_statistics(
+    scenario: Scenario, rng: np.random.Generator
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """(T, 2) arrays of sum_i eps_i and sum_i beta_i*eps_i^2 per slot and row.
+
+    Row 0 is the online noise vector, row 1 the counterfactual one. The
+    normals are drawn in (k, 2, N) blocks of at most NOISE_BLOCK values
+    (or one slot), each reduced before the next is drawn. With noise_sd
+    = 0 nothing is drawn and both statistics are zero.
+    """
+    n = scenario.n
+    t_hor = scenario.horizon
+    eps_sum = np.zeros((t_hor, 2))
+    beta_eps2_sum = np.zeros((t_hor, 2))
+    if scenario.noise_sd == 0.0:
+        return eps_sum, beta_eps2_sum
+    betas = scenario.population.betas
+    block = max(1, NOISE_BLOCK // (2 * n))
+    for start in range(0, t_hor, block):
+        k = min(block, t_hor - start)
+        eps = rng.normal(0.0, scenario.noise_sd, (k, 2, n))
+        eps_sum[start : start + k] = eps.sum(axis=2)
+        np.square(eps, out=eps)
+        eps *= betas
+        beta_eps2_sum[start : start + k] = eps.sum(axis=2)
+    return eps_sum, beta_eps2_sum
 
 
 @dataclass

@@ -3,9 +3,12 @@
 loop_episode is the slot-by-slot body of run_episode before noise was
 drawn in blocks and costs were formed from noise statistics: one noise
 vector per call, realize_outcome and stage_cost on the N responses of
-both streams, solve_normal_equations/update on an EstimatorState. Prices, gamma
-estimates and Q_online must agree bit for bit; stage costs and Q_star
-come from algebraically equal formulas and agree to rounding.
+both streams, solve_normal_equations/update on an EstimatorState. The
+estimator observes Q_t = N*lambda_t*gamma1 + gamma2 + sum_i eps_it, the
+identity run_episode uses, and each slot checks that Q_t against the
+summed responses. Prices, gamma estimates and Q_online must agree bit
+for bit; stage costs and Q_star come from algebraically equal formulas
+and agree to rounding.
 """
 
 import warnings
@@ -18,18 +21,20 @@ from hypothesis import strategies as st
 
 from drpsim.estimator import EstimatorError, init, solve_normal_equations, update
 from drpsim.experiments import ExperimentConfig, build_scenario
-from drpsim.model import Population, Scenario, realize_outcome, stage_cost
+from drpsim.model import Population, Scenario, aggregate_from_noise, realize_outcome, stage_cost
 from drpsim.offline import DegenerateEstimateError, compute_y_star, lambda_star_path, next_price
 from drpsim.online import NOISE_BLOCK, OnlineConfig, run_episode
 from drpsim.rng import substream
 
-#: stage costs and Q_star: |engine - loop| <= COST_RTOL * max(1, |loop|)
+#: stage costs and Q_star: |engine - loop| <= COST_RTOL * max(1, |loop|); also
+#: the observed Q_t against the summed responses, per slot
 COST_RTOL = 1e-12
 
 
 def loop_episode(config, rng):
     """The per-slot loop: returns a dict of the Trajectory's arrays and counters."""
     scenario = config.scenario
+    pop = scenario.population
     n = scenario.n
     t_hor = scenario.horizon
     y = config.y_capacity
@@ -45,7 +50,7 @@ def loop_episode(config, rng):
         lam = float(rng.uniform(0.0, 2.0 * scenario.alpha_rev / n))
     out = {k: np.empty(t_hor) for k in (
         "lambda_online", "gamma1_hat", "gamma2_hat", "q_online", "q_star",
-        "cost_online", "cost_star",
+        "cost_online", "cost_star", "eps_sum",
     )}
     degenerate = fallback = 0
     g1, g2 = 0.0, 0.0
@@ -73,7 +78,10 @@ def loop_episode(config, rng):
         out["lambda_online"][t - 1] = lam
         out["gamma1_hat"][t - 1] = g1
         out["gamma2_hat"][t - 1] = g2
-        q, out["cost_online"][t - 1] = stage_cost(scenario, y, t, x_online)
+        q_summed, out["cost_online"][t - 1] = stage_cost(scenario, y, t, x_online)
+        out["eps_sum"][t - 1] = eps_sum = float(eps_online.sum())
+        q = n * lam * pop.gamma1 + pop.gamma2 + eps_sum
+        assert abs(q - q_summed) <= COST_RTOL * max(1.0, abs(q_summed)), (t, q, q_summed)
         out["q_online"][t - 1] = q
         out["q_star"][t - 1], out["cost_star"][t - 1] = stage_cost(scenario, y, t, x_cf)
         update(est_state, lam, q)
@@ -96,6 +104,8 @@ def assert_engine_matches_loop(config, seed):
         got = run_episode(fresh(), substream(seed, 1, 0))
     for key in ("lambda_online", "gamma1_hat", "gamma2_hat", "q_online"):
         assert np.array_equal(getattr(got, key), want[key]), key
+    q_identity = aggregate_from_noise(config.scenario, got.lambda_online, want["eps_sum"])
+    assert np.array_equal(got.q_online, q_identity)
     for key in ("cost_online", "cost_star", "q_star"):
         err = np.abs(getattr(got, key) - want[key])
         assert np.all(err <= COST_RTOL * np.maximum(1.0, np.abs(want[key]))), (key, err.max())

@@ -113,6 +113,17 @@ def test_config_validation():
             ExperimentConfig(**{key: float(value)})
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "d"])
+def test_interval_errors_name_the_key_pair(name):
+    keys = f"{name}_low, {name}_high"
+    with pytest.raises(ValueError, match=rf"{keys} out of order: \[3\.0, 2\.0\]"):
+        ExperimentConfig(**{f"{name}_low": 3.0, f"{name}_high": 2.0})
+    with pytest.raises(ValueError, match=rf"{keys} must be > 0, got \[-1\.0, "):
+        ExperimentConfig(**{f"{name}_low": -1.0})
+    with pytest.raises(ValueError, match=rf"{keys} must be > 0, got \[1\.0, 0\.0\]"):
+        parse_config(f"{name}_low = 1.0\n{name}_high = 0.0\n")
+
+
 def test_parse_config_happy_path():
     text = """
     # demand-response run, small

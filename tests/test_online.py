@@ -168,6 +168,31 @@ def test_slot1_draw_range_and_override():
     assert pinned.lambda_online[0] == 0.042
 
 
+def _same_state(a, b):
+    """Bit-generator states equal, nested dicts of scalars and arrays compared entrywise."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def test_zero_noise_draws_only_the_slot1_price():
+    sc = _noiseless_table_scenario()
+    rng = substream(8, 1, 0)
+    run_episode(OnlineConfig(scenario=sc, y_capacity=0.5), rng)
+    want = substream(8, 1, 0)
+    want.uniform(0.0, 2.0 * sc.alpha_rev / sc.n)
+    assert _same_state(rng.bit_generator.state, want.bit_generator.state)
+    # a pinned slot-1 price leaves the stream untouched
+    rng = substream(8, 1, 0)
+    run_episode(OnlineConfig(scenario=sc, y_capacity=0.5, lambda_init=0.042), rng)
+    assert _same_state(rng.bit_generator.state, substream(8, 1, 0).bit_generator.state)
+    # with noise the stream moves on past the slot-1 draw
+    noisy = Scenario(sc.population, sc.demand, sc.alpha_rev, noise_sd=1.0)
+    rng = substream(8, 1, 0)
+    run_episode(OnlineConfig(scenario=noisy, y_capacity=0.5), rng)
+    assert not _same_state(rng.bit_generator.state, want.bit_generator.state)
+
+
 def test_degenerate_recovery_keeps_previous_price():
     # Poisoned prior history on the line Z = -u + 5; the slot-1 observation
     # of this population at lambda=2.75 lies on the same line, so every
