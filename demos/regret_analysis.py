@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 
 from drpsim import build_regret_report, compute_y_star, run_replications
+from drpsim.analysis import DECAY_WINDOW, LOG_BOUND_RATIO_CAP, LOG_BOUND_T0
 from drpsim.experiments import ExperimentConfig, build_scenario
 from drpsim.rng import substream
 
@@ -39,7 +40,8 @@ def main() -> None:
     for t in (5, 10, 20, 40, 80, 100):
         g = report.gap_quadratic[t - 1]
         print(f"  {t:>3}  {g:.6e}  {g * t:.4f}")
-    print(f"log-log decay slope over t in [10, 100]: {report.decay_slope:.3f} "
+    print(f"log-log decay slope over t in [{DECAY_WINDOW[0]:g}, {DECAY_WINDOW[1]:g}]: "
+          f"{report.decay_slope:.3f} "
           "(pure 1/t would be -1.000)")
     print()
 
@@ -48,9 +50,9 @@ def main() -> None:
     for t in (10, 25, 50, 100):
         c = report.cum_regret[t - 1]
         print(f"  {t:>3}  {c:10.4f}   {c / np.log(t):8.4f}")
-    print(f"envelope constants on [t0={report.t0}, T]: "
+    print(f"envelope constants on [t0={LOG_BOUND_T0}, T]: "
           f"k1={report.k1:.3f}, k2={report.k2:.3f} "
-          f"(ratio {report.k2 / report.k1:.2f}, cap {report.ratio_cap:.0f}) -> "
+          f"(ratio {report.k2 / report.k1:.2f}, cap {LOG_BOUND_RATIO_CAP:.0f}) -> "
           f"{'log-bounded' if report.log_bound_passed else 'NOT log-bounded'}")
     print()
 

@@ -51,6 +51,9 @@ LAMBDA_STAR_TOL = 1e-12
 LOG_BOUND_T0 = 10
 LOG_BOUND_RATIO_CAP = 20.0
 
+#: slots [lo, hi] of the gap_quadratic decay-slope fit
+DECAY_WINDOW = (10.0, 100.0)
+
 
 def regret_constants(population: Population) -> tuple[float, float]:
     """Constants (C1, C2) of the one-step gap expansion.
@@ -96,17 +99,20 @@ def analytic_gap(
     return c1 * var + c1 * bias * bias + c2 * bias
 
 
-def empirical_gap(sweep: SweepResult, t: int) -> tuple[float, float]:
-    """Mean and standard error of cost_online - cost_star at slot t (1-based)."""
+def _gap_mean_se(sweep: SweepResult) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Per-slot mean and standard error of cost_online - cost_star over replications."""
     if sweep.reps < 2:
         raise ValueError("need >= 2 replications")
-    t_hor = sweep.cost_online.shape[1]
-    if not 1 <= t <= t_hor:
-        raise ValueError(f"slot index {t} out of range 1..{t_hor}")
-    diffs = sweep.cost_online[:, t - 1] - sweep.cost_star[:, t - 1]
-    mean = float(diffs.mean())
-    se = float(diffs.std(ddof=1) / np.sqrt(sweep.reps))
-    return mean, se
+    diffs = sweep.cost_online - sweep.cost_star
+    return diffs.mean(axis=0), diffs.std(axis=0, ddof=1) / np.sqrt(sweep.reps)
+
+
+def empirical_gap(sweep: SweepResult, t: int) -> tuple[float, float]:
+    """Mean and standard error of cost_online - cost_star at slot t (1-based)."""
+    gap_mean, gap_se = _gap_mean_se(sweep)
+    if not 1 <= t <= gap_mean.shape[0]:
+        raise ValueError(f"slot index {t} out of range 1..{gap_mean.shape[0]}")
+    return float(gap_mean[t - 1]), float(gap_se[t - 1])
 
 
 def fit_decay(
@@ -141,19 +147,16 @@ class LogBoundResult(NamedTuple):
     passed: bool
 
 
-def log_bound_check(
-    cum_regret: NDArray, t0: int = LOG_BOUND_T0, ratio_cap: float = LOG_BOUND_RATIO_CAP
-) -> LogBoundResult:
+def log_bound_check(cum_regret: NDArray) -> LogBoundResult:
     """Test whether cumulative regret stays within constant log-t bounds.
 
-    Computes k1 = min and k2 = max of R(t)/log(t) over t in [t0, T]
-    (natural log; cum_regret[i] is R at t = i+1). Passes iff
-    0 < k1 <= k2 < inf and k2/k1 <= ratio_cap: a genuine log curve gives
-    k2/k1 near 1, while linear regret makes the ratio grow with the
-    window.
+    Computes k1 = min and k2 = max of R(t)/log(t) over t in [t0, T] with
+    t0 = LOG_BOUND_T0 (natural log; cum_regret[i] is R at t = i+1).
+    Passes iff 0 < k1 <= k2 < inf and k2/k1 <= LOG_BOUND_RATIO_CAP: a
+    genuine log curve gives k2/k1 near 1, while linear regret makes the
+    ratio grow with the window.
     """
-    if t0 < 3:
-        raise ValueError(f"t0 must be >= 3, got {t0}")
+    t0 = LOG_BOUND_T0
     cum = np.asarray(cum_regret, dtype=float)
     t_hor = cum.shape[0]
     if t_hor < t0:
@@ -162,7 +165,7 @@ def log_bound_check(
     ratios = cum[t0 - 1 :] / np.log(t)
     k1 = float(ratios.min())
     k2 = float(ratios.max())
-    passed = bool(0.0 < k1 <= k2 < np.inf and k2 <= ratio_cap * k1)
+    passed = bool(0.0 < k1 <= k2 < np.inf and k2 <= LOG_BOUND_RATIO_CAP * k1)
     return LogBoundResult(k1=k1, k2=k2, passed=passed)
 
 
@@ -204,8 +207,8 @@ class RegretReport:
     gap_mean/gap_se are the raw replication averages of the cost
     difference; cum_regret is their running sum. gap_quadratic is
     c1 * mean((lambda_t - lambda_star_t)^2), the variance-reduced gap
-    estimate used for decay_slope. t0 and ratio_cap are the envelope
-    check's LOG_BOUND_T0 and LOG_BOUND_RATIO_CAP.
+    estimate whose log-log slope over DECAY_WINDOW is decay_slope; k1
+    and k2 are log_bound_check's envelope constants.
     """
 
     t: NDArray[np.int64]
@@ -220,30 +223,17 @@ class RegretReport:
     gamma1_bias: NDArray[np.float64]
     gamma1_var: NDArray[np.float64]
     decay_slope: float
-    decay_window: tuple[float, float]
     k1: float
     k2: float
-    t0: int
-    ratio_cap: float
     log_bound_passed: bool
-    reps: int
 
 
-def build_regret_report(
-    sweep: SweepResult,
-    decay_window: tuple[float, float] = (10.0, 100.0),
-) -> RegretReport:
+def build_regret_report(sweep: SweepResult) -> RegretReport:
     """Full regret/bias/variance analysis of one replication sweep."""
-    if sweep.reps < 2:
-        raise ValueError("need >= 2 replications")
+    gap_mean, gap_se = _gap_mean_se(sweep)
     scenario = sweep.scenario
     c1, c2 = regret_constants(scenario.population)
-    t_hor = sweep.cost_online.shape[1]
-    t = np.arange(1, t_hor + 1, dtype=np.int64)
-
-    diffs = sweep.cost_online - sweep.cost_star
-    gap_mean = diffs.mean(axis=0)
-    gap_se = diffs.std(axis=0, ddof=1) / np.sqrt(sweep.reps)
+    t = np.arange(1, gap_mean.shape[0] + 1, dtype=np.int64)
     cum_regret = np.cumsum(gap_mean)
 
     dev = sweep.lambda_online - sweep.lambda_star
@@ -253,7 +243,7 @@ def build_regret_report(
     gamma1_bias = sweep.gamma1_hat.mean(axis=0) - scenario.population.gamma1
     gamma1_var = sweep.gamma1_hat.var(axis=0, ddof=1)
 
-    decay_slope = fit_decay(t, gap_quadratic, decay_window)
+    decay_slope = fit_decay(t, gap_quadratic, DECAY_WINDOW)
     bound = log_bound_check(cum_regret)
 
     return RegretReport(
@@ -269,11 +259,7 @@ def build_regret_report(
         gamma1_bias=gamma1_bias,
         gamma1_var=gamma1_var,
         decay_slope=decay_slope,
-        decay_window=decay_window,
         k1=bound.k1,
         k2=bound.k2,
-        t0=LOG_BOUND_T0,
-        ratio_cap=LOG_BOUND_RATIO_CAP,
         log_bound_passed=bound.passed,
-        reps=sweep.reps,
     )

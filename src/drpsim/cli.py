@@ -24,16 +24,14 @@ from .experiments import (
     ExperimentConfig,
     _fmt,
     _parse_number,
-    build_scenario,
     parse_config,
     run_experiment,
+    scenario_and_capacity,
     with_overrides,
     write_trajectory_csv,
 )
-from .model import Scenario
-from .offline import closed_form_solve, compute_y_star
+from .offline import closed_form_solve
 from .online import run_replications
-from .rng import substream
 
 __all__ = ["main"]
 
@@ -94,15 +92,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _scenario_and_capacity(config: ExperimentConfig) -> tuple[Scenario, float]:
-    scenario = build_scenario(config, substream(config.seed, 0))
-    y = compute_y_star(scenario) if config.y_capacity is None else config.y_capacity
-    return scenario, y
-
-
 def cmd_offline(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    scenario, y = _scenario_and_capacity(config)
+    scenario, y = scenario_and_capacity(config)
     sol = closed_form_solve(scenario, y)
     print("key,value")
     print(f"y_capacity,{_fmt(sol.y_star)}")
@@ -123,7 +115,7 @@ def cmd_offline(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    scenario, y = _scenario_and_capacity(config)
+    scenario, y = scenario_and_capacity(config)
     # replication 0 of a sweep is the episode; only online knows its stream
     traj = run_replications(
         scenario, y, 1, config.seed, ridge_param=config.ridge, coupled_noise=config.coupled_noise

@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "EstimatorError",
-    "InsufficientDataError",
     "UnidentifiableError",
     "EstimatorState",
     "init",
@@ -41,10 +40,6 @@ COND_LIMIT = 1e12
 
 class EstimatorError(RuntimeError):
     """Base class for estimation failures the caller may recover from."""
-
-
-class InsufficientDataError(EstimatorError):
-    """No data and no regularization: the normal equations are empty."""
 
 
 class UnidentifiableError(EstimatorError):
@@ -112,18 +107,14 @@ def solve_normal_equations(state: EstimatorState) -> tuple[float, float]:
     every slot; gamma2_hat estimates the intercept -sum_i alpha_i/beta_i.
 
     Raises:
-        InsufficientDataError: no samples and ridge_param == 0.
         UnidentifiableError: condition number of the regularized normal
-            matrix exceeds COND_LIMIT (prices carry too little variation).
+            matrix exceeds COND_LIMIT (prices carry too little variation)
+            or the matrix is zero (no samples and ridge_param == 0).
     """
     r = state.ridge_param
-    m = state.n_samples
-    if m == 0 and r == 0.0:
-        raise InsufficientDataError("insufficient data")
-
     a00 = state.suu + r
     a01 = state.su
-    a11 = m + r
+    a11 = state.n_samples + r
 
     # condition number from the closed-form symmetric 2x2 eigenvalues
     mean = 0.5 * (a00 + a11)

@@ -24,14 +24,21 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .analysis import RegretReport, build_regret_report, median_tracking_error
+from .analysis import (
+    DECAY_WINDOW,
+    LOG_BOUND_RATIO_CAP,
+    LOG_BOUND_T0,
+    RegretReport,
+    build_regret_report,
+    median_tracking_error,
+)
 from .model import Population, Scenario
 from .offline import compute_y_star
 from .online import SweepResult, Trajectory, run_replications
@@ -42,6 +49,7 @@ __all__ = [
     "parse_experiment_kind",
     "parse_config",
     "build_scenario",
+    "scenario_and_capacity",
     "run_experiment",
     "write_trajectory_csv",
     "write_regret_csv",
@@ -100,6 +108,8 @@ class ExperimentConfig:
     Interval fields left as None fall back to the kind's defaults
     (repeated-dt/blocked-dt use the baseline intervals). y_capacity
     None means commit the closed-form optimum of the drawn scenario.
+    Float fields are stored as float whatever number type they are
+    given as, so a config equals the one parse_config reads.
     """
 
     experiment: str = "baseline"
@@ -122,10 +132,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         parse_experiment_kind(self.experiment)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in _FLOAT_KEYS and value is not None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in _KEY_TYPES:
+            value = getattr(self, name)
+            if name in _FLOAT_KEYS and value is not None:
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+                object.__setattr__(self, name, float(value))
         if self.n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if self.horizon < 1:
@@ -163,21 +175,14 @@ class ExperimentConfig:
         )
 
 
-_INT_KEYS = {"n_users", "horizon", "reps", "seed"}
-_FLOAT_KEYS = {
-    "c_rev",
-    "ridge",
-    "noise_sd",
-    "y_capacity",
-    "alpha_low",
-    "alpha_high",
-    "beta_low",
-    "beta_high",
-    "d_low",
-    "d_high",
+#: value type of each config key, read from the annotations without Optional
+_KEY_TYPES = {
+    name: next(a for a in get_args(hint) or (hint,) if a is not type(None))
+    for name, hint in get_type_hints(ExperimentConfig).items()
 }
-_BOOL_KEYS = {"coupled_noise"}
-_CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
+_INT_KEYS = {k for k, t in _KEY_TYPES.items() if t is int}
+_FLOAT_KEYS = {k for k, t in _KEY_TYPES.items() if t is float}
+_BOOL_KEYS = {k for k, t in _KEY_TYPES.items() if t is bool}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -197,7 +202,7 @@ def parse_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if not sep or not key or not value:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
-        if key not in _CONFIG_KEYS:
+        if key not in _KEY_TYPES:
             raise ValueError(f"config line {lineno}: unknown key '{key}'")
         if key in data:
             raise ValueError(f"config line {lineno}: duplicate key '{key}'")
@@ -248,6 +253,17 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
         alpha_rev=alpha_rev,
         noise_sd=config.noise_sd,
     )
+
+
+def scenario_and_capacity(config: ExperimentConfig) -> tuple[Scenario, float]:
+    """The config's scenario, drawn from substream (seed, 0), and its capacity.
+
+    The capacity is config.y_capacity when set, without computing (or
+    warning about) the closed-form optimum; otherwise compute_y_star.
+    """
+    scenario = build_scenario(config, substream(config.seed, 0))
+    y = compute_y_star(scenario) if config.y_capacity is None else config.y_capacity
+    return scenario, y
 
 
 def _fmt(value) -> str:
@@ -319,11 +335,11 @@ def _summarize_analysis(
         "c1": float(report.c1),
         "c2": float(report.c2),
         "decay_slope": float(report.decay_slope),
-        "decay_window": [float(report.decay_window[0]), float(report.decay_window[1])],
+        "decay_window": list(DECAY_WINDOW),
         "k1": float(report.k1),
         "k2": float(report.k2),
-        "t0": int(report.t0),
-        "ratio_cap": float(report.ratio_cap),
+        "t0": LOG_BOUND_T0,
+        "ratio_cap": LOG_BOUND_RATIO_CAP,
         "cum_regret_final": float(report.cum_regret[-1]),
         "tracking_median_max_from_50": tracking_max,
         "checks": {
@@ -352,9 +368,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     except OSError as exc:
         raise OSError(f"cannot create output directory '{out_dir}': {exc}") from exc
 
-    scenario = build_scenario(config, substream(config.seed, 0))
-    y_closed = compute_y_star(scenario)
-    y = y_closed if config.y_capacity is None else config.y_capacity
+    scenario, y = scenario_and_capacity(config)
+    y_closed = y if config.y_capacity is None else compute_y_star(scenario)
     sweep = run_replications(
         scenario,
         y,

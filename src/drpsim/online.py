@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimator import EstimatorError, EstimatorState, init, solve_normal_equations, update
+from .estimator import EstimatorError, init, solve_normal_equations, update
 from .model import Scenario, aggregate_from_noise, stage_costs_from_noise
 from .offline import DegenerateEstimateError, lambda_star_path, next_price
 from .rng import substream
@@ -67,8 +67,6 @@ class OnlineConfig:
         lambda_init: slot-1 price; None draws U[0, 2*alpha_rev/N].
         ridge_param: estimator regularization weight.
         coupled_noise: counterfactual costs reuse the online noise draws.
-        initial_estimator: start from this estimator state instead of a
-            fresh init(ridge_param, N); its own ridge/n_scale govern.
     """
 
     scenario: Scenario
@@ -76,7 +74,6 @@ class OnlineConfig:
     lambda_init: Optional[float] = None
     ridge_param: float = 0.001
     coupled_noise: bool = False
-    initial_estimator: Optional[EstimatorState] = None
 
     def __post_init__(self):
         if not np.isfinite(self.y_capacity):
@@ -87,7 +84,7 @@ class OnlineConfig:
 
 @dataclass
 class Trajectory:
-    """Per-slot record of one episode plus the terminal estimator state.
+    """Per-slot record of one episode and its recovery-event counts.
 
     All arrays have length T; gamma columns hold the estimate used to
     price the slot (slot 1 prices from the prior mean, recorded (0, 0)).
@@ -103,7 +100,6 @@ class Trajectory:
     q_star: NDArray[np.float64]
     cost_online: NDArray[np.float64]
     cost_star: NDArray[np.float64]
-    estimator: EstimatorState
     degenerate_events: int = 0
     fallback_events: int = 0
 
@@ -137,11 +133,7 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
     t_hor = scenario.horizon
     y = config.y_capacity
     lam_star = lambda_star_path(scenario, y)
-
-    if config.initial_estimator is not None:
-        est_state = config.initial_estimator
-    else:
-        est_state = init(config.ridge_param, n)
+    est_state = init(config.ridge_param, n)
 
     if config.lambda_init is not None:
         lam = float(config.lambda_init)
@@ -202,7 +194,6 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
         cost_star=stage_costs_from_noise(
             scenario, y, lam_star, q_star, eps_sum[:, cf], beta_eps2_sum[:, cf]
         ),
-        estimator=est_state,
         degenerate_events=degenerate_events,
         fallback_events=fallback_events,
     )
@@ -241,14 +232,13 @@ class SweepResult:
     """Replication-major matrices from a Monte Carlo sweep.
 
     All matrices have shape (reps, T). first_trajectory is replication
-    0 in full, kept for per-slot CSV output.
+    0 in full, gamma2_hat included, kept for per-slot CSV output.
     """
 
     scenario: Scenario
     lambda_star: NDArray[np.float64]
     lambda_online: NDArray[np.float64]
     gamma1_hat: NDArray[np.float64]
-    gamma2_hat: NDArray[np.float64]
     cost_online: NDArray[np.float64]
     cost_star: NDArray[np.float64]
     first_trajectory: Trajectory
@@ -284,7 +274,6 @@ def run_replications(
     t_hor = scenario.horizon
     lam = np.empty((reps, t_hor))
     g1 = np.empty((reps, t_hor))
-    g2 = np.empty((reps, t_hor))
     c_on = np.empty((reps, t_hor))
     c_st = np.empty((reps, t_hor))
     first = None
@@ -294,7 +283,6 @@ def run_replications(
         traj = run_episode(config, substream(master_seed, 1, r))
         lam[r] = traj.lambda_online
         g1[r] = traj.gamma1_hat
-        g2[r] = traj.gamma2_hat
         c_on[r] = traj.cost_online
         c_st[r] = traj.cost_star
         degenerate += traj.degenerate_events
@@ -306,7 +294,6 @@ def run_replications(
         lambda_star=first.lambda_star,
         lambda_online=lam,
         gamma1_hat=g1,
-        gamma2_hat=g2,
         cost_online=c_on,
         cost_star=c_st,
         first_trajectory=first,

@@ -97,7 +97,6 @@ def test_empirical_gap_needs_replications(small_sweep):
         lambda_star=small_sweep.lambda_star,
         lambda_online=small_sweep.lambda_online[:1],
         gamma1_hat=small_sweep.gamma1_hat[:1],
-        gamma2_hat=small_sweep.gamma2_hat[:1],
         cost_online=small_sweep.cost_online[:1],
         cost_star=small_sweep.cost_star[:1],
         first_trajectory=small_sweep.first_trajectory,
@@ -127,7 +126,7 @@ def test_fit_decay_errors():
 
 def test_log_bound_exact_log_curve():
     t = np.arange(1, 1001)
-    res = log_bound_check(5.0 * np.log(t), t0=10, ratio_cap=20.0)
+    res = log_bound_check(5.0 * np.log(t))
     assert res.k1 == pytest.approx(5.0, rel=1e-12)
     assert res.k2 == pytest.approx(5.0, rel=1e-12)
     assert res.passed
@@ -135,17 +134,15 @@ def test_log_bound_exact_log_curve():
 
 def test_log_bound_rejects_linear_regret():
     t = np.arange(1, 1001)
-    res = log_bound_check(t.astype(float), t0=10, ratio_cap=20.0)
+    res = log_bound_check(t.astype(float))
     assert res.k1 > 0
     assert res.k2 / res.k1 > 20.0
     assert not res.passed
 
 
 def test_log_bound_validation():
-    with pytest.raises(ValueError, match="t0 must be >= 3"):
-        log_bound_check(np.ones(100), t0=2)
-    with pytest.raises(ValueError, match="does not reach"):
-        log_bound_check(np.ones(5), t0=10)
+    with pytest.raises(ValueError, match="does not reach t0 = 10"):
+        log_bound_check(np.ones(9))
 
 
 def test_price_bias_variance_identical_replications(small_sweep):
@@ -156,7 +153,6 @@ def test_price_bias_variance_identical_replications(small_sweep):
         lambda_star=small_sweep.lambda_star,
         lambda_online=np.tile(row, (2, 1)),
         gamma1_hat=np.tile(small_sweep.gamma1_hat[:1], (2, 1)),
-        gamma2_hat=np.tile(small_sweep.gamma2_hat[:1], (2, 1)),
         cost_online=np.tile(small_sweep.cost_online[:1], (2, 1)),
         cost_star=np.tile(small_sweep.cost_star[:1], (2, 1)),
         first_trajectory=small_sweep.first_trajectory,
@@ -209,7 +205,7 @@ def test_median_tracking_error_rejects_zero_lambda_star(small_sweep):
 def test_report_quadratic_gap_identity(small_sweep):
     # c1 * mean((lambda - lambda*)^2) decomposes exactly into
     # c1 * (population variance + bias^2); lambda_var uses ddof=1.
-    report = build_regret_report(small_sweep, decay_window=(3.0, 12.0))
+    report = build_regret_report(small_sweep)
     r = small_sweep.reps
     recomposed = report.c1 * (
         report.lambda_var * (r - 1) / r + report.lambda_bias**2
@@ -218,11 +214,10 @@ def test_report_quadratic_gap_identity(small_sweep):
 
 
 def test_report_structure(small_sweep):
-    report = build_regret_report(small_sweep, decay_window=(3.0, 12.0))
+    report = build_regret_report(small_sweep)
     assert np.array_equal(report.cum_regret, np.cumsum(report.gap_mean))
     assert np.array_equal(report.t, np.arange(1, 13))
     assert report.c1 >= 0.0
-    assert report.reps == 60
     g_mean, g_se = empirical_gap(small_sweep, 7)
     assert report.gap_mean[6] == pytest.approx(g_mean, rel=1e-12)
     assert report.gap_se[6] == pytest.approx(g_se, rel=1e-12)
@@ -266,7 +261,6 @@ def test_report_needs_replications(small_sweep):
         lambda_star=small_sweep.lambda_star,
         lambda_online=small_sweep.lambda_online[:1],
         gamma1_hat=small_sweep.gamma1_hat[:1],
-        gamma2_hat=small_sweep.gamma2_hat[:1],
         cost_online=small_sweep.cost_online[:1],
         cost_star=small_sweep.cost_star[:1],
         first_trajectory=small_sweep.first_trajectory,

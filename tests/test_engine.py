@@ -12,7 +12,6 @@ and agree to rounding.
 """
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,10 +39,7 @@ def loop_episode(config, rng):
     y = config.y_capacity
     noise_sd = scenario.noise_sd
     lam_star = lambda_star_path(scenario, y)
-    if config.initial_estimator is not None:
-        est_state = config.initial_estimator
-    else:
-        est_state = init(config.ridge_param, n)
+    est_state = init(config.ridge_param, n)
     if config.lambda_init is not None:
         lam = float(config.lambda_init)
     else:
@@ -87,21 +83,15 @@ def loop_episode(config, rng):
         update(est_state, lam, q)
     out["degenerate_events"] = degenerate
     out["fallback_events"] = fallback
-    out["estimator"] = est_state
     return out
 
 
 def assert_engine_matches_loop(config, seed):
-    """Run both on substream(seed, 1, 0); each gets its own estimator copy."""
-    def fresh():
-        if config.initial_estimator is None:
-            return config
-        return replace(config, initial_estimator=replace(config.initial_estimator))
-
-    want = loop_episode(fresh(), substream(seed, 1, 0))
+    """Run both on substream(seed, 1, 0)."""
+    want = loop_episode(config, substream(seed, 1, 0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = run_episode(fresh(), substream(seed, 1, 0))
+        got = run_episode(config, substream(seed, 1, 0))
     for key in ("lambda_online", "gamma1_hat", "gamma2_hat", "q_online"):
         assert np.array_equal(getattr(got, key), want[key]), key
     q_identity = aggregate_from_noise(config.scenario, got.lambda_online, want["eps_sum"])
@@ -111,7 +101,6 @@ def assert_engine_matches_loop(config, seed):
         assert np.all(err <= COST_RTOL * np.maximum(1.0, np.abs(want[key]))), (key, err.max())
     assert got.degenerate_events == want["degenerate_events"]
     assert got.fallback_events == want["fallback_events"]
-    assert got.estimator == want["estimator"]
     degenerate_warnings = [w for w in caught if "degenerate estimate" in str(w.message)]
     assert len(degenerate_warnings) == (1 if want["degenerate_events"] else 0)
 
@@ -127,19 +116,12 @@ def episodes(draw):
         alpha_rev=float(g.uniform(0.5, 10.0)),
         noise_sd=draw(st.one_of(st.just(0.0), st.floats(1e-3, 3.0))),
     )
-    ridge = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)))
-    initial = None
-    if draw(st.booleans()):
-        initial = init(ridge, n)
-        for _ in range(draw(st.integers(0, 3))):
-            update(initial, float(g.uniform(0.0, 1.0)), float(g.uniform(-5.0, 50.0)))
     config = OnlineConfig(
         scenario=scenario,
         y_capacity=float(g.uniform(-1.0, 3.0)),
         lambda_init=draw(st.one_of(st.none(), st.floats(-1.0, 2.0))),
-        ridge_param=ridge,
+        ridge_param=draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0))),
         coupled_noise=draw(st.booleans()),
-        initial_estimator=initial,
     )
     return config, draw(st.integers(0, 2**63 - 1))
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from drpsim.estimator import (
-    InsufficientDataError,
     UnidentifiableError,
     init,
     solve_normal_equations,
@@ -32,7 +31,8 @@ def test_zero_data_ridge_returns_prior_mean():
 
 
 def test_zero_data_no_ridge_is_insufficient():
-    with pytest.raises(InsufficientDataError, match="insufficient data"):
+    # the normal matrix is zero, so the condition test rejects it
+    with pytest.raises(UnidentifiableError, match="unidentifiable"):
         solve_normal_equations(init(0.0))
 
 

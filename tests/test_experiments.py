@@ -118,6 +118,8 @@ def test_interval_errors_name_the_key_pair(name):
     keys = f"{name}_low, {name}_high"
     with pytest.raises(ValueError, match=rf"{keys} out of order: \[3\.0, 2\.0\]"):
         ExperimentConfig(**{f"{name}_low": 3.0, f"{name}_high": 2.0})
+    with pytest.raises(ValueError, match=rf"{keys} out of order: \[3\.0, 2\.0\]"):
+        ExperimentConfig(**{f"{name}_low": 3, f"{name}_high": 2})
     with pytest.raises(ValueError, match=rf"{keys} must be > 0, got \[-1\.0, "):
         ExperimentConfig(**{f"{name}_low": -1.0})
     with pytest.raises(ValueError, match=rf"{keys} must be > 0, got \[1\.0, 0\.0\]"):
@@ -390,7 +392,7 @@ def test_trajectory_csv_round_trip(tiny_sweep, tmp_path):
 
 
 def test_regret_csv_round_trip(tiny_sweep, tmp_path):
-    report = build_regret_report(tiny_sweep, decay_window=(3.0, 12.0))
+    report = build_regret_report(tiny_sweep)
     path = tmp_path / "regret.csv"
     write_regret_csv(path, report)
     lines = path.read_text().splitlines()
@@ -465,6 +467,24 @@ def test_run_experiment_reports_undefined_tracking(tmp_path, capsys):
     assert "lambda_star at slot 11 is" in summary["analysis_note"]
     assert (tmp_path / "zero" / "summary.json").exists()
     assert "regret analysis skipped" in capsys.readouterr().err
+
+
+def test_python_and_file_configs_write_identical_summaries(tmp_path):
+    # integer values of float keys are stored as float, as parse_config stores them
+    ints = dict(alpha_low=1, alpha_high=2, c_rev=2, noise_sd=1, y_capacity=3)
+    built = ExperimentConfig(
+        n_users=5, horizon=12, reps=3, seed=3, out_dir=str(tmp_path / "py"), **ints
+    )
+    assert all(type(getattr(built, key)) is float for key in ints)
+    text = "".join(f"{key} = {value}\n" for key, value in ints.items())
+    parsed = parse_config(f"n_users = 5\nhorizon = 12\nreps = 3\nseed = 3\n{text}")
+    parsed = replace(parsed, out_dir=str(tmp_path / "file"))
+    assert replace(built, out_dir=parsed.out_dir) == parsed
+    run_experiment(built)
+    run_experiment(parsed)
+    assert (tmp_path / "py" / "summary.json").read_bytes() == (
+        tmp_path / "file" / "summary.json"
+    ).read_bytes()
 
 
 def test_run_experiment_outputs_are_path_independent(tmp_path):

@@ -1,9 +1,10 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from drpsim import estimator
+from drpsim import estimator, online
 from drpsim.experiments import ExperimentConfig, build_scenario
 from drpsim.model import Population, Scenario
 from drpsim.offline import (
@@ -83,19 +84,25 @@ def test_noiseless_identification_from_lambda_star_init():
     assert rel.max() <= 1e-10
 
 
-def test_true_estimate_is_fixed_point():
+def test_true_estimate_is_fixed_point(monkeypatch):
     sc = _noiseless_table_scenario()
     y = compute_y_star(sc)
     pop = sc.population
-    state = estimator.init(0.0, sc.n)
-    for lam in (0.5, 1.0):
-        estimator.update(state, lam, sc.n * pop.gamma1 * lam + pop.gamma2)
+
+    def solve_with_true_history(state):
+        # the episode's observations plus two exact ones on the true line
+        state = replace(state)
+        for lam in (0.5, 1.0):
+            estimator.update(state, lam, sc.n * pop.gamma1 * lam + pop.gamma2)
+        return estimator.solve_normal_equations(state)
+
+    monkeypatch.setattr(online, "solve_normal_equations", solve_with_true_history)
     traj = run_episode(
         OnlineConfig(
             scenario=sc,
             y_capacity=y,
             lambda_init=float(lambda_star_path(sc, y)[0]),
-            initial_estimator=state,
+            ridge_param=0.0,
         ),
         np.random.default_rng(0),
     )
@@ -193,18 +200,16 @@ def test_zero_noise_draws_only_the_slot1_price():
     assert not _same_state(rng.bit_generator.state, want.bit_generator.state)
 
 
-def test_degenerate_recovery_keeps_previous_price():
-    # Poisoned prior history on the line Z = -u + 5; the slot-1 observation
-    # of this population at lambda=2.75 lies on the same line, so every
-    # estimate is exactly (-1, 5) and every pricing step degenerates.
-    state = estimator.init(0.0, 1)
-    estimator.update(state, 1.0, 4.0)
-    estimator.update(state, 2.0, 3.0)
+def _degenerate_estimates(monkeypatch):
+    """Every estimate is (-1, 5), so N*gamma1_hat + N = 0 and every price degenerates."""
+    monkeypatch.setattr(online, "solve_normal_equations", lambda state: (-1.0, 5.0))
+
+
+def test_degenerate_recovery_keeps_previous_price(monkeypatch):
+    _degenerate_estimates(monkeypatch)
     pop = Population([0.5], [1.0])
     sc = Scenario(pop, (1.0, 1.2, 0.9, 1.1), alpha_rev=1.0, noise_sd=0.0)
-    config = OnlineConfig(
-        scenario=sc, y_capacity=1.0, lambda_init=2.75, initial_estimator=state
-    )
+    config = OnlineConfig(scenario=sc, y_capacity=1.0, lambda_init=2.75)
     with pytest.warns(RuntimeWarning, match="degenerate estimate: reusing previous price"):
         traj = run_episode(config, np.random.default_rng(0))
     assert traj.degenerate_events == 3
@@ -213,14 +218,10 @@ def test_degenerate_recovery_keeps_previous_price():
     assert traj.t.shape == (4,)
 
 
-def test_degenerate_prices_warn_once_per_episode():
-    state = estimator.init(0.0, 1)
-    estimator.update(state, 1.0, 4.0)
-    estimator.update(state, 2.0, 3.0)
+def test_degenerate_prices_warn_once_per_episode(monkeypatch):
+    _degenerate_estimates(monkeypatch)
     sc = Scenario(Population([0.5], [1.0]), (1.0, 1.2, 0.9, 1.1), alpha_rev=1.0, noise_sd=0.0)
-    config = OnlineConfig(
-        scenario=sc, y_capacity=1.0, lambda_init=2.75, initial_estimator=state
-    )
+    config = OnlineConfig(scenario=sc, y_capacity=1.0, lambda_init=2.75)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_episode(config, np.random.default_rng(0))
