@@ -19,6 +19,7 @@ from drpsim import (
     run_episode,
     run_replications,
 )
+from drpsim.analysis import TRACKING_FROM, TRACKING_TOL
 from drpsim.experiments import ExperimentConfig, build_scenario
 from drpsim.rng import substream
 
@@ -55,9 +56,10 @@ def main() -> None:
           "|lambda_t - lambda*_t| / lambda*_t:")
     for t in (2, 5, 10, 20, 50, 100):
         print(f"  t={t:>3}: {med[t - 1]:7.2%}")
-    first_ok = int(np.argmax(med < 0.05)) + 1
-    print(f"median error first drops below 5% at t = {first_ok} "
-          f"and stays below from t = 50 on (max after: {med[49:].max():.2%})")
+    first_ok = int(np.argmax(med < TRACKING_TOL)) + 1
+    print(f"median error first drops below {TRACKING_TOL:.0%} at t = {first_ok} "
+          f"and stays below from t = {TRACKING_FROM} on "
+          f"(max after: {med[TRACKING_FROM - 1:].max():.2%})")
 
 
 if __name__ == "__main__":

@@ -12,12 +12,8 @@ import warnings
 
 import numpy as np
 
-from drpsim import (
-    build_regret_report,
-    compute_y_star,
-    median_tracking_error,
-    run_replications,
-)
+from drpsim import build_regret_report, compute_y_star, run_replications
+from drpsim.analysis import GAP_SLOPE_BAND, LOG_BOUND_RATIO_CAP, TRACKING_FROM, TRACKING_TOL
 from drpsim.experiments import ExperimentConfig, build_scenario
 from drpsim.rng import substream
 
@@ -32,10 +28,9 @@ def run_kind(kind: str, reps: int = 300) -> None:
         y = compute_y_star(scenario)
     sweep = run_replications(scenario, y, reps, cfg.seed)
     report = build_regret_report(sweep)
-    med = median_tracking_error(sweep)
     print(
         f"  {kind:<16} distinct d_t: {counts.size:>3}   "
-        f"tracking(t>=50): {med[49:].max():6.2%}   "
+        f"tracking(t>={TRACKING_FROM}): {report.tracking_max:6.2%}   "
         f"slope: {report.decay_slope:+.3f}   "
         f"k2/k1: {report.k2 / report.k1:5.2f}   "
         f"identification failures: {sweep.fallback_events + sweep.degenerate_events}"
@@ -44,7 +39,8 @@ def run_kind(kind: str, reps: int = 300) -> None:
 
 def main() -> None:
     print("demand-profile robustness, N=100, T=100, 300 replications each")
-    print("(thresholds: tracking < 5%, slope in [-1.3, -0.7], k2/k1 <= 20)")
+    print(f"(thresholds: tracking < {TRACKING_TOL:.0%}, slope in [{GAP_SLOPE_BAND[0]}, "
+          f"{GAP_SLOPE_BAND[1]}], k2/k1 <= {LOG_BOUND_RATIO_CAP:.0f})")
     print()
     for kind in (
         "baseline",

@@ -23,7 +23,7 @@ estimators of the per-slot gap are therefore available from a sweep:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -42,6 +42,7 @@ __all__ = [
     "price_bias_variance",
     "median_tracking_error",
     "build_regret_report",
+    "summarize",
 ]
 
 #: optimal prices smaller than this in magnitude have no relative error
@@ -51,8 +52,17 @@ LAMBDA_STAR_TOL = 1e-12
 LOG_BOUND_T0 = 10
 LOG_BOUND_RATIO_CAP = 20.0
 
-#: slots [lo, hi] of the gap_quadratic decay-slope fit
+#: slots [lo, hi] of the gap_quadratic decay-slope fit, and the band the
+#: slope must fall in (1/t decay reads -1)
 DECAY_WINDOW = (10.0, 100.0)
+GAP_SLOPE_BAND = (-1.3, -0.7)
+
+#: from this slot on, the median relative price error must stay below the tolerance
+TRACKING_FROM = 50
+TRACKING_TOL = 0.05
+
+#: from this slot on, the squared price bias must stay below the price variance
+BIAS_FROM = 10
 
 
 def regret_constants(population: Population) -> tuple[float, float]:
@@ -208,7 +218,9 @@ class RegretReport:
     difference; cum_regret is their running sum. gap_quadratic is
     c1 * mean((lambda_t - lambda_star_t)^2), the variance-reduced gap
     estimate whose log-log slope over DECAY_WINDOW is decay_slope; k1
-    and k2 are log_bound_check's envelope constants.
+    and k2 are log_bound_check's envelope constants. tracking_max is the
+    largest median_tracking_error from slot TRACKING_FROM on, None when
+    the horizon is shorter.
     """
 
     t: NDArray[np.int64]
@@ -226,6 +238,7 @@ class RegretReport:
     k1: float
     k2: float
     log_bound_passed: bool
+    tracking_max: Optional[float]
 
 
 def build_regret_report(sweep: SweepResult) -> RegretReport:
@@ -245,6 +258,10 @@ def build_regret_report(sweep: SweepResult) -> RegretReport:
 
     decay_slope = fit_decay(t, gap_quadratic, DECAY_WINDOW)
     bound = log_bound_check(cum_regret)
+    # after the fit and the bound, so their errors take precedence
+    tracking_max = None
+    if t.shape[0] >= TRACKING_FROM:
+        tracking_max = float(median_tracking_error(sweep)[TRACKING_FROM - 1 :].max())
 
     return RegretReport(
         t=t,
@@ -262,4 +279,36 @@ def build_regret_report(sweep: SweepResult) -> RegretReport:
         k1=bound.k1,
         k2=bound.k2,
         log_bound_passed=bound.passed,
+        tracking_max=tracking_max,
     )
+
+
+def summarize(report: RegretReport) -> dict:
+    """The analysis block of summary.json: headline numbers and pass/fail checks.
+
+    tracking_pass is None when report.tracking_max is. The decay fit
+    needs slots past DECAY_WINDOW[0] >= BIAS_FROM, so the bias check
+    always has slots to decide on.
+    """
+    tracking = report.tracking_max
+    slope_lo, slope_hi = GAP_SLOPE_BAND
+    b2 = report.lambda_bias[BIAS_FROM - 1 :] ** 2
+    bias_below_var = bool(np.all(b2 < report.lambda_var[BIAS_FROM - 1 :]))
+    return {
+        "c1": float(report.c1),
+        "c2": float(report.c2),
+        "decay_slope": float(report.decay_slope),
+        "decay_window": list(DECAY_WINDOW),
+        "k1": float(report.k1),
+        "k2": float(report.k2),
+        "t0": LOG_BOUND_T0,
+        "ratio_cap": LOG_BOUND_RATIO_CAP,
+        "cum_regret_final": float(report.cum_regret[-1]),
+        f"tracking_median_max_from_{TRACKING_FROM}": tracking,
+        "checks": {
+            "tracking_pass": None if tracking is None else tracking < TRACKING_TOL,
+            "gap_slope_pass": bool(slope_lo <= report.decay_slope <= slope_hi),
+            "log_bound_pass": bool(report.log_bound_passed),
+            f"bias_squared_below_variance_from_{BIAS_FROM}": bias_below_var,
+        },
+    }

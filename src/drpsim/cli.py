@@ -27,7 +27,6 @@ from .experiments import (
     parse_config,
     run_experiment,
     scenario_and_capacity,
-    with_overrides,
     write_trajectory_csv,
 )
 from .offline import closed_form_solve
@@ -68,21 +67,16 @@ directory over any file or flag value.
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults <- config file <- flags <- environment."""
-    if args.config is not None:
-        text = Path(args.config).read_text()
-        config = parse_config(text)
-    else:
-        config = ExperimentConfig()
-    config = with_overrides(
-        config,
+    config = parse_config(Path(args.config).read_text() if args.config is not None else "")
+    flags = dict(
         seed=args.seed,
         reps=args.reps,
         out_dir=args.out,
         experiment=args.experiment,
         y_capacity=args.y_capacity,
+        coupled_noise=True if args.coupled_noise else None,
     )
-    if args.coupled_noise:
-        config = replace(config, coupled_noise=True)
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     env_seed = os.environ.get("DRPSIM_SEED")
     if env_seed is not None:
         config = replace(config, seed=_parse_number(int, env_seed, "DRPSIM_SEED"))

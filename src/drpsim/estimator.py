@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EstimatorError",
     "UnidentifiableError",
     "EstimatorState",
     "init",
@@ -38,11 +37,7 @@ __all__ = [
 COND_LIMIT = 1e12
 
 
-class EstimatorError(RuntimeError):
-    """Base class for estimation failures the caller may recover from."""
-
-
-class UnidentifiableError(EstimatorError):
+class UnidentifiableError(RuntimeError):
     """Normal matrix numerically singular (not enough price variation)."""
 
 

@@ -24,24 +24,17 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .analysis import (
-    DECAY_WINDOW,
-    LOG_BOUND_RATIO_CAP,
-    LOG_BOUND_T0,
-    RegretReport,
-    build_regret_report,
-    median_tracking_error,
-)
+from .analysis import RegretReport, build_regret_report, summarize
 from .model import Population, Scenario
 from .offline import compute_y_star
-from .online import SweepResult, Trajectory, run_replications
+from .online import Trajectory, run_replications
 from .rng import substream
 
 __all__ = [
@@ -108,8 +101,10 @@ class ExperimentConfig:
     Interval fields left as None fall back to the kind's defaults
     (repeated-dt/blocked-dt use the baseline intervals). y_capacity
     None means commit the closed-form optimum of the drawn scenario.
-    Float fields are stored as float whatever number type they are
-    given as, so a config equals the one parse_config reads.
+    Every field must have its annotated type (a bool is not an int, an
+    int is accepted for a float), else TypeError names the key. Float
+    fields are stored as float, so a config equals the one parse_config
+    reads.
     """
 
     experiment: str = "baseline"
@@ -131,19 +126,24 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        parse_experiment_kind(self.experiment)
-        for name in _KEY_TYPES:
+        for name, kind in _KEY_TYPES.items():
             value = getattr(self, name)
-            if name in _FLOAT_KEYS and value is not None:
+            optional = name in _OPTIONAL_KEYS
+            if value is None and optional:
+                continue
+            # bool is an int subclass, so only bool keys may hold one
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+                expected = kind.__name__ + (" or None" if optional else "")
+                raise TypeError(f"{name} must be {expected}, got {value!r}")
+            if kind is float:
                 if not math.isfinite(value):
                     raise ValueError(f"{name} must be finite, got {value}")
                 object.__setattr__(self, name, float(value))
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        parse_experiment_kind(self.experiment)
+        for name in ("n_users", "horizon", "reps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         # substream keys on the seed's low 64 bits: larger seeds would alias
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
@@ -175,11 +175,12 @@ class ExperimentConfig:
         )
 
 
-#: value type of each config key, read from the annotations without Optional
+_HINTS = get_type_hints(ExperimentConfig)
+#: value type of each config key without Optional, and the keys that may be None
 _KEY_TYPES = {
-    name: next(a for a in get_args(hint) or (hint,) if a is not type(None))
-    for name, hint in get_type_hints(ExperimentConfig).items()
+    k: next(a for a in get_args(h) or (h,) if a is not type(None)) for k, h in _HINTS.items()
 }
+_OPTIONAL_KEYS = {k for k, h in _HINTS.items() if type(None) in get_args(h)}
 _INT_KEYS = {k for k, t in _KEY_TYPES.items() if t is int}
 _FLOAT_KEYS = {k for k, t in _KEY_TYPES.items() if t is float}
 _BOOL_KEYS = {k for k, t in _KEY_TYPES.items() if t is bool}
@@ -316,41 +317,6 @@ def write_regret_csv(path: Path, report: RegretReport) -> None:
     )
 
 
-def _summarize_analysis(
-    report: RegretReport, sweep: SweepResult, t_hor: int
-) -> dict:
-    """Headline analysis numbers plus the pass/fail acceptance checks."""
-    if t_hor >= 50:
-        tracking_max = float(median_tracking_error(sweep)[49:].max())
-        tracking_pass = bool(tracking_max < 0.05)
-    else:
-        tracking_max = None
-        tracking_pass = None
-    if t_hor >= 10:
-        b2 = report.lambda_bias[9:] ** 2
-        bias_below_var = bool(np.all(b2 < report.lambda_var[9:]))
-    else:
-        bias_below_var = None
-    return {
-        "c1": float(report.c1),
-        "c2": float(report.c2),
-        "decay_slope": float(report.decay_slope),
-        "decay_window": list(DECAY_WINDOW),
-        "k1": float(report.k1),
-        "k2": float(report.k2),
-        "t0": LOG_BOUND_T0,
-        "ratio_cap": LOG_BOUND_RATIO_CAP,
-        "cum_regret_final": float(report.cum_regret[-1]),
-        "tracking_median_max_from_50": tracking_max,
-        "checks": {
-            "tracking_pass": tracking_pass,
-            "gap_slope_pass": bool(-1.3 <= report.decay_slope <= -0.7),
-            "log_bound_pass": bool(report.log_bound_passed),
-            "bias_squared_below_variance_from_10": bias_below_var,
-        },
-    }
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Scenario draw, offline solve, replication sweep, analysis, files.
 
@@ -406,7 +372,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     try:
         report = build_regret_report(sweep)
-        analysis = _summarize_analysis(report, sweep, config.horizon)
     except ValueError as exc:
         summary["analysis"] = None
         summary["analysis_note"] = str(exc)
@@ -415,15 +380,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
         print(f"regret analysis skipped: {exc}", file=sys.stderr)
     else:
         write_regret_csv(out_dir / "regret.csv", report)
-        summary["analysis"] = analysis
+        summary["analysis"] = summarize(report)
 
     with open(out_dir / "summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     return summary
 
-
-def with_overrides(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    """dataclasses.replace with None-valued changes dropped."""
-    filtered = {k: v for k, v in changes.items() if v is not None}
-    return replace(config, **filtered) if filtered else config

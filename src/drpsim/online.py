@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimator import EstimatorError, init, solve_normal_equations, update
+from .estimator import UnidentifiableError, init, solve_normal_equations, update
 from .model import Scenario, aggregate_from_noise, stage_costs_from_noise
 from .offline import DegenerateEstimateError, lambda_star_path, next_price
 from .rng import substream
@@ -153,7 +153,7 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
         if t > 0:
             try:
                 g1, g2 = solve_normal_equations(est_state)
-            except EstimatorError:
+            except UnidentifiableError:
                 g1, g2 = 0.0, 0.0
                 fallback_events += 1
             try:

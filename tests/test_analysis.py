@@ -12,6 +12,7 @@ from drpsim.analysis import (
     median_tracking_error,
     price_bias_variance,
     regret_constants,
+    summarize,
 )
 from drpsim.experiments import ExperimentConfig, build_scenario
 from drpsim.model import Population, Scenario
@@ -269,3 +270,36 @@ def test_report_needs_replications(small_sweep):
     )
     with pytest.raises(ValueError, match="need >= 2 replications"):
         build_regret_report(single)
+
+
+def test_report_tracking_max_and_summary_checks(small_sweep, excited_sweep):
+    short = summarize(build_regret_report(small_sweep))  # T = 12, short of slot 50
+    assert short["tracking_median_max_from_50"] is None
+    assert short["checks"]["tracking_pass"] is None
+    _, sweep = excited_sweep
+    report = build_regret_report(sweep)
+    assert report.tracking_max == median_tracking_error(sweep)[49:].max()
+    summary = summarize(report)
+    assert summary["tracking_median_max_from_50"] == report.tracking_max
+    assert summary["checks"] == {
+        "tracking_pass": report.tracking_max < 0.05,
+        "gap_slope_pass": -1.3 <= report.decay_slope <= -0.7,
+        "log_bound_pass": report.log_bound_passed,
+        "bias_squared_below_variance_from_10": bool(
+            np.all(report.lambda_bias[9:] ** 2 < report.lambda_var[9:])
+        ),
+    }
+    # one biased slot fails the bias check from slot 10 on, and only there
+    for slot, passes in ((9, True), (10, False), (100, False)):
+        bias = report.lambda_bias.copy()
+        bias[slot - 1] = 10.0 * np.sqrt(report.lambda_var[slot - 1])
+        checks = summarize(replace(report, lambda_bias=bias))["checks"]
+        assert checks["bias_squared_below_variance_from_10"] is passes
+
+
+def test_report_rejects_zero_lambda_star_in_the_tracking_window(excited_sweep):
+    _, sweep = excited_sweep
+    lam_star = sweep.lambda_star.copy()
+    lam_star[60] = 0.0
+    with pytest.raises(ValueError, match="lambda_star at slot 61 is 0.0"):
+        build_regret_report(replace(sweep, lambda_star=lam_star))

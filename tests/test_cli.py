@@ -150,6 +150,17 @@ def test_flag_overrides_config_file(small_config, tmp_path, clean_env, capsys):
     assert capsys.readouterr().out == flagged
 
 
+def test_unset_flags_keep_config_file_values(tmp_path, clean_env, capsys):
+    cfg = tmp_path / "coupled.cfg"
+    cfg.write_text("n_users = 5\nhorizon = 12\nreps = 6\nseed = 3\ncoupled_noise = true\n")
+    out_dir = tmp_path / "reps7"
+    assert main(["regret", "--config", str(cfg), "--reps", "7", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert (summary["seed"], summary["reps"], summary["horizon"]) == (3, 7, 12)
+    assert summary["coupled_noise"] is True
+
+
 def test_unknown_experiment_is_a_clean_error(small_config, clean_env, capsys):
     rc = main(["regret", "--config", small_config, "--experiment", "warmstart"])
     assert rc == 2

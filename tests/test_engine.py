@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpsim.estimator import EstimatorError, init, solve_normal_equations, update
+from drpsim.estimator import UnidentifiableError, init, solve_normal_equations, update
 from drpsim.experiments import ExperimentConfig, build_scenario
 from drpsim.model import Population, Scenario, aggregate_from_noise, realize_outcome, stage_cost
 from drpsim.offline import DegenerateEstimateError, compute_y_star, lambda_star_path, next_price
@@ -55,7 +55,7 @@ def loop_episode(config, rng):
         if t > 1:
             try:
                 g1, g2 = solve_normal_equations(est_state)
-            except EstimatorError:
+            except UnidentifiableError:
                 g1, g2 = 0.0, 0.0
                 fallback += 1
             try:

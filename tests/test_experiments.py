@@ -1,4 +1,5 @@
 import json
+import re
 import typing
 import warnings
 from dataclasses import fields, replace
@@ -17,7 +18,6 @@ from drpsim.experiments import (
     parse_config,
     parse_experiment_kind,
     run_experiment,
-    with_overrides,
     write_regret_csv,
     write_trajectory_csv,
 )
@@ -268,12 +268,26 @@ def test_config_round_trip_property(cfg, float_key, bad, big_seed):
         parse_config(with_line("seed", big_seed))
 
 
-def test_with_overrides_drops_none():
-    cfg = ExperimentConfig()
-    assert with_overrides(cfg, seed=None, reps=None) is cfg
-    bumped = with_overrides(cfg, seed=None, reps=7)
-    assert bumped.reps == 7
-    assert bumped.seed == cfg.seed
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("coupled_noise", "false", "bool"),
+        ("coupled_noise", 1, "bool"),
+        ("reps", 2.0, "int"),
+        ("n_users", 5.5, "int"),
+        ("n_users", True, "int"),
+        ("seed", None, "int"),
+        ("c_rev", True, "float"),
+        ("ridge", "0.1", "float"),
+        ("y_capacity", "3", "float or None"),
+        ("experiment", None, "str"),
+        ("out_dir", 3, "str"),
+    ],
+)
+def test_config_keys_must_have_their_annotated_type(key, value, expected):
+    message = rf"^{key} must be {expected}, got {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=message):
+        ExperimentConfig(**{key: value})
 
 
 # ------------------------------------------------------------ scenarios
@@ -467,6 +481,25 @@ def test_run_experiment_reports_undefined_tracking(tmp_path, capsys):
     assert "lambda_star at slot 11 is" in summary["analysis_note"]
     assert (tmp_path / "zero" / "summary.json").exists()
     assert "regret analysis skipped" in capsys.readouterr().err
+
+
+def test_checks_fail_for_a_pricer_that_never_learns(tmp_path):
+    # ridge 1e12 holds the estimate at the prior mean (0, 0), so the price
+    # is y*d_t/N in every slot and never approaches lambda*
+    cfg = ExperimentConfig(
+        n_users=100, horizon=100, reps=50, seed=42, ridge=1e12, out_dir=str(tmp_path)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        summary = run_experiment(cfg)
+    assert summary["fallback_events"] == summary["degenerate_events"] == 0
+    analysis = summary["analysis"]
+    assert analysis["tracking_median_max_from_50"] > 1.0
+    assert analysis["decay_slope"] > -0.1
+    checks = analysis["checks"]
+    assert checks["tracking_pass"] is False
+    assert checks["gap_slope_pass"] is False
+    assert checks["bias_squared_below_variance_from_10"] is False
 
 
 def test_python_and_file_configs_write_identical_summaries(tmp_path):
