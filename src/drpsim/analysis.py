@@ -64,6 +64,9 @@ TRACKING_TOL = 0.05
 #: from this slot on, the squared price bias must stay below the price variance
 BIAS_FROM = 10
 
+#: a check whose window holds fewer slots than this reads None, not pass/fail
+MIN_CHECK_SLOTS = 10
+
 
 def regret_constants(population: Population) -> tuple[float, float]:
     """Constants (C1, C2) of the one-step gap expansion.
@@ -286,14 +289,18 @@ def build_regret_report(sweep: SweepResult) -> RegretReport:
 def summarize(report: RegretReport) -> dict:
     """The analysis block of summary.json: headline numbers and pass/fail checks.
 
-    tracking_pass is None when report.tracking_max is. The decay fit
-    needs slots past DECAY_WINDOW[0] >= BIAS_FROM, so the bias check
-    always has slots to decide on.
+    tracking_pass is None when report.tracking_max is, and every other check
+    is None when its window of slots holds fewer than MIN_CHECK_SLOTS.
     """
+    t = report.t
     tracking = report.tracking_max
     slope_lo, slope_hi = GAP_SLOPE_BAND
     b2 = report.lambda_bias[BIAS_FROM - 1 :] ** 2
     bias_below_var = bool(np.all(b2 < report.lambda_var[BIAS_FROM - 1 :]))
+
+    def decided(passed: bool, lo: float, hi: float = np.inf) -> Optional[bool]:
+        return passed if np.count_nonzero((t >= lo) & (t <= hi)) >= MIN_CHECK_SLOTS else None
+
     return {
         "c1": float(report.c1),
         "c2": float(report.c2),
@@ -307,8 +314,8 @@ def summarize(report: RegretReport) -> dict:
         f"tracking_median_max_from_{TRACKING_FROM}": tracking,
         "checks": {
             "tracking_pass": None if tracking is None else tracking < TRACKING_TOL,
-            "gap_slope_pass": bool(slope_lo <= report.decay_slope <= slope_hi),
-            "log_bound_pass": bool(report.log_bound_passed),
-            f"bias_squared_below_variance_from_{BIAS_FROM}": bias_below_var,
+            "gap_slope_pass": decided(slope_lo <= report.decay_slope <= slope_hi, *DECAY_WINDOW),
+            "log_bound_pass": decided(bool(report.log_bound_passed), LOG_BOUND_T0),
+            f"bias_squared_below_variance_from_{BIAS_FROM}": decided(bias_below_var, BIAS_FROM),
         },
     }

@@ -20,16 +20,19 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .experiments import (
     ExperimentConfig,
-    _fmt,
     _parse_number,
     parse_config,
     run_experiment,
     scenario_and_capacity,
+    write_table,
     write_trajectory_csv,
 )
-from .offline import closed_form_solve
+from .model import aggregate_from_noise
+from .offline import lambda_star_path
 from .online import run_replications
 
 __all__ = ["main"]
@@ -89,21 +92,15 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 def cmd_offline(args: argparse.Namespace) -> int:
     config = _load_config(args)
     scenario, y = scenario_and_capacity(config)
-    sol = closed_form_solve(scenario, y)
-    print("key,value")
-    print(f"y_capacity,{_fmt(sol.y_star)}")
-    print(f"alpha_rev,{_fmt(scenario.alpha_rev)}")
-    print(f"gamma1,{_fmt(scenario.population.gamma1)}")
-    print(f"gamma2,{_fmt(scenario.population.gamma2)}")
-    print(f"lambda_star_min,{_fmt(sol.lambda_star.min())}")
-    print(f"lambda_star_max,{_fmt(sol.lambda_star.max())}")
+    lam = lambda_star_path(scenario, y)
+    pop = scenario.population
+    keys = ["y_capacity", "alpha_rev", "gamma1", "gamma2", "lambda_star_min", "lambda_star_max"]
+    values = [y, scenario.alpha_rev, pop.gamma1, pop.gamma2, lam.min(), lam.max()]
+    write_table(sys.stdout, {"key": np.array(keys), "value": np.array(values, dtype=float)})
     print()
-    print("t,d_t,lambda_star,q_star")
-    for i in range(scenario.horizon):
-        print(
-            f"{i + 1},{_fmt(scenario.demand[i])},"
-            f"{_fmt(sol.lambda_star[i])},{_fmt(sol.q_star[i])}"
-        )
+    t = np.arange(1, scenario.horizon + 1)
+    q = aggregate_from_noise(scenario, lam, 0.0)
+    write_table(sys.stdout, {"t": t, "d_t": scenario.demand, "lambda_star": lam, "q_star": q})
     return 0
 
 

@@ -20,13 +20,12 @@ path, so reruns into different directories compare equal.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, get_args, get_type_hints
+from typing import Optional, TextIO, get_args, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,6 +43,7 @@ __all__ = [
     "build_scenario",
     "scenario_and_capacity",
     "run_experiment",
+    "write_table",
     "write_trajectory_csv",
     "write_regret_csv",
 ]
@@ -267,54 +267,50 @@ def scenario_and_capacity(config: ExperimentConfig) -> tuple[Scenario, float]:
     return scenario, y
 
 
-def _fmt(value) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    return repr(float(value))
+def write_table(f: TextIO, columns: dict[str, NDArray]) -> None:
+    """CSV of equal-length columns: a header of their names, then one row per index.
 
-
-def _write_columns(path: Path, t: NDArray[np.int64], columns: dict[str, NDArray]) -> None:
-    """CSV of an integer t column followed by the given float columns, in order."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["t", *columns])
-        for t_i, *row in zip(t.tolist(), *columns.values()):
-            w.writerow([str(t_i), *map(_fmt, row)])
+    Each value is written as str of its tolist() form, so ints print as
+    ints and floats as the shortest decimal that round-trips to the same
+    double. Open files with newline="" so every line ends in "\\n".
+    """
+    f.write(",".join(columns) + "\n")
+    for row in zip(*(c.tolist() for c in columns.values())):
+        f.write(",".join(map(str, row)) + "\n")
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """Per-slot CSV of one episode (fixed column order)."""
-    _write_columns(
-        path,
-        traj.t,
-        {
-            "d_t": traj.d,
-            "lambda_online": traj.lambda_online,
-            "lambda_star": traj.lambda_star,
-            "gamma1_hat": traj.gamma1_hat,
-            "gamma2_hat": traj.gamma2_hat,
-            "Q_online": traj.q_online,
-            "Q_star": traj.q_star,
-            "cost_online": traj.cost_online,
-            "cost_star": traj.cost_star,
-        },
-    )
+    columns = {
+        "t": traj.t,
+        "d_t": traj.d,
+        "lambda_online": traj.lambda_online,
+        "lambda_star": traj.lambda_star,
+        "gamma1_hat": traj.gamma1_hat,
+        "gamma2_hat": traj.gamma2_hat,
+        "Q_online": traj.q_online,
+        "Q_star": traj.q_star,
+        "cost_online": traj.cost_online,
+        "cost_star": traj.cost_star,
+    }
+    with open(path, "w", newline="") as f:
+        write_table(f, columns)
 
 
 def write_regret_csv(path: Path, report: RegretReport) -> None:
     """Per-slot regret/bias/variance CSV (fixed column order)."""
-    _write_columns(
-        path,
-        report.t,
-        {
-            "R_t_mean": report.gap_mean,
-            "R_t_se": report.gap_se,
-            "cum_regret": report.cum_regret,
-            "lambda_bias": report.lambda_bias,
-            "lambda_var": report.lambda_var,
-            "gamma1_bias": report.gamma1_bias,
-            "gamma1_var": report.gamma1_var,
-        },
-    )
+    columns = {
+        "t": report.t,
+        "R_t_mean": report.gap_mean,
+        "R_t_se": report.gap_se,
+        "cum_regret": report.cum_regret,
+        "lambda_bias": report.lambda_bias,
+        "lambda_var": report.lambda_var,
+        "gamma1_bias": report.gamma1_bias,
+        "gamma1_var": report.gamma1_var,
+    }
+    with open(path, "w", newline="") as f:
+        write_table(f, columns)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

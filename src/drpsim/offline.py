@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .model import Scenario, realize_outcome, stage_cost
+from .model import Scenario, aggregate_from_noise, realize_outcome, stage_cost
 
 __all__ = [
     "DegenerateEstimateError",
@@ -110,15 +110,15 @@ def lambda_star_path(scenario: Scenario, y: float) -> NDArray[np.float64]:
 def closed_form_solve(scenario: Scenario, y: float | None = None) -> OfflineSolution:
     """Assemble the full offline solution from the closed forms.
 
-    If y is None the capacity is computed via compute_y_star. x_star is
-    realize_outcome's noiseless (T, N) response grid stored as a C-ordered
-    (N, T) array, so q_star sums each slot's users in a fixed order.
+    If y is None the capacity is computed via compute_y_star. x_star is the
+    noiseless (T, N) realize_outcome grid stored as C-ordered (N, T); q_star
+    is aggregate_from_noise at zero noise, x_star's column sums to rounding.
     """
     if y is None:
         y = compute_y_star(scenario)
     lam = lambda_star_path(scenario, y)
     x = np.ascontiguousarray(realize_outcome(scenario, lam[:, None], 0.0).T)
-    q = x.sum(axis=0)
+    q = aggregate_from_noise(scenario, lam, 0.0)
     return OfflineSolution(y_star=float(y), lambda_star=lam, x_star=x, q_star=q)
 
 

@@ -1,3 +1,5 @@
+import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,7 @@ from drpsim.analysis import (
     regret_constants,
     summarize,
 )
-from drpsim.experiments import ExperimentConfig, build_scenario
+from drpsim.experiments import ExperimentConfig, build_scenario, scenario_and_capacity
 from drpsim.model import Population, Scenario
 from drpsim.offline import compute_y_star
 from drpsim.online import SweepResult, run_replications
@@ -295,6 +297,35 @@ def test_report_tracking_max_and_summary_checks(small_sweep, excited_sweep):
         bias[slot - 1] = 10.0 * np.sqrt(report.lambda_var[slot - 1])
         checks = summarize(replace(report, lambda_bias=bias))["checks"]
         assert checks["bias_squared_below_variance_from_10"] is passes
+
+
+@pytest.mark.parametrize(
+    "horizon, decided", [(11, False), (12, False), (18, False), (19, True), (40, True)]
+)
+def test_checks_need_ten_slots_in_their_window(horizon, decided):
+    # at T = 11 the slope is a two-point fit and the other two checks see two slots
+    cfg = ExperimentConfig(horizon=horizon, reps=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sc, y = scenario_and_capacity(cfg)
+    report = build_regret_report(run_replications(sc, y, cfg.reps, cfg.seed))
+    summary = summarize(report)
+    # the statistics are reported either way
+    assert (summary["decay_slope"], summary["k1"], summary["k2"]) == (
+        report.decay_slope, report.k1, report.k2
+    )
+    full_window = {
+        "tracking_pass": None,
+        "gap_slope_pass": -1.3 <= report.decay_slope <= -0.7,
+        "log_bound_pass": report.log_bound_passed,
+        "bias_squared_below_variance_from_10": bool(
+            np.all(report.lambda_bias[9:] ** 2 < report.lambda_var[9:])
+        ),
+    }
+    if not decided:
+        full_window = dict.fromkeys(full_window)
+    # json text, so a decided check must be a bool, not a numpy bool
+    assert json.dumps(summary["checks"]) == json.dumps(full_window)
 
 
 def test_report_rejects_zero_lambda_star_in_the_tracking_window(excited_sweep):

@@ -1,14 +1,21 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import drpsim
 from drpsim.cli import main
+from drpsim.experiments import ExperimentConfig, scenario_and_capacity
+from drpsim.model import aggregate_from_noise
+from drpsim.offline import closed_form_solve, lambda_star_path
 
 try:
     import tomllib
@@ -69,6 +76,43 @@ def test_offline_y_capacity_flag(small_config, clean_env, capsys):
     assert main(["offline", "--config", small_config, "--y-capacity", "3.5"]) == 0
     out = capsys.readouterr().out
     assert "y_capacity,3.5" in out.splitlines()
+
+
+def test_offline_memory_is_linear_in_the_horizon(tmp_path, clean_env, capsys):
+    # an (N, T) allocation grid alone would take 80 MB here
+    path = tmp_path / "wide.cfg"
+    path.write_text("n_users = 20000\nhorizon = 500\n")
+    tracemalloc.start()
+    try:
+        assert main(["offline", "--config", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    out = capsys.readouterr().out.splitlines()
+    rows = out[out.index("") + 2 :]
+    q = np.array([float(r.split(",")[3]) for r in rows])
+    sc, y = scenario_and_capacity(ExperimentConfig(n_users=20000, horizon=500))
+    q_identity = aggregate_from_noise(sc, lambda_star_path(sc, y), 0.0)
+    assert np.array_equal(q.view(np.int64), q_identity.view(np.int64))
+    x_sum = closed_form_solve(sc, y).x_star.sum(axis=0)
+    assert np.all(np.abs(q - x_sum) <= 1e-12 * np.abs(x_sum))
+
+
+def test_help_names_every_config_key_with_its_default(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    for field in fields(ExperimentConfig):
+        value = getattr(ExperimentConfig(), field.name)
+        shown = "unset" if value is None else str(value)
+        shown = shown.lower() if isinstance(value, bool) else shown
+        # the key starts its line, or the shared line of the interval keys
+        key = rf"(?m)^  (?:\w+/\w+, )*(?:\w+/)?{field.name}\b"
+        match = re.search(key + r"[^(]*\(([^)]*)\)", text)
+        assert match is not None, field.name
+        assert match.group(1) == shown, field.name
 
 
 def test_simulate_writes_trajectory(small_config, clean_env, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import typing
@@ -19,6 +21,7 @@ from drpsim.experiments import (
     parse_experiment_kind,
     run_experiment,
     write_regret_csv,
+    write_table,
     write_trajectory_csv,
 )
 from drpsim import build_regret_report, run_replications
@@ -389,34 +392,61 @@ def tiny_sweep():
         return run_replications(sc, 1.0, cfg.reps, cfg.seed)
 
 
+def _parse_columns(path):
+    """Header and float64 columns of a CSV file, read back through csv.reader."""
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    return header, np.array(rows, dtype=float).T
+
+
+def _same_bits(parsed, column):
+    return np.array_equal(parsed.view(np.int64), np.asarray(column, dtype=float).view(np.int64))
+
+
+def test_write_table_matches_csv_writer_with_repr(tmp_path):
+    x = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1 / 3, 2.0])
+    n = np.array([-(2**62), -1, 0, 1, 7, 10**6, 2**53 + 1, 3, 4], dtype=np.int64)
+    expected = io.StringIO()
+    w = csv.writer(expected, lineterminator="\n")
+    w.writerow(["n", "x"])
+    w.writerows([str(i), repr(float(v))] for i, v in zip(n.tolist(), x))
+    path = tmp_path / "table.csv"
+    with open(path, "w", newline="") as f:
+        write_table(f, {"n": n, "x": x})
+    data = path.read_bytes()
+    assert data == expected.getvalue().encode()
+    assert b"\r" not in data
+
+
 def test_trajectory_csv_round_trip(tiny_sweep, tmp_path):
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(path, tiny_sweep.first_trajectory)
-    lines = path.read_text().splitlines()
-    assert lines[0] == (
+    traj = tiny_sweep.first_trajectory
+    write_trajectory_csv(path, traj)
+    header, columns = _parse_columns(path)
+    assert header == (
         "t,d_t,lambda_online,lambda_star,gamma1_hat,gamma2_hat,"
         "Q_online,Q_star,cost_online,cost_star"
-    )
-    assert len(lines) == 13
-    rows = [line.split(",") for line in lines[1:]]
-    assert [int(r[0]) for r in rows] == list(range(1, 13))
-    traj = tiny_sweep.first_trajectory
-    assert [float(r[2]) for r in rows] == list(traj.lambda_online)
-    assert [float(r[9]) for r in rows] == list(traj.cost_star)
+    ).split(",")
+    assert columns.shape == (10, 12)
+    fields = "t d lambda_online lambda_star gamma1_hat gamma2_hat q_online q_star".split()
+    fields += ["cost_online", "cost_star"]
+    for name, parsed in zip(fields, columns):
+        assert _same_bits(parsed, getattr(traj, name)), name
+    assert path.read_text().splitlines()[1].startswith("1,")
 
 
 def test_regret_csv_round_trip(tiny_sweep, tmp_path):
     report = build_regret_report(tiny_sweep)
     path = tmp_path / "regret.csv"
     write_regret_csv(path, report)
-    lines = path.read_text().splitlines()
-    assert lines[0] == (
+    header, columns = _parse_columns(path)
+    assert header == (
         "t,R_t_mean,R_t_se,cum_regret,lambda_bias,lambda_var,gamma1_bias,gamma1_var"
-    )
-    rows = [line.split(",") for line in lines[1:]]
-    assert [float(r[1]) for r in rows] == list(report.gap_mean)
-    assert [float(r[3]) for r in rows] == list(report.cum_regret)
-    assert [float(r[7]) for r in rows] == list(report.gamma1_var)
+    ).split(",")
+    assert columns.shape == (8, 12)
+    fields = "t gap_mean gap_se cum_regret lambda_bias lambda_var gamma1_bias gamma1_var".split()
+    for name, parsed in zip(fields, columns):
+        assert _same_bits(parsed, getattr(report, name)), name
 
 
 # -------------------------------------------------------- run_experiment

@@ -1,5 +1,6 @@
 """The package's exported names resolve, and the demos run against it."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -17,12 +18,33 @@ MODULES = ["drpsim"] + [
     if not m.name.startswith("_")
 ]
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+SOURCES = sorted(Path(drpsim.__file__).resolve().parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
 def test_demos_found():
