@@ -428,9 +428,9 @@ def test_trajectory_csv_round_trip(tiny_sweep, tmp_path):
         "Q_online,Q_star,cost_online,cost_star"
     ).split(",")
     assert columns.shape == (10, 12)
-    fields = "t d lambda_online lambda_star gamma1_hat gamma2_hat q_online q_star".split()
-    fields += ["cost_online", "cost_star"]
-    for name, parsed in zip(fields, columns):
+    names = "t d lambda_online lambda_star gamma1_hat gamma2_hat q_online q_star".split()
+    names += ["cost_online", "cost_star"]
+    for name, parsed in zip(names, columns):
         assert _same_bits(parsed, getattr(traj, name)), name
     assert path.read_text().splitlines()[1].startswith("1,")
 
@@ -444,8 +444,8 @@ def test_regret_csv_round_trip(tiny_sweep, tmp_path):
         "t,R_t_mean,R_t_se,cum_regret,lambda_bias,lambda_var,gamma1_bias,gamma1_var"
     ).split(",")
     assert columns.shape == (8, 12)
-    fields = "t gap_mean gap_se cum_regret lambda_bias lambda_var gamma1_bias gamma1_var".split()
-    for name, parsed in zip(fields, columns):
+    names = "t gap_mean gap_se cum_regret lambda_bias lambda_var gamma1_bias gamma1_var".split()
+    for name, parsed in zip(names, columns):
         assert _same_bits(parsed, getattr(report, name)), name
 
 

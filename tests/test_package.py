@@ -1,4 +1,4 @@
-"""The package's exported names resolve, and the demos run against it."""
+"""The package's exported names resolve, its imports are used, and the demos run."""
 
 import ast
 import importlib
