@@ -9,24 +9,15 @@ a dense KKT solve per slot).
 Run:  python3 demos/offline_solution.py
 """
 
-import warnings
-
 import numpy as np
 
-from drpsim import (
-    closed_form_solve,
-    compute_y_star,
-    oracle_solve,
-    oracle_y_star,
-    reduced_objective,
-)
-from drpsim.experiments import ExperimentConfig, build_scenario
-from drpsim.rng import substream
+from drpsim import closed_form_solve, oracle_solve, oracle_y_star, reduced_objective
+from drpsim.experiments import ExperimentConfig, scenario_and_capacity
 
 
 def main() -> None:
     cfg = ExperimentConfig()  # baseline: alpha~U[1,2], beta~U[4,8], d~U[3,6]
-    scenario = build_scenario(cfg, substream(cfg.seed, 0))
+    scenario, y_closed = scenario_and_capacity(cfg)
     pop = scenario.population
 
     print(f"scenario: N={pop.n} users, T={scenario.horizon} slots")
@@ -34,12 +25,7 @@ def main() -> None:
     print(f"revenue price: alpha_rev={scenario.alpha_rev:.4f}")
     print()
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        y_closed = compute_y_star(scenario)
     print(f"closed-form optimal capacity y* = {y_closed:.6f}")
-    for w in caught:
-        print(f"  note: {w.message}")
     y_oracle = oracle_y_star(scenario)
     print(f"golden-section oracle        y* = {y_oracle:.6f}")
     print(f"agreement: |diff| = {abs(y_closed - y_oracle):.2e}")

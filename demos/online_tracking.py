@@ -8,28 +8,17 @@ median relative tracking error falling under 5% well before slot 50.
 Run:  python3 demos/online_tracking.py
 """
 
-import warnings
-
 import numpy as np
 
-from drpsim import (
-    OnlineConfig,
-    compute_y_star,
-    median_tracking_error,
-    run_episode,
-    run_replications,
-)
+from drpsim import OnlineConfig, median_tracking_error, run_episode, run_replications
 from drpsim.analysis import TRACKING_FROM, TRACKING_TOL
-from drpsim.experiments import ExperimentConfig, build_scenario
+from drpsim.experiments import ExperimentConfig, scenario_and_capacity
 from drpsim.rng import substream
 
 
 def main() -> None:
     cfg = ExperimentConfig()
-    scenario = build_scenario(cfg, substream(cfg.seed, 0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        y = compute_y_star(scenario)
+    scenario, y = scenario_and_capacity(cfg)
     print(f"baseline scenario: N={scenario.population.n}, "
           f"T={scenario.horizon}, committed capacity y={y:.4f}")
     print()

@@ -11,22 +11,16 @@ diagnostics the test suite pins down:
 Run:  python3 demos/regret_analysis.py
 """
 
-import warnings
-
 import numpy as np
 
-from drpsim import build_regret_report, compute_y_star, run_replications
+from drpsim import build_regret_report, run_replications
 from drpsim.analysis import BIAS_FROM, DECAY_WINDOW, LOG_BOUND_RATIO_CAP, LOG_BOUND_T0
-from drpsim.experiments import ExperimentConfig, build_scenario
-from drpsim.rng import substream
+from drpsim.experiments import ExperimentConfig, scenario_and_capacity
 
 
 def main() -> None:
     cfg = ExperimentConfig(reps=500)
-    scenario = build_scenario(cfg, substream(cfg.seed, 0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        y = compute_y_star(scenario)
+    scenario, y = scenario_and_capacity(cfg)
     sweep = run_replications(scenario, y, cfg.reps, cfg.seed)
     report = build_regret_report(sweep)
 

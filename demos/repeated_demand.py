@@ -8,24 +8,17 @@ four slots, then shows the tracking and regret diagnostics holding up.
 Run:  python3 demos/repeated_demand.py
 """
 
-import warnings
-
 import numpy as np
 
-from drpsim import build_regret_report, compute_y_star, run_replications
+from drpsim import build_regret_report, run_replications
 from drpsim.analysis import GAP_SLOPE_BAND, LOG_BOUND_RATIO_CAP, TRACKING_FROM, TRACKING_TOL
-from drpsim.experiments import ExperimentConfig, build_scenario
-from drpsim.rng import substream
+from drpsim.experiments import ExperimentConfig, scenario_and_capacity
 
 
 def run_kind(kind: str, reps: int = 300) -> None:
     cfg = ExperimentConfig(experiment=kind, reps=reps)
-    scenario = build_scenario(cfg, substream(cfg.seed, 0))
-    d = scenario.demand
-    _, counts = np.unique(d, return_counts=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        y = compute_y_star(scenario)
+    scenario, y = scenario_and_capacity(cfg)
+    _, counts = np.unique(scenario.demand, return_counts=True)
     sweep = run_replications(scenario, y, reps, cfg.seed)
     report = build_regret_report(sweep)
     print(

@@ -122,11 +122,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_regret(args: argparse.Namespace) -> int:
     config = _load_config(args)
     summary = run_experiment(config)
-    analysis = summary.get("analysis")
+    analysis = summary["analysis"]
     print(f"experiment: {summary['experiment']}")
     print(f"y_capacity: {summary['y_capacity']}")
     if analysis is None:
-        print(f"analysis: {summary.get('analysis_note', 'unavailable')}")
+        print(f"analysis: {summary['analysis_note']}")
     else:
         print(f"decay_slope: {analysis['decay_slope']}")
         print(f"log_bound: k1={analysis['k1']} k2={analysis['k2']}")
@@ -144,9 +144,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sub_dir = base_out / kind.replace(":", "-")
         sub_config = replace(config, experiment=kind, out_dir=str(sub_dir))
         summary = run_experiment(sub_config)
-        analysis = summary.get("analysis")
+        analysis = summary["analysis"]
         if analysis is None:
-            status = summary.get("analysis_note", "no analysis")
+            status = summary["analysis_note"]
             any_failed = True
         else:
             checks = analysis["checks"]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, TextIO, get_args, get_type_hints
@@ -259,8 +258,8 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
 def scenario_and_capacity(config: ExperimentConfig) -> tuple[Scenario, float]:
     """The config's scenario, drawn from substream (seed, 0), and its capacity.
 
-    The capacity is config.y_capacity when set, without computing (or
-    warning about) the closed-form optimum; otherwise compute_y_star.
+    The capacity is config.y_capacity when set, without computing the
+    closed-form optimum; otherwise compute_y_star, which may be negative.
     """
     scenario = build_scenario(config, substream(config.seed, 0))
     y = compute_y_star(scenario) if config.y_capacity is None else config.y_capacity
@@ -350,10 +349,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "horizon": config.horizon,
         "reps": config.reps,
         "seed": config.seed,
-        "c_rev": float(config.c_rev),
-        "ridge": float(config.ridge),
-        "noise_sd": float(config.noise_sd),
-        "coupled_noise": bool(config.coupled_noise),
+        "c_rev": config.c_rev,
+        "ridge": config.ridge,
+        "noise_sd": config.noise_sd,
+        "coupled_noise": config.coupled_noise,
         "alpha_interval": [a_int[0], a_int[1]],
         "beta_interval": [b_int[0], b_int[1]],
         "d_interval": [d_int[0], d_int[1]],
@@ -373,7 +372,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         summary["analysis_note"] = str(exc)
         # a regret.csv left by an earlier run would contradict this summary
         (out_dir / "regret.csv").unlink(missing_ok=True)
-        print(f"regret analysis skipped: {exc}", file=sys.stderr)
     else:
         write_regret_csv(out_dir / "regret.csv", report)
         summary["analysis"] = summarize(report)

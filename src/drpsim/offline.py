@@ -15,7 +15,6 @@ golden-section minimization of the reduced capacity objective.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +59,10 @@ class OfflineSolution:
 def compute_y_star(scenario: Scenario) -> float:
     """Optimal committed capacity for the scenario's demand profile.
 
-    The value can be negative when the revenue price is small relative to
-    the population's fixed willingness to respond; that is a legitimate
-    optimum of the quadratic objective, so we warn instead of rejecting.
+    The value can be negative when the revenue price is small relative
+    to the population's fixed willingness to respond. That is a
+    legitimate optimum of the quadratic objective, so it is returned
+    like any other value, without a warning.
     """
     pop = scenario.population
     d = scenario.demand
@@ -72,15 +72,7 @@ def compute_y_star(scenario: Scenario) -> float:
     a = scenario.alpha_rev
     num = t_hor * a * (1.0 + g1) ** 2 - s * (1.0 + g1) * float(d.sum())
     den = float((d * d).sum()) * (1.0 + g1)
-    y = num / den
-    if y < 0:
-        warnings.warn(
-            f"optimal capacity is negative (y_star={y:.6g}); the revenue price "
-            "is small relative to the population's baseline response",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return y
+    return num / den
 
 
 def next_price(

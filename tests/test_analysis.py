@@ -1,5 +1,4 @@
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -305,9 +304,7 @@ def test_report_tracking_max_and_summary_checks(small_sweep, excited_sweep):
 def test_checks_need_ten_slots_in_their_window(horizon, decided):
     # at T = 11 the slope is a two-point fit and the other two checks see two slots
     cfg = ExperimentConfig(horizon=horizon, reps=8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        sc, y = scenario_and_capacity(cfg)
+    sc, y = scenario_and_capacity(cfg)
     report = build_regret_report(run_replications(sc, y, cfg.reps, cfg.seed))
     summary = summarize(report)
     # the statistics are reported either way

@@ -24,8 +24,6 @@ except ModuleNotFoundError:  # Python 3.10
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 
 @pytest.fixture()
 def clean_env(monkeypatch):
@@ -240,8 +238,8 @@ def test_missing_config_file_is_a_clean_error(clean_env, capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
-def _run_offline(command, small_config, cwd):
-    """Run ``<command> offline`` as a child process that imports this source tree.
+def _run_child(command, args, cwd):
+    """Run ``<command> <args>`` as a child process that imports this source tree.
 
     DRPSIM_SEED and DRPSIM_OUT are dropped from the child's environment, as
     ``clean_env`` drops them for the in-process tests.
@@ -252,7 +250,7 @@ def _run_offline(command, small_config, cwd):
     src = str(Path(drpsim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [*command, "offline", "--config", small_config],
+        [*command, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -266,7 +264,8 @@ def test_console_script_entry_point(small_config, tmp_path):
         scripts = toml.load(f)["project"]["scripts"]
     assert scripts["drpsim"] == "drpsim.cli:main"
     # `python -m drpsim` runs the same main() the console script wraps.
-    proc = _run_offline([sys.executable, "-m", "drpsim"], small_config, tmp_path)
+    args = ["offline", "--config", small_config]
+    proc = _run_child([sys.executable, "-m", "drpsim"], args, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("key,value")
 
@@ -275,6 +274,32 @@ def test_console_script_entry_point(small_config, tmp_path):
     shutil.which("drpsim") is None, reason="drpsim console script not installed"
 )
 def test_installed_console_script(small_config, tmp_path):
-    proc = _run_offline(["drpsim"], small_config, tmp_path)
+    proc = _run_child(["drpsim"], ["offline", "--config", small_config], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("key,value")
+
+
+@pytest.fixture()
+def negative_capacity_config(tmp_path):
+    # at the default N and c_rev the closed-form capacity is below zero
+    path = tmp_path / "negative.cfg"
+    path.write_text("horizon = 12\nreps = 3\n")
+    return str(path)
+
+
+def test_sweep_writes_nothing_to_stderr(negative_capacity_config, tmp_path):
+    args = ["sweep", "--config", negative_capacity_config, "--out", "grid"]
+    proc = _run_child([sys.executable, "-m", "drpsim"], args, tmp_path)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.stderr == ""
+    summary = json.loads((tmp_path / "grid" / "baseline" / "summary.json").read_text())
+    assert summary["y_capacity"] < 0
+
+
+def test_skipped_analysis_is_reported_once_on_stdout(negative_capacity_config, tmp_path):
+    args = ["regret", "--config", negative_capacity_config, "--reps", "1", "--out", "solo"]
+    proc = _run_child([sys.executable, "-m", "drpsim"], args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.count("need >= 2 replications") == 1
+    assert "analysis: need >= 2 replications" in proc.stdout.splitlines()

@@ -139,7 +139,5 @@ def test_engine_matches_loop_across_noise_blocks(coupled):
     cfg = ExperimentConfig(n_users=4000, horizon=100, seed=5)
     scenario = build_scenario(cfg, substream(cfg.seed, 0))
     assert NOISE_BLOCK // (2 * scenario.n) == 65
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        y = compute_y_star(scenario)
+    y = compute_y_star(scenario)
     assert_engine_matches_loop(OnlineConfig(scenario, y, coupled_noise=coupled), seed=5)

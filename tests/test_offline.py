@@ -33,12 +33,15 @@ def test_y_star_zero_alpha_reduction(rng):
     assert compute_y_star(sc) == pytest.approx(expected, rel=1e-12)
 
 
-def test_y_star_negative_warns():
-    # Large baseline willingness (alpha_i >> revenue price) drives Y* < 0.
+def test_y_star_negative_is_returned_silently():
+    # Large baseline willingness (alpha_i >> revenue price) drives Y* < 0,
+    # a legitimate optimum that the outputs report like any other value.
     pop = Population([50.0, 60.0], [1.0, 1.0])
     sc = Scenario(pop, (1.0, 1.0), alpha_rev=0.01)
-    with pytest.warns(RuntimeWarning, match="optimal capacity is negative"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         y = compute_y_star(sc)
+    assert y == pytest.approx(oracle_y_star(sc), rel=1e-6)
     assert y < 0
 
 
@@ -47,10 +50,7 @@ def test_y_star_golden_section_oracle_table1_style():
     pop = Population(rng.uniform(1.0, 2.0, 100), rng.uniform(4.0, 8.0, 100))
     d = tuple(float(v) for v in rng.uniform(3.0, 6.0, 100))
     sc = Scenario(pop, d, alpha_rev=1.0 * max(d))
-    with warnings.catch_warnings():
-        # this draw happens to sit at a slightly negative optimum
-        warnings.simplefilter("ignore", RuntimeWarning)
-        y_closed = compute_y_star(sc)
+    y_closed = compute_y_star(sc)
     y_oracle = oracle_y_star(sc)
     assert abs(y_oracle - y_closed) <= 1e-6 * abs(y_closed)
 
@@ -58,9 +58,7 @@ def test_y_star_golden_section_oracle_table1_style():
 def test_y_star_stationarity_finite_difference(scenario_factory, rng):
     for _ in range(10):
         sc = scenario_factory(rng, n=6, t=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            y = compute_y_star(sc)
+        y = compute_y_star(sc)
         h = 1e-4 * max(1.0, abs(y))
         f_lo = reduced_objective(sc, y - h)
         f_mid = reduced_objective(sc, y)
@@ -172,10 +170,7 @@ def test_oracle_y_star_matches_closed_random(scenario_factory, rng):
     checked = 0
     while checked < 20:
         sc = scenario_factory(rng)
-        with warnings.catch_warnings():
-            # some draws have a negative optimal capacity; fine here
-            warnings.simplefilter("ignore", RuntimeWarning)
-            y_closed = compute_y_star(sc)
+        y_closed = compute_y_star(sc)
         if abs(y_closed) < 0.05:
             continue  # relative comparison is meaningless at a near-zero optimum
         y_oracle = oracle_y_star(sc)
@@ -208,9 +203,7 @@ def test_closed_form_matches_oracles_property(sc, y):
     for key in ("lambda_star", "x_star", "q_star"):
         want, got = getattr(kkt, key), getattr(closed, key)
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), key
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        y_closed = compute_y_star(sc)
+    y_closed = compute_y_star(sc)
     assert abs(oracle_y_star(sc) - y_closed) <= 1e-6 * max(1.0, abs(y_closed))
 
 

@@ -234,9 +234,7 @@ def test_degenerate_prices_warn_once_per_episode(monkeypatch):
 def test_price_positivity_under_baseline_parameters():
     cfg = ExperimentConfig()
     sc = build_scenario(cfg, substream(cfg.seed, 0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        y = compute_y_star(sc)
+    y = compute_y_star(sc)
     sweep = run_replications(sc, y, 300, cfg.seed)
     assert np.all(sweep.lambda_star > 0)
     fraction = np.all(sweep.lambda_online[:, 2:] > 0, axis=1).mean()
@@ -246,9 +244,7 @@ def test_price_positivity_under_baseline_parameters():
 def test_repeated_demand_never_unidentifiable():
     cfg = ExperimentConfig(experiment="repeated-dt:0.4", reps=100)
     sc = build_scenario(cfg, substream(cfg.seed, 0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        y = compute_y_star(sc)
+    y = compute_y_star(sc)
     sweep = run_replications(sc, y, 100, cfg.seed, ridge_param=cfg.ridge)
     assert sweep.fallback_events == 0
     assert sweep.degenerate_events == 0

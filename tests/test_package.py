@@ -60,3 +60,4 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
