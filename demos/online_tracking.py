@@ -2,21 +2,28 @@
 
 Runs a single noisy episode of the iterative pricing loop on the
 baseline scenario, printing the broadcast price against the optimal
-price for a handful of slots, then a 200-replication sweep to show the
-median relative tracking error falling under 5% well before slot 50.
+price for a handful of slots, then a 200-replication sweep: the median
+relative tracking error at a few slots and the verdict of every regret
+check. It exits 1 when any check fails.
 
 Run:  python3 demos/online_tracking.py
 """
 
-import numpy as np
+import sys
 
-from drpsim import OnlineConfig, median_tracking_error, run_episode, run_replications
-from drpsim.analysis import TRACKING_FROM, TRACKING_TOL
+from drpsim import (
+    OnlineConfig,
+    build_regret_report,
+    median_tracking_error,
+    run_episode,
+    run_replications,
+)
+from drpsim.analysis import summarize
 from drpsim.experiments import ExperimentConfig, scenario_and_capacity
 from drpsim.rng import substream
 
 
-def main() -> None:
+def main() -> int:
     cfg = ExperimentConfig()
     scenario, y = scenario_and_capacity(cfg)
     print(f"baseline scenario: N={scenario.population.n}, "
@@ -45,11 +52,12 @@ def main() -> None:
           "|lambda_t - lambda*_t| / lambda*_t:")
     for t in (2, 5, 10, 20, 50, 100):
         print(f"  t={t:>3}: {med[t - 1]:7.2%}")
-    first_ok = int(np.argmax(med < TRACKING_TOL)) + 1
-    print(f"median error first drops below {TRACKING_TOL:.0%} at t = {first_ok} "
-          f"and stays below from t = {TRACKING_FROM} on "
-          f"(max after: {med[TRACKING_FROM - 1:].max():.2%})")
+    print()
+    checks = summarize(build_regret_report(sweep))["checks"]
+    for name, ok in checks.items():
+        print(f"{name}: {ok}")
+    return 1 if False in checks.values() else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

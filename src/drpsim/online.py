@@ -50,10 +50,8 @@ __all__ = [
     "run_replications",
 ]
 
-#: most normals drawn per call (4 MB); a block holds at least one slot's
-#: 2*N. At N = 1e5 a block holds two slots: with one-slot (1.6 MB) blocks
-#: glibc trimmed the heap after every episode, and the next scenario build
-#: page-faulted all of its arrays again.
+#: most normals in an episode's noise buffer (4 MB), or one slot's 2*N
+#: when that is more: the cap on the memory an episode's noise takes.
 NOISE_BLOCK = 1 << 19
 
 
@@ -115,8 +113,10 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
 
     The episode runs in three steps:
 
-    1. Noise statistics: each block is reduced at once to sum_i eps_i
-       and sum_i beta_i*eps_i^2 of both rows, and then dropped.
+    1. Noise statistics: each block is drawn into one buffer reused
+       across the episode (standard normals scaled by noise_sd in place)
+       and reduced at once to sum_i eps_i and sum_i beta_i*eps_i^2 of
+       both rows before the next block overwrites it.
     2. Recursion: estimate, price and observe on plain floats, O(1) per
        slot. The observed aggregate is model.aggregate_from_noise's
        Q_t = N*lambda_t*gamma1 + gamma2 + sum_i eps_it, so the loop never
@@ -205,9 +205,13 @@ def _noise_statistics(
     """(T, 2) arrays of sum_i eps_i and sum_i beta_i*eps_i^2 per slot and row.
 
     Row 0 is the online noise vector, row 1 the counterfactual one. The
-    normals are drawn in (k, 2, N) blocks of at most NOISE_BLOCK values
-    (or one slot), each reduced before the next is drawn. With noise_sd
-    = 0 nothing is drawn and both statistics are zero.
+    normals fill (k, 2, N) views of one buffer of at most NOISE_BLOCK
+    values (or one slot), allocated once per episode: each view is filled
+    with standard normals, scaled by noise_sd in place and reduced before
+    the next is filled. That gives the same values and consumes the same
+    stream as rng.normal(0, noise_sd, (k, 2, N)), which forms
+    0 + noise_sd*z over the same z. With noise_sd = 0 nothing is drawn and
+    no buffer is allocated; both statistics are zero.
     """
     n = scenario.n
     t_hor = scenario.horizon
@@ -217,13 +221,16 @@ def _noise_statistics(
         return eps_sum, beta_eps2_sum
     betas = scenario.population.betas
     block = max(1, NOISE_BLOCK // (2 * n))
+    buffer = np.empty((min(block, t_hor), 2, n))
     for start in range(0, t_hor, block):
         k = min(block, t_hor - start)
-        eps = rng.normal(0.0, scenario.noise_sd, (k, 2, n))
-        eps_sum[start : start + k] = eps.sum(axis=2)
+        eps = buffer[:k]
+        rng.standard_normal(out=eps)
+        eps *= scenario.noise_sd
+        eps.sum(axis=2, out=eps_sum[start : start + k])
         np.square(eps, out=eps)
         eps *= betas
-        beta_eps2_sum[start : start + k] = eps.sum(axis=2)
+        eps.sum(axis=2, out=beta_eps2_sum[start : start + k])
     return eps_sum, beta_eps2_sum
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -198,6 +199,71 @@ def test_zero_noise_draws_only_the_slot1_price():
     rng = substream(8, 1, 0)
     run_episode(OnlineConfig(scenario=noisy, y_capacity=0.5), rng)
     assert not _same_state(rng.bit_generator.state, want.bit_generator.state)
+
+
+def _noise_scenario(n, t_hor, noise_sd):
+    g = np.random.default_rng(n + t_hor)
+    pop = Population(g.uniform(1.0, 2.0, n), g.uniform(4.0, 8.0, n))
+    return Scenario(pop, g.uniform(3.0, 6.0, t_hor), alpha_rev=6.0, noise_sd=noise_sd)
+
+
+def _noise_statistics_from_normal_blocks(scenario, rng):
+    """The stream layout written out: rng.normal blocks of consecutive slots, each reduced whole."""
+    n, t_hor = scenario.n, scenario.horizon
+    eps_sum = np.zeros((t_hor, 2))
+    beta_eps2_sum = np.zeros((t_hor, 2))
+    if scenario.noise_sd == 0.0:
+        return eps_sum, beta_eps2_sum
+    block = max(1, online.NOISE_BLOCK // (2 * n))
+    for start in range(0, t_hor, block):
+        k = min(block, t_hor - start)
+        eps = rng.normal(0.0, scenario.noise_sd, (k, 2, n))
+        eps_sum[start : start + k] = eps.sum(axis=2)
+        np.square(eps, out=eps)
+        eps *= scenario.population.betas
+        beta_eps2_sum[start : start + k] = eps.sum(axis=2)
+    return eps_sum, beta_eps2_sum
+
+
+@pytest.mark.parametrize(
+    "n, t_hor, noise_sd, block_slots",
+    [
+        (4000, 100, 0.7, 65),  # blocks of 65 and 35 slots
+        (online.NOISE_BLOCK // 2 + 1, 3, 1.3, 0),  # 2N > NOISE_BLOCK: one slot per block
+        (4000, 100, 0.0, 65),  # draws nothing
+    ],
+)
+def test_noise_statistics_follow_the_normal_block_layout(n, t_hor, noise_sd, block_slots):
+    assert online.NOISE_BLOCK // (2 * n) == block_slots
+    scenario = _noise_scenario(n, t_hor, noise_sd)
+    rng, want_rng = substream(9, 1, 0), substream(9, 1, 0)
+    got = online._noise_statistics(scenario, rng)
+    want = _noise_statistics_from_normal_blocks(scenario, want_rng)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    assert _same_state(rng.bit_generator.state, want_rng.bit_generator.state)
+
+
+def _noise_statistics_peak_bytes(scenario):
+    rng = substream(9, 1, 0)
+    tracemalloc.start()
+    try:
+        online._noise_statistics(scenario, rng)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, t_hor", [(100_000, 10), (4000, 100)])
+def test_noise_statistics_hold_one_block_at_a_time(n, t_hor):
+    block_slots = min(online.NOISE_BLOCK // (2 * n), t_hor)
+    block_bytes = block_slots * 2 * n * 8
+    assert _noise_statistics_peak_bytes(_noise_scenario(n, t_hor, 1.0)) <= 1.25 * block_bytes
+
+
+def test_zero_noise_allocates_no_noise_buffer():
+    n = 4000
+    assert _noise_statistics_peak_bytes(_noise_scenario(n, 100, 0.0)) < 2 * n * 8
 
 
 def _degenerate_estimates(monkeypatch):
