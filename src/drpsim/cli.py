@@ -59,8 +59,6 @@ keys (defaults in parentheses):
   noise_sd      (1.0)       per-user response noise standard deviation
   coupled_noise (false)     counterfactual costs reuse the online noise draws
   y_capacity    (unset)     committed capacity override (default: closed form)
-  alpha_low/alpha_high, beta_low/beta_high, d_low/d_high
-                (unset)     sampling-interval overrides for the chosen kind
   out_dir       (results)   output directory
 
 environment: DRPSIM_SEED and DRPSIM_OUT override seed and output

@@ -1,8 +1,9 @@
 """Experiment families, scenario generation, and the disk-writing harness.
 
 A flat key = value config names one experiment: population size,
-horizon, replication count, master seed, sampling intervals for the
-user coefficients and the demand profile, and the experiment kind:
+horizon, replication count, master seed, price and noise settings, and
+the experiment kind, which fixes the sampling intervals of the user
+coefficients and the demand profile:
 
     baseline        alpha_i ~ U[1,2], beta_i ~ U[4,8],  d_t ~ U[3,6]
     paramset2       alpha_i ~ U[1,3], beta_i ~ U[3,10], d_t ~ U[2,5]
@@ -47,7 +48,7 @@ __all__ = [
     "write_regret_csv",
 ]
 
-#: default sampling intervals (alpha, beta, d) per named parameter set
+#: sampling intervals (alpha, beta, d) per named parameter set
 KIND_INTERVALS = {
     "baseline": ((1.0, 2.0), (4.0, 8.0), (3.0, 6.0)),
     "paramset2": ((1.0, 3.0), (3.0, 10.0), (2.0, 5.0)),
@@ -97,8 +98,8 @@ def parse_experiment_kind(kind: str) -> tuple[str, Optional[float]]:
 class ExperimentConfig:
     """Everything needed to reproduce one experiment from a master seed.
 
-    Interval fields left as None fall back to the kind's defaults
-    (repeated-dt/blocked-dt use the baseline intervals). y_capacity
+    The kind fixes the sampling intervals (see intervals()); other
+    intervals need a Population and Scenario built directly. y_capacity
     None means commit the closed-form optimum of the drawn scenario.
     Every field must have its annotated type (a bool is not an int, an
     int is accepted for a float), else TypeError names the key. Float
@@ -116,12 +117,6 @@ class ExperimentConfig:
     noise_sd: float = 1.0
     coupled_noise: bool = False
     y_capacity: Optional[float] = None
-    alpha_low: Optional[float] = None
-    alpha_high: Optional[float] = None
-    beta_low: Optional[float] = None
-    beta_high: Optional[float] = None
-    d_low: Optional[float] = None
-    d_high: Optional[float] = None
     out_dir: str = "results"
 
     def __post_init__(self):
@@ -143,7 +138,7 @@ class ExperimentConfig:
         for name in ("n_users", "horizon", "reps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # substream keys on the seed's low 64 bits: larger seeds would alias
+        # substream takes only u64 seeds; reject others here, where the key is known
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.c_rev <= 0:
@@ -152,26 +147,11 @@ class ExperimentConfig:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
         if self.noise_sd < 0:
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
-        for name, (lo, hi) in zip(("alpha", "beta", "d"), self.intervals()):
-            keys = f"{name}_low, {name}_high"
-            if lo <= 0 or hi <= 0:
-                raise ValueError(f"interval bounds {keys} must be > 0, got [{lo}, {hi}]")
-            if lo > hi:
-                raise ValueError(f"interval bounds {keys} out of order: [{lo}, {hi}]")
 
     def intervals(self) -> tuple[tuple[float, float], ...]:
-        """Resolved (alpha, beta, d) sampling intervals."""
+        """The kind's (alpha, beta, d) sampling intervals; the variants use baseline's."""
         family, _ = parse_experiment_kind(self.experiment)
-        defaults = KIND_INTERVALS.get(family, KIND_INTERVALS["baseline"])
-        overrides = (
-            (self.alpha_low, self.alpha_high),
-            (self.beta_low, self.beta_high),
-            (self.d_low, self.d_high),
-        )
-        return tuple(
-            (lo if lo is not None else dlo, hi if hi is not None else dhi)
-            for (lo, hi), (dlo, dhi) in zip(overrides, defaults)
-        )
+        return KIND_INTERVALS.get(family, KIND_INTERVALS["baseline"])
 
 
 _HINTS = get_type_hints(ExperimentConfig)

@@ -31,6 +31,8 @@ algebraic identities derived in their docstrings.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,14 +49,25 @@ __all__ = [
 ]
 
 
+def _check_finite(name: str, value: object) -> None:
+    """Raise TypeError or ValueError naming name unless value is a finite real, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _checked_array(name: str, values: ArrayLike, positive: bool) -> NDArray[np.float64]:
     """Read-only 1-D float64 copy of values, each finite and > 0 (or >= 0).
 
     Raises:
-        ValueError: the array is empty or not 1-D, or an entry is out of
-            range; the message names the array and the first bad index.
+        ValueError: an entry is not a number, the array is empty or not
+            1-D, or an entry is out of range; the message names the array.
     """
-    arr = np.array(values, dtype=np.float64)
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must hold numbers: {exc}") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D array, got shape {arr.shape}")
     ok = np.isfinite(arr) & ((arr > 0.0) if positive else (arr >= 0.0))
@@ -124,10 +137,12 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "demand", _checked_array("demand", self.demand, positive=True))
-        if not np.isfinite(self.alpha_rev) or self.alpha_rev <= 0:
-            raise ValueError("alpha_rev must be finite and > 0")
-        if not np.isfinite(self.noise_sd) or self.noise_sd < 0:
-            raise ValueError("noise_sd must be finite and >= 0")
+        _check_finite("alpha_rev", self.alpha_rev)
+        _check_finite("noise_sd", self.noise_sd)
+        if self.alpha_rev <= 0:
+            raise ValueError(f"alpha_rev must be > 0, got {self.alpha_rev}")
+        if self.noise_sd < 0:
+            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
 
     @property
     def n(self) -> int:

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .estimator import UnidentifiableError, init, solve_normal_equations, update
-from .model import Scenario, aggregate_from_noise, stage_costs_from_noise
+from .model import Scenario, _check_finite, aggregate_from_noise, stage_costs_from_noise
 from .offline import DegenerateEstimateError, lambda_star_path, next_price
 from .rng import substream
 
@@ -74,10 +74,9 @@ class OnlineConfig:
     coupled_noise: bool = False
 
     def __post_init__(self):
-        if not np.isfinite(self.y_capacity):
-            raise ValueError("y_capacity must be finite")
-        if self.lambda_init is not None and not np.isfinite(self.lambda_init):
-            raise ValueError("lambda_init must be finite")
+        _check_finite("y_capacity", self.y_capacity)
+        if self.lambda_init is not None:
+            _check_finite("lambda_init", self.lambda_init)
 
 
 @dataclass

@@ -29,15 +29,18 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Return an independent Generator for (master_seed, *path).
 
     Args:
-        master_seed: Experiment-level seed (any Python int >= 0).
+        master_seed: Experiment-level seed in [0, 2**64); any other
+            raises ValueError instead of aliasing another seed's streams.
         path: Integers naming the stream, e.g. (1, r) for replication r.
 
     Returns:
         np.random.Generator backed by Philox keyed on the 128-bit
         blake2b digest of the seed and path.
     """
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
     h = hashlib.blake2b(digest_size=16)
-    h.update(struct.pack("<Q", master_seed & 0xFFFFFFFFFFFFFFFF))
+    h.update(struct.pack("<Q", master_seed))
     for p in path:
         h.update(struct.pack("<q", p))
     key = np.frombuffer(h.digest(), dtype=np.uint64)

@@ -72,9 +72,12 @@ def test_config_defaults_and_intervals():
     assert ExperimentConfig(experiment="blocked-dt:4").intervals() == cfg.intervals()
 
 
-def test_config_interval_overrides():
-    cfg = ExperimentConfig(alpha_low=0.5, d_high=9.0)
-    assert cfg.intervals() == ((0.5, 2.0), (4.0, 8.0), (3.0, 9.0))
+def test_interval_keys_are_not_config_keys():
+    # each kind fixes its intervals; other draws build a Population directly
+    with pytest.raises(ValueError, match="config line 2: unknown key 'd_low'"):
+        parse_config("horizon = 7\nd_low = 2\n")
+    with pytest.raises(TypeError, match="alpha_low"):
+        ExperimentConfig(alpha_low=1.0)
 
 
 def test_config_validation():
@@ -94,38 +97,19 @@ def test_config_validation():
         ExperimentConfig(noise_sd=-1.0)
     with pytest.raises(ValueError, match="unknown experiment kind"):
         ExperimentConfig(experiment="warmstart")
-    with pytest.raises(ValueError, match="out of order"):
-        ExperimentConfig(alpha_low=2.5)  # default alpha_high is 2.0
-    with pytest.raises(ValueError, match="must be > 0"):
-        ExperimentConfig(beta_low=-1.0)
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
         ExperimentConfig(seed=2**64)
     for key, value in (
         ("c_rev", "nan"),
         ("ridge", "nan"),
         ("noise_sd", "nan"),
-        ("d_low", "nan"),
         ("y_capacity", "inf"),
-        ("alpha_high", "inf"),
-        ("beta_low", "-inf"),
+        ("ridge", "-inf"),
     ):
         with pytest.raises(ValueError, match=f"{key} must be finite, got {value}"):
             parse_config(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             ExperimentConfig(**{key: float(value)})
-
-
-@pytest.mark.parametrize("name", ["alpha", "beta", "d"])
-def test_interval_errors_name_the_key_pair(name):
-    keys = f"{name}_low, {name}_high"
-    with pytest.raises(ValueError, match=rf"{keys} out of order: \[3\.0, 2\.0\]"):
-        ExperimentConfig(**{f"{name}_low": 3.0, f"{name}_high": 2.0})
-    with pytest.raises(ValueError, match=rf"{keys} out of order: \[3\.0, 2\.0\]"):
-        ExperimentConfig(**{f"{name}_low": 3, f"{name}_high": 2})
-    with pytest.raises(ValueError, match=rf"{keys} must be > 0, got \[-1\.0, "):
-        ExperimentConfig(**{f"{name}_low": -1.0})
-    with pytest.raises(ValueError, match=rf"{keys} must be > 0, got \[1\.0, 0\.0\]"):
-        parse_config(f"{name}_low = 1.0\n{name}_high = 0.0\n")
 
 
 def test_parse_config_happy_path():
@@ -211,8 +195,7 @@ def test_config_round_trip():
         ridge=0.01,
         noise_sd=0.3,
         coupled_noise=True,
-        d_low=2.5,
-        d_high=7.5,
+        y_capacity=2.5,
         out_dir="elsewhere",
     )
     assert parse_config(_config_text(cfg)) == cfg
@@ -220,13 +203,10 @@ def test_config_round_trip():
     assert parse_config(_config_text(ExperimentConfig())) == ExperimentConfig()
 
 
-_positive = st.floats(min_value=1e-6, max_value=1e6)
-
-
 @st.composite
 def _configs(draw):
-    """Valid configs over every key; interval overrides come in ordered pairs."""
-    fields = dict(
+    """Valid configs over every key."""
+    return ExperimentConfig(
         experiment=draw(
             st.sampled_from(["baseline", "paramset2", "repeated-dt:0.25", "blocked-dt:3"])
         ),
@@ -234,24 +214,19 @@ def _configs(draw):
         horizon=draw(st.integers(1, 10**6)),
         reps=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**64 - 1)),
-        c_rev=draw(_positive),
+        c_rev=draw(st.floats(1e-6, 1e6)),
         ridge=draw(st.floats(0.0, 1e3)),
         noise_sd=draw(st.floats(0.0, 1e3)),
         coupled_noise=draw(st.booleans()),
         y_capacity=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
         out_dir=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)),
     )
-    for name in ("alpha", "beta", "d"):
-        if draw(st.booleans()):
-            lo, hi = sorted(draw(st.tuples(_positive, _positive)))
-            fields[f"{name}_low"], fields[f"{name}_high"] = lo, hi
-    return ExperimentConfig(**fields)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     _configs(),
-    st.sampled_from(["c_rev", "ridge", "noise_sd", "y_capacity", "alpha_low", "d_high"]),
+    st.sampled_from(["c_rev", "ridge", "noise_sd", "y_capacity"]),
     st.sampled_from(["nan", "inf", "-inf"]),
     st.integers(2**64, 2**66),
 )
@@ -523,7 +498,7 @@ def test_checks_fail_for_a_pricer_that_never_learns(tmp_path):
 
 def test_python_and_file_configs_write_identical_summaries(tmp_path):
     # integer values of float keys are stored as float, as parse_config stores them
-    ints = dict(alpha_low=1, alpha_high=2, c_rev=2, noise_sd=1, y_capacity=3)
+    ints = dict(c_rev=2, ridge=1, noise_sd=1, y_capacity=3)
     built = ExperimentConfig(
         n_users=5, horizon=12, reps=3, seed=3, out_dir=str(tmp_path / "py"), **ints
     )

@@ -216,6 +216,14 @@ def test_parameter_validation():
         Scenario(pop, (1.0,), alpha_rev=0.0)
     with pytest.raises(ValueError):
         Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=-1.0)
+    with pytest.raises(ValueError, match="alphas must hold numbers"):
+        Population(["a"], [1.0])
+    with pytest.raises(ValueError, match="betas must hold numbers"):
+        Population([1.0], [[1.0], 2.0])
+    for key, value in (("alpha_rev", "1"), ("noise_sd", None), ("noise_sd", True)):
+        kwargs = {"alpha_rev": 1.0, key: value}
+        with pytest.raises(TypeError, match=rf"^{key} must be a real number, got {value!r}$"):
+            Scenario(pop, (1.0,), **kwargs)
 
 
 def test_population_cached_aggregates(rng):

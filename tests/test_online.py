@@ -322,6 +322,10 @@ def test_config_validation():
         OnlineConfig(scenario=sc, y_capacity=float("inf"))
     with pytest.raises(ValueError):
         OnlineConfig(scenario=sc, y_capacity=1.0, lambda_init=float("nan"))
+    for key, value in (("y_capacity", "3"), ("y_capacity", None), ("lambda_init", True)):
+        kwargs = {"y_capacity": 1.0, key: value}
+        with pytest.raises(TypeError, match=rf"^{key} must be a real number, got {value!r}$"):
+            OnlineConfig(scenario=sc, **kwargs)
     with pytest.raises(ValueError):
         run_replications(sc, 1.0, 0, master_seed=1)
 

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from drpsim import run_replications
 from drpsim.rng import substream
 
 
@@ -34,3 +36,16 @@ def test_negative_path_components_allowed():
     a = substream(7, -1).standard_normal(4)
     b = substream(7, 1).standard_normal(4)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seeds_outside_u64_are_rejected(seed, unit_scenario):
+    # masking to 64 bits would run seed 2**64 - 1's or seed 5's streams
+    with pytest.raises(ValueError, match=r"master_seed must be in \[0, 2\*\*64\)"):
+        substream(seed, 1, 0)
+    with pytest.raises(ValueError, match="master_seed"):
+        run_replications(unit_scenario, 1.0, 1, seed)
+
+
+def test_u64_bounds_are_accepted():
+    assert substream(0).standard_normal() != substream(2**64 - 1).standard_normal()
