@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .model import _check_finite
 
 __all__ = [
     "UnidentifiableError",
@@ -70,8 +70,9 @@ def init(ridge_param: float, n_scale: int = 1) -> EstimatorState:
             identify the line.
         n_scale: population size N entering the regressor N*lambda.
     """
-    if not np.isfinite(ridge_param) or ridge_param < 0:
-        raise ValueError(f"ridge_param must be finite and >= 0, got {ridge_param}")
+    _check_finite("ridge_param", ridge_param)
+    if ridge_param < 0:
+        raise ValueError(f"ridge_param must be >= 0, got {ridge_param}")
     if n_scale < 1:
         raise ValueError(f"n_scale must be >= 1, got {n_scale}")
     return EstimatorState(ridge_param=float(ridge_param), n_scale=int(n_scale))

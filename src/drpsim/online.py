@@ -18,7 +18,9 @@ it from the slot's noise sum by the identity
 Q_t = N*gamma1*lambda_t + gamma2 + sum_i eps_it
 (model.aggregate_from_noise); the N individual responses are never
 built. The noise is reduced to per-slot statistics before the loop, so
-the recursion itself is scalar work only.
+the recursion itself is scalar work only. run_replications draws several
+replications' noise at once on worker threads and runs their recursions
+in replication order, so its outputs do not depend on the thread count.
 
 Each slot also realizes the counterfactual outcome at the optimal price
 so that online and optimal stage costs are recorded side by side. The
@@ -30,7 +32,11 @@ way, so the flag changes nothing about the online path itself.
 
 from __future__ import annotations
 
+import os
+import queue
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,8 +56,9 @@ __all__ = [
     "run_replications",
 ]
 
-#: most normals in an episode's noise buffer (4 MB), or one slot's 2*N
-#: when that is more: the cap on the memory an episode's noise takes.
+#: most normals the noise buffers of one run_episode or run_replications
+#: call hold between them (4 MB), or one slot's 2*N when that is more:
+#: the cap on the memory a call's noise takes, whatever its worker count.
 NOISE_BLOCK = 1 << 19
 
 
@@ -75,6 +82,8 @@ class OnlineConfig:
 
     def __post_init__(self):
         _check_finite("y_capacity", self.y_capacity)
+        if not isinstance(self.coupled_noise, bool):
+            raise TypeError(f"coupled_noise must be bool, got {self.coupled_noise!r}")
         if self.lambda_init is not None:
             _check_finite("lambda_init", self.lambda_init)
 
@@ -112,10 +121,11 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
 
     The episode runs in three steps:
 
-    1. Noise statistics: each block is drawn into one buffer reused
-       across the episode (standard normals scaled by noise_sd in place)
-       and reduced at once to sum_i eps_i and sum_i beta_i*eps_i^2 of
-       both rows before the next block overwrites it.
+    1. Noise statistics: each block is drawn into one buffer of at most
+       NOISE_BLOCK normals, reused across the episode (standard normals
+       scaled by noise_sd in place), and reduced at once to sum_i eps_i
+       and sum_i beta_i*eps_i^2 of both rows before the next block
+       overwrites it.
     2. Recursion: estimate, price and observe on plain floats, O(1) per
        slot. The observed aggregate is model.aggregate_from_noise's
        Q_t = N*lambda_t*gamma1 + gamma2 + sum_i eps_it, so the loop never
@@ -124,8 +134,41 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
        formed after the loop (model.stage_costs_from_noise,
        model.aggregate_from_noise).
 
-    Degenerate prices are counted and reported by one RuntimeWarning per
-    episode.
+    Steps 2 and 3 are the code run_replications runs on each
+    replication's draws, so a sweep's replication r equals
+    run_episode(config, substream(seed, 1, r)) bit for bit. Degenerate
+    prices are counted and reported by one RuntimeWarning per episode.
+    """
+    (buffer,) = _noise_buffers(config.scenario, 1)
+    return _finish_episode(config, *_draw(config, rng, buffer), stacklevel=3)
+
+
+def _draw(
+    config: OnlineConfig, rng: np.random.Generator, buffer: NDArray[np.float64]
+) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
+    """An episode's random inputs: the slot-1 price and its noise statistics.
+
+    Consumes the stream in run_episode's order and touches nothing but
+    rng and buffer, so draws on different streams may run concurrently.
+    """
+    scenario = config.scenario
+    if config.lambda_init is not None:
+        lam = float(config.lambda_init)
+    else:
+        lam = float(rng.uniform(0.0, 2.0 * scenario.alpha_rev / scenario.n))
+    return (lam, *_noise_statistics(scenario, rng, buffer))
+
+
+def _finish_episode(
+    config: OnlineConfig,
+    lam: float,
+    eps_sum: NDArray[np.float64],
+    beta_eps2_sum: NDArray[np.float64],
+    stacklevel: int,
+) -> Trajectory:
+    """Steps 2 and 3 of run_episode from slot-1 price lam and the noise statistics.
+
+    The degenerate-price warning is attributed stacklevel frames up.
     """
     scenario = config.scenario
     n = scenario.n
@@ -133,13 +176,6 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
     y = config.y_capacity
     lam_star = lambda_star_path(scenario, y)
     est_state = init(config.ridge_param, n)
-
-    if config.lambda_init is not None:
-        lam = float(config.lambda_init)
-    else:
-        lam = float(rng.uniform(0.0, 2.0 * scenario.alpha_rev / n))
-
-    eps_sum, beta_eps2_sum = _noise_statistics(scenario, rng)
 
     lam_path = []
     g1_path = []
@@ -171,7 +207,7 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
             "degenerate estimate: reusing previous price "
             f"in {degenerate_events} of {t_hor} slots",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
 
     lambda_online = np.array(lam_path)
@@ -198,29 +234,41 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
     )
 
 
+def _noise_buffers(scenario: Scenario, count: int) -> NDArray[np.float64]:
+    """count (k, 2, N) noise buffers in one array, splitting one episode's buffer.
+
+    An episode's buffer holds NOISE_BLOCK normals, or T slots when fewer,
+    or one slot when 2*N is more; count buffers split it, with at least
+    one slot each. k is 0 when noise_sd = 0: then nothing is drawn.
+    """
+    n = scenario.n
+    if scenario.noise_sd == 0.0:
+        return np.empty((count, 0, 2, n))
+    episode_slots = min(max(1, NOISE_BLOCK // (2 * n)), scenario.horizon)
+    return np.empty((count, max(1, episode_slots // count), 2, n))
+
+
 def _noise_statistics(
-    scenario: Scenario, rng: np.random.Generator
+    scenario: Scenario, rng: np.random.Generator, buffer: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """(T, 2) arrays of sum_i eps_i and sum_i beta_i*eps_i^2 per slot and row.
 
     Row 0 is the online noise vector, row 1 the counterfactual one. The
-    normals fill (k, 2, N) views of one buffer of at most NOISE_BLOCK
-    values (or one slot), allocated once per episode: each view is filled
-    with standard normals, scaled by noise_sd in place and reduced before
-    the next is filled. That gives the same values and consumes the same
-    stream as rng.normal(0, noise_sd, (k, 2, N)), which forms
-    0 + noise_sd*z over the same z. With noise_sd = 0 nothing is drawn and
-    no buffer is allocated; both statistics are zero.
+    normals fill leading (k, 2, N) views of buffer (from _noise_buffers),
+    k slots at a time: each view is filled with standard normals, scaled
+    by noise_sd in place and reduced before the next is filled. That
+    gives the same values and consumes the same stream as
+    rng.normal(0, noise_sd, (k, 2, N)), which forms 0 + noise_sd*z over
+    the same z, for any k: each slot's row is reduced on its own. With
+    noise_sd = 0 nothing is drawn; both statistics are zero.
     """
-    n = scenario.n
     t_hor = scenario.horizon
     eps_sum = np.zeros((t_hor, 2))
     beta_eps2_sum = np.zeros((t_hor, 2))
     if scenario.noise_sd == 0.0:
         return eps_sum, beta_eps2_sum
     betas = scenario.population.betas
-    block = max(1, NOISE_BLOCK // (2 * n))
-    buffer = np.empty((min(block, t_hor), 2, n))
+    block = buffer.shape[0]
     for start in range(0, t_hor, block):
         k = min(block, t_hor - start)
         eps = buffer[:k]
@@ -268,6 +316,17 @@ def run_replications(
 
     Replication r uses substream (1, r) of the master seed, so results
     are independent of execution order and reproducible rep by rep.
+
+    Each replication's draw (run_episode's slot-1 price and step 1) runs
+    on a pool of up to one worker thread per usable CPU; numpy releases
+    the GIL while it fills and reduces the noise. Steps 2 and 3 run here,
+    in replication order, while later replications are drawn, so every
+    output equals the sequential run_episode loop bit for bit, whatever
+    the worker count. The workers split one episode's noise buffer
+    between them (fewer workers are used when NOISE_BLOCK has no slot
+    for each), and at most two draws per worker are in flight. No thread
+    outlives the call; an error in a draw is raised here once the earlier
+    replications are done, and the draws not yet started are cancelled.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -277,6 +336,19 @@ def run_replications(
         ridge_param=ridge_param,
         coupled_noise=coupled_noise,
     )
+    workers = min(reps, _usable_cpus(), max(1, NOISE_BLOCK // (2 * scenario.n)))
+    buffers = queue.SimpleQueue()
+    for buffer in _noise_buffers(scenario, workers):
+        buffers.put(buffer)
+
+    def draw(rng: np.random.Generator) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
+        # at most `workers` draws run at once, so a buffer is always free
+        buffer = buffers.get()
+        try:
+            return _draw(config, rng, buffer)
+        finally:
+            buffers.put(buffer)
+
     t_hor = scenario.horizon
     lam = np.empty((reps, t_hor))
     g1 = np.empty((reps, t_hor))
@@ -285,16 +357,27 @@ def run_replications(
     first = None
     degenerate = 0
     fallback = 0
-    for r in range(reps):
-        traj = run_episode(config, substream(master_seed, 1, r))
-        lam[r] = traj.lambda_online
-        g1[r] = traj.gamma1_hat
-        c_on[r] = traj.cost_online
-        c_st[r] = traj.cost_star
-        degenerate += traj.degenerate_events
-        fallback += traj.fallback_events
-        if first is None:
-            first = traj
+    window = 2 * workers
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        # substreams are opened here, in replication order
+        pending = deque(
+            pool.submit(draw, substream(master_seed, 1, r)) for r in range(min(reps, window))
+        )
+        for r in range(reps):
+            if r + window < reps:
+                pending.append(pool.submit(draw, substream(master_seed, 1, r + window)))
+            traj = _finish_episode(config, *pending.popleft().result(), stacklevel=2)
+            lam[r] = traj.lambda_online
+            g1[r] = traj.gamma1_hat
+            c_on[r] = traj.cost_online
+            c_st[r] = traj.cost_star
+            degenerate += traj.degenerate_events
+            fallback += traj.fallback_events
+            if first is None:
+                first = traj
+    finally:
+        pool.shutdown(cancel_futures=True)
     return SweepResult(
         scenario=scenario,
         lambda_star=first.lambda_star,
@@ -306,3 +389,11 @@ def run_replications(
         degenerate_events=degenerate,
         fallback_events=fallback,
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1

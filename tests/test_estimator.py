@@ -24,6 +24,22 @@ def test_init_validation():
         init(0.001, n_scale=0)
 
 
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        ("1", TypeError, "ridge_param must be a real number, got '1'"),
+        (None, TypeError, "ridge_param must be a real number, got None"),
+        (True, TypeError, "ridge_param must be a real number, got True"),
+        (float("-inf"), ValueError, "ridge_param must be finite, got -inf"),
+        (-1.0, ValueError, "ridge_param must be >= 0, got -1.0"),
+    ],
+)
+def test_bad_ridge_param_is_named(value, error, message):
+    with pytest.raises(error) as caught:
+        init(value)
+    assert str(caught.value) == message
+
+
 def test_zero_data_ridge_returns_prior_mean():
     g1, g2 = solve_normal_equations(init(0.001))
     assert g1 == 0.0

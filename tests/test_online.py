@@ -1,3 +1,6 @@
+import inspect
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -237,7 +240,8 @@ def test_noise_statistics_follow_the_normal_block_layout(n, t_hor, noise_sd, blo
     assert online.NOISE_BLOCK // (2 * n) == block_slots
     scenario = _noise_scenario(n, t_hor, noise_sd)
     rng, want_rng = substream(9, 1, 0), substream(9, 1, 0)
-    got = online._noise_statistics(scenario, rng)
+    (buffer,) = online._noise_buffers(scenario, 1)
+    got = online._noise_statistics(scenario, rng, buffer)
     want = _noise_statistics_from_normal_blocks(scenario, want_rng)
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
@@ -248,7 +252,8 @@ def _noise_statistics_peak_bytes(scenario):
     rng = substream(9, 1, 0)
     tracemalloc.start()
     try:
-        online._noise_statistics(scenario, rng)
+        (buffer,) = online._noise_buffers(scenario, 1)
+        online._noise_statistics(scenario, rng, buffer)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -330,6 +335,17 @@ def test_config_validation():
         run_replications(sc, 1.0, 0, master_seed=1)
 
 
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_coupled_noise_must_be_a_bool(value):
+    # a truthy "no" would otherwise run coupled noise
+    sc = _noiseless_table_scenario()
+    message = rf"^coupled_noise must be bool, got {value!r}$"
+    with pytest.raises(TypeError, match=message):
+        OnlineConfig(scenario=sc, y_capacity=1.0, coupled_noise=value)
+    with pytest.raises(TypeError, match=message):
+        run_replications(sc, 1.0, 2, 3, coupled_noise=value)
+
+
 def test_gamma_columns_record_pricing_estimates():
     sc = _noiseless_table_scenario()
     traj = run_episode(
@@ -340,3 +356,167 @@ def test_gamma_columns_record_pricing_estimates():
     assert traj.gamma1_hat[0] == 0.0
     assert traj.gamma2_hat[0] == 0.0
     assert traj.gamma1_hat[1] != 0.0
+
+
+def _cpus(monkeypatch, cpus):
+    """Make run_replications see `cpus` usable CPUs, so its worker count does not depend on the host."""
+    monkeypatch.setattr(online, "_usable_cpus", lambda: cpus)
+
+
+def _episodes(scenario, y, reps, seed, **kwargs):
+    """The sequential loop run_replications stands for."""
+    config = OnlineConfig(scenario=scenario, y_capacity=y, **kwargs)
+    return [run_episode(config, substream(seed, 1, r)) for r in range(reps)]
+
+
+def _assert_bits_equal(got, want, what):
+    assert got.shape == want.shape, what
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), what
+
+
+def _assert_sweep_is_episodes(sweep, episodes):
+    for field in ("lambda_online", "gamma1_hat", "cost_online", "cost_star"):
+        _assert_bits_equal(
+            getattr(sweep, field), np.stack([getattr(e, field) for e in episodes]), field
+        )
+    for field in ("lambda_star", "gamma2_hat", "q_online", "q_star"):
+        _assert_bits_equal(
+            getattr(sweep.first_trajectory, field), getattr(episodes[0], field), field
+        )
+    assert sweep.degenerate_events == sum(e.degenerate_events for e in episodes)
+    assert sweep.fallback_events == sum(e.fallback_events for e in episodes)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("reps", [1, 2, 3, 7])
+def test_replications_equal_sequential_episodes(monkeypatch, reps, cpus):
+    # N=4000: a run_episode draws T=40 slots in one block, each of 3 workers
+    # in blocks of 13 slots and a last one of 1
+    _cpus(monkeypatch, cpus)
+    sc = _noise_scenario(4000, 40, 0.8)
+    sweep = run_replications(sc, 0.5, reps, master_seed=31)
+    _assert_sweep_is_episodes(sweep, _episodes(sc, 0.5, reps, 31))
+
+
+@pytest.mark.parametrize(
+    "noise_sd, kwargs",
+    [(0.8, {"coupled_noise": True}), (0.8, {"ridge_param": 0.0}), (0.0, {})],
+    ids=["coupled", "ridge0", "noiseless"],
+)
+def test_replication_variants_equal_sequential_episodes(monkeypatch, noise_sd, kwargs):
+    _cpus(monkeypatch, 3)
+    sc = _noise_scenario(4000, 40, noise_sd)
+    sweep = run_replications(sc, 0.5, 7, master_seed=32, **kwargs)
+    episodes = _episodes(sc, 0.5, 7, 32, **kwargs)
+    _assert_sweep_is_episodes(sweep, episodes)
+    if kwargs.get("ridge_param") == 0.0:
+        # slot 2 has one sample: every episode falls back at least once
+        assert sweep.fallback_events >= 7
+
+
+def test_replications_share_buffers_safely_under_many_switches(monkeypatch):
+    # 8 workers on fewer cores, switching every microsecond: a buffer handed
+    # to two draws at once would corrupt their statistics
+    _cpus(monkeypatch, 8)
+    sc = _noise_scenario(400, 30, 0.8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sweep = run_replications(sc, 0.5, 40, master_seed=33)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_sweep_is_episodes(sweep, _episodes(sc, 0.5, 40, 33))
+
+
+def test_replications_warn_per_episode_in_order_from_the_calling_thread(monkeypatch):
+    _cpus(monkeypatch, 2)
+    sc = Scenario(Population([0.5], [1.0]), (1.0, 1.2, 0.9, 1.1, 1.0, 1.3, 0.8, 1.2),
+                  alpha_rev=1.0, noise_sd=0.3)
+    pop = sc.population
+    episode = -1
+
+    def degenerate_for_episode_index_plus_one_slots(state):
+        # episode e prices degenerately for its first e + 1 estimates, so the
+        # warnings tell the episodes apart; otherwise the true line
+        nonlocal episode
+        if state.n_samples == 1:
+            episode += 1
+        if state.n_samples <= episode + 1:
+            return -1.0, 5.0
+        return pop.gamma1, pop.gamma2
+
+    monkeypatch.setattr(online, "solve_normal_equations", degenerate_for_episode_index_plus_one_slots)
+    caught = []
+
+    def record(message, category, filename, lineno, file=None, line=None):
+        caught.append((str(message), category, filename, lineno, threading.current_thread()))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = record
+        sweep = run_replications(sc, 1.0, 5, master_seed=4)
+    assert [c[0] for c in caught] == [
+        f"degenerate estimate: reusing previous price in {r + 1} of 8 slots" for r in range(5)
+    ]
+    assert sweep.degenerate_events == 15
+    lines, first = inspect.getsourcelines(run_replications)
+    for _, category, filename, lineno, thread in caught:
+        assert category is RuntimeWarning
+        assert thread is threading.main_thread()
+        # attributed to run_replications' own line, as when it called run_episode
+        assert filename == online.__file__
+        assert first <= lineno < first + len(lines)
+
+
+def test_episode_warning_points_at_the_caller(monkeypatch):
+    _degenerate_estimates(monkeypatch)
+    sc = Scenario(Population([0.5], [1.0]), (1.0, 1.2, 0.9, 1.1), alpha_rev=1.0, noise_sd=0.0)
+    config = OnlineConfig(scenario=sc, y_capacity=1.0, lambda_init=2.75)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        run_episode(config, np.random.default_rng(0))
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+
+
+def test_replications_hold_one_noise_block_between_workers(monkeypatch):
+    # two workers share NOISE_BLOCK; a full block each would read ~2x
+    _cpus(monkeypatch, 2)
+    sc = _noise_scenario(100_000, 10, 1.0)
+    tracemalloc.start()
+    try:
+        run_replications(sc, 0.5, 4, master_seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * online.NOISE_BLOCK * 8
+
+
+def test_a_failed_draw_is_raised_and_leaves_no_thread(monkeypatch):
+    _cpus(monkeypatch, 2)
+    sc = _noise_scenario(4000, 10, 1.0)
+    replication = {
+        substream(5, 1, r).bit_generator.state["state"]["key"].tobytes(): r for r in range(40)
+    }
+    started = []
+    real = online._noise_statistics
+
+    def fail_on_replication_2(scenario, rng, buffer):
+        r = replication[rng.bit_generator.state["state"]["key"].tobytes()]
+        started.append(r)
+        if r == 2:
+            raise RuntimeError("draw failed")
+        if r > 2:
+            # hold both workers until the failure has been read and the
+            # queued draws cancelled
+            threading.Event().wait(0.5)
+        return real(scenario, rng, buffer)
+
+    monkeypatch.setattr(online, "_noise_statistics", fail_on_replication_2)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^draw failed$"):
+        run_replications(sc, 0.5, 40, master_seed=5)
+    assert threading.active_count() == threads
+    # replications 0-2, then 3 and 4 on the two workers; 5 and 6 were queued
+    # and cancelled, and nothing later was submitted
+    assert sorted(started) == [0, 1, 2, 3, 4]
