@@ -33,7 +33,7 @@ from numpy.typing import NDArray
 from .analysis import RegretReport, build_regret_report, summarize
 from .model import Population, Scenario
 from .offline import compute_y_star
-from .online import Trajectory, run_replications
+from .online import OnlineConfig, Trajectory, run_replications
 from .rng import substream
 
 __all__ = [
@@ -113,7 +113,7 @@ class ExperimentConfig:
     reps: int = 1000
     seed: int = 42
     c_rev: float = 1.0
-    ridge: float = 0.001
+    ridge: float = OnlineConfig.ridge_param
     noise_sd: float = 1.0
     coupled_noise: bool = False
     y_capacity: Optional[float] = None

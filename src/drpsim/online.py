@@ -32,10 +32,10 @@ way, so the flag changes nothing about the online path itself.
 
 from __future__ import annotations
 
+import numbers
 import os
-import queue
+import threading
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -56,9 +56,9 @@ __all__ = [
     "run_replications",
 ]
 
-#: most normals the noise buffers of one run_episode or run_replications
-#: call hold between them (4 MB), or one slot's 2*N when that is more:
-#: the cap on the memory a call's noise takes, whatever its worker count.
+#: most normals one run_episode or run_replications call holds in noise
+#: buffers (4 MB), or one slot's 2*N when that is more, whatever its worker
+#: count: _noise_buffers splits it into one buffer per worker thread.
 NOISE_BLOCK = 1 << 19
 
 
@@ -70,7 +70,7 @@ class OnlineConfig:
         scenario: population, demand, noise level.
         y_capacity: committed capacity (offline Y* or externally chosen).
         lambda_init: slot-1 price; None draws U[0, 2*alpha_rev/N].
-        ridge_param: estimator regularization weight.
+        ridge_param: estimator regularization weight, >= 0 (estimator.init).
         coupled_noise: counterfactual costs reuse the online noise draws.
     """
 
@@ -86,6 +86,7 @@ class OnlineConfig:
             raise TypeError(f"coupled_noise must be bool, got {self.coupled_noise!r}")
         if self.lambda_init is not None:
             _check_finite("lambda_init", self.lambda_init)
+        init(self.ridge_param)  # raises here, naming ridge_param, before any draw
 
 
 @dataclass
@@ -235,17 +236,18 @@ def _finish_episode(
 
 
 def _noise_buffers(scenario: Scenario, count: int) -> NDArray[np.float64]:
-    """count (k, 2, N) noise buffers in one array, splitting one episode's buffer.
+    """Up to count (k, 2, N) noise buffers in one array, splitting one episode's buffer.
 
     An episode's buffer holds NOISE_BLOCK normals, or T slots when fewer,
-    or one slot when 2*N is more; count buffers split it, with at least
-    one slot each. k is 0 when noise_sd = 0: then nothing is drawn.
+    or one slot when 2*N is more. Each buffer gets at least one slot (k is
+    0 when noise_sd = 0: then nothing is drawn), so there are fewer than
+    count when the episode's buffer has fewer slots.
     """
     n = scenario.n
-    if scenario.noise_sd == 0.0:
-        return np.empty((count, 0, 2, n))
     episode_slots = min(max(1, NOISE_BLOCK // (2 * n)), scenario.horizon)
-    return np.empty((count, max(1, episode_slots // count), 2, n))
+    count = min(count, episode_slots)
+    k = 0 if scenario.noise_sd == 0.0 else episode_slots // count
+    return np.empty((count, k, 2, n))
 
 
 def _noise_statistics(
@@ -309,8 +311,8 @@ def run_replications(
     y: float,
     reps: int,
     master_seed: int,
-    ridge_param: float = 0.001,
-    coupled_noise: bool = False,
+    ridge_param: float = OnlineConfig.ridge_param,
+    coupled_noise: bool = OnlineConfig.coupled_noise,
 ) -> SweepResult:
     """Independent episodes on one scenario, one substream per replication.
 
@@ -322,12 +324,15 @@ def run_replications(
     the GIL while it fills and reduces the noise. Steps 2 and 3 run here,
     in replication order, while later replications are drawn, so every
     output equals the sequential run_episode loop bit for bit, whatever
-    the worker count. The workers split one episode's noise buffer
-    between them (fewer workers are used when NOISE_BLOCK has no slot
-    for each), and at most two draws per worker are in flight. No thread
-    outlives the call; an error in a draw is raised here once the earlier
-    replications are done, and the draws not yet started are cancelled.
+    the worker count. Substreams are opened here, in replication order;
+    each worker thread draws into its own share of one episode's noise
+    buffer (_noise_buffers), and a finished draw holds only its (T, 2)
+    statistics until its turn. No thread outlives the call; an error in
+    a draw is raised here once the earlier replications are done, and
+    the draws not yet started are cancelled.
     """
+    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral):
+        raise TypeError(f"reps must be an integer, got {reps!r}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     config = OnlineConfig(
@@ -336,18 +341,15 @@ def run_replications(
         ridge_param=ridge_param,
         coupled_noise=coupled_noise,
     )
-    workers = min(reps, _usable_cpus(), max(1, NOISE_BLOCK // (2 * scenario.n)))
-    buffers = queue.SimpleQueue()
-    for buffer in _noise_buffers(scenario, workers):
-        buffers.put(buffer)
+    free = list(_noise_buffers(scenario, min(reps, _usable_cpus())))
+    local = threading.local()
+
+    def claim_buffer() -> None:
+        # runs once in each pool thread; the pool starts at most one per buffer
+        local.buffer = free.pop()
 
     def draw(rng: np.random.Generator) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
-        # at most `workers` draws run at once, so a buffer is always free
-        buffer = buffers.get()
-        try:
-            return _draw(config, rng, buffer)
-        finally:
-            buffers.put(buffer)
+        return _draw(config, rng, local.buffer)
 
     t_hor = scenario.horizon
     lam = np.empty((reps, t_hor))
@@ -357,17 +359,12 @@ def run_replications(
     first = None
     degenerate = 0
     fallback = 0
-    window = 2 * workers
-    pool = ThreadPoolExecutor(max_workers=workers)
+    pool = ThreadPoolExecutor(max_workers=len(free), initializer=claim_buffer)
     try:
-        # substreams are opened here, in replication order
-        pending = deque(
-            pool.submit(draw, substream(master_seed, 1, r)) for r in range(min(reps, window))
-        )
-        for r in range(reps):
-            if r + window < reps:
-                pending.append(pool.submit(draw, substream(master_seed, 1, r + window)))
-            traj = _finish_episode(config, *pending.popleft().result(), stacklevel=2)
+        # map reads the generator here: substreams open in this thread, in order
+        draws = pool.map(draw, (substream(master_seed, 1, r) for r in range(reps)))
+        for r, drawn in enumerate(draws):
+            traj = _finish_episode(config, *drawn, stacklevel=2)
             lam[r] = traj.lambda_online
             g1[r] = traj.gamma1_hat
             c_on[r] = traj.cost_online

@@ -1,4 +1,5 @@
 import inspect
+import re
 import sys
 import threading
 import tracemalloc
@@ -346,6 +347,34 @@ def test_coupled_noise_must_be_a_bool(value):
         run_replications(sc, 1.0, 2, 3, coupled_noise=value)
 
 
+@pytest.mark.parametrize("value, error", [("1", TypeError), (None, TypeError), (-1.0, ValueError)])
+def test_bad_ridge_param_fails_before_any_draw(monkeypatch, value, error):
+    sc = _noiseless_table_scenario()
+    with pytest.raises(error, match="^ridge_param must be "):
+        OnlineConfig(scenario=sc, y_capacity=1.0, ridge_param=value)
+    calls = []
+    monkeypatch.setattr(online, "substream", lambda *args: calls.append(args))
+    monkeypatch.setattr(online, "ThreadPoolExecutor", lambda *a, **k: calls.append("pool"))
+    with pytest.raises(error, match="^ridge_param must be "):
+        run_replications(sc, 1.0, 5, 3, ridge_param=value)
+    # no substream opened, no thread started
+    assert calls == []
+
+
+@pytest.mark.parametrize("reps", [True, 2.0, "3", None])
+def test_reps_must_be_an_integer(reps):
+    sc = _noiseless_table_scenario()
+    with pytest.raises(TypeError, match=rf"^reps must be an integer, got {re.escape(repr(reps))}$"):
+        run_replications(sc, 1.0, reps, master_seed=1)
+
+
+def test_reps_accepts_numpy_integers():
+    sc = _noiseless_table_scenario()
+    assert run_replications(sc, 1.0, np.int64(2), master_seed=1).reps == 2
+    with pytest.raises(ValueError, match="^reps must be >= 1, got 0$"):
+        run_replications(sc, 1.0, np.int32(0), master_seed=1)
+
+
 def test_gamma_columns_record_pricing_estimates():
     sc = _noiseless_table_scenario()
     traj = run_episode(
@@ -517,6 +546,69 @@ def test_a_failed_draw_is_raised_and_leaves_no_thread(monkeypatch):
     with pytest.raises(RuntimeError, match="^draw failed$"):
         run_replications(sc, 0.5, 40, master_seed=5)
     assert threading.active_count() == threads
-    # replications 0-2, then 3 and 4 on the two workers; 5 and 6 were queued
-    # and cancelled, and nothing later was submitted
+    # replications 0-2, then 3 and 4 on the two workers; 5 and later were
+    # queued and cancelled
     assert sorted(started) == [0, 1, 2, 3, 4]
+
+
+def test_replications_open_substreams_in_the_calling_thread_in_order(monkeypatch):
+    # the benchmark's spans tracer wraps substream and is not thread-safe
+    _cpus(monkeypatch, 3)
+    opened = []
+    real = online.substream
+
+    def record(*key):
+        opened.append((key, threading.current_thread()))
+        return real(*key)
+
+    monkeypatch.setattr(online, "substream", record)
+    run_replications(_noise_scenario(400, 20, 0.8), 0.5, 9, master_seed=34)
+    assert [key for key, _ in opened] == [(34, 1, r) for r in range(9)]
+    assert all(thread is threading.main_thread() for _, thread in opened)
+
+
+def test_each_pool_thread_draws_into_one_buffer_of_its_own(monkeypatch):
+    _cpus(monkeypatch, 3)
+    sc = _noise_scenario(400, 30, 0.8)
+    drawn = []
+    real = online._noise_statistics
+
+    def record(scenario, rng, buffer):
+        drawn.append((threading.current_thread(), buffer.ctypes.data))
+        return real(scenario, rng, buffer)
+
+    monkeypatch.setattr(online, "_noise_statistics", record)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sweep = run_replications(sc, 0.5, 40, master_seed=35)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(drawn) == 40
+    buffers = {}
+    for thread, address in drawn:
+        assert thread is not threading.main_thread()
+        buffers.setdefault(thread, set()).add(address)
+    assert 1 <= len(buffers) <= 3
+    assert all(len(addresses) == 1 for addresses in buffers.values())
+    addresses = [a for (a,) in buffers.values()]
+    assert len(set(addresses)) == len(addresses)
+    _assert_sweep_is_episodes(sweep, _episodes(sc, 0.5, 40, 35))
+
+
+@pytest.mark.parametrize("noise_sd", [0.0, 0.8])
+@pytest.mark.parametrize(
+    "n", [4000, online.NOISE_BLOCK // 2 + 1], ids=["65-slot block", "2N > NOISE_BLOCK"]
+)
+def test_noise_buffers_split_one_episode_buffer(n, noise_sd):
+    for t_hor in (1, 2, 5, 100):
+        sc = _noise_scenario(n, t_hor, noise_sd)
+        episode_slots = min(t_hor, max(1, online.NOISE_BLOCK // (2 * n)))
+        for count in (1, 2, 3, 8):
+            buffers = online._noise_buffers(sc, count)
+            assert 1 <= len(buffers) <= count
+            assert buffers.shape[2:] == (2, n)
+            slots = buffers.shape[1]
+            # one slot at least each, so T < count gives fewer buffers
+            assert slots >= 1 if noise_sd else slots == 0
+            assert len(buffers) * slots <= episode_slots
