@@ -138,10 +138,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     base_out = Path(config.out_dir)
     any_failed = False
+    # all kinds but paramset2 share one population, so they share its draws
+    shared_draws: dict = {}
     for kind in SWEEP_GRID:
         sub_dir = base_out / kind.replace(":", "-")
         sub_config = replace(config, experiment=kind, out_dir=str(sub_dir))
-        summary = run_experiment(sub_config)
+        summary = run_experiment(sub_config, shared_draws=shared_draws)
         analysis = summary["analysis"]
         if analysis is None:
             status = summary["analysis_note"]

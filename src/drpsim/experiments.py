@@ -31,6 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .analysis import RegretReport, build_regret_report, summarize
+from .estimator import init
 from .model import Population, Scenario
 from .offline import compute_y_star
 from .online import OnlineConfig, Trajectory, run_replications
@@ -143,8 +144,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.c_rev <= 0:
             raise ValueError(f"c_rev must be > 0, got {self.c_rev}")
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        try:
+            init(self.ridge)  # the estimator owns the rule
+        except ValueError as exc:
+            raise ValueError(f"ridge: {exc}") from None
         if self.noise_sd < 0:
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
 
@@ -292,7 +295,7 @@ def write_regret_csv(path: Path, report: RegretReport) -> None:
         write_table(f, columns)
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
+def run_experiment(config: ExperimentConfig, *, shared_draws: Optional[dict] = None) -> dict:
     """Scenario draw, offline solve, replication sweep, analysis, files.
 
     Writes trajectory.csv (replication 0), regret.csv (when analysis is
@@ -302,6 +305,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     replications, horizon too short for the fit window, an optimal price
     ~0 where the relative tracking error is undefined) are reported in
     the summary instead of aborting; the per-slot CSV is always written.
+    shared_draws is passed to run_replications: experiments run with one
+    store draw each population's noise once, with unchanged outputs.
     """
     out_dir = Path(config.out_dir)
     try:
@@ -318,6 +323,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         config.seed,
         ridge_param=config.ridge,
         coupled_noise=config.coupled_noise,
+        shared_draws=shared_draws,
     )
 
     write_trajectory_csv(out_dir / "trajectory.csv", sweep.first_trajectory)

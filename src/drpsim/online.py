@@ -22,6 +22,13 @@ the recursion itself is scalar work only. run_replications draws several
 replications' noise at once on worker threads and runs their recursions
 in replication order, so its outputs do not depend on the thread count.
 
+An episode's draw (_draw) is the unit uniform u behind the slot-1 price
+and the noise statistics. It depends on the population's betas,
+noise_sd, T and the stream, not on alpha_rev or the demand, so scenarios
+that share a population share their draws: run_replications can reuse
+the draws of an earlier call through a store its caller owns
+(shared_draws), and drpsim sweep passes one store to all its kinds.
+
 Each slot also realizes the counterfactual outcome at the optimal price
 so that online and optimal stage costs are recorded side by side. The
 counterfactual uses fresh independent noise by default; coupled_noise
@@ -38,7 +45,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -146,28 +153,30 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
 
 def _draw(
     config: OnlineConfig, rng: np.random.Generator, buffer: NDArray[np.float64]
-) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
-    """An episode's random inputs: the slot-1 price and its noise statistics.
+) -> tuple[Optional[float], NDArray[np.float64], NDArray[np.float64]]:
+    """An episode's random inputs: the slot-1 unit uniform and the noise statistics.
+
+    The uniform u = rng.random() sets the slot-1 price h*u with
+    h = 2*alpha_rev/N (_finish_episode). numpy forms rng.uniform(0, h) as
+    0 + h*u over the same u and the same stream position, so the price has
+    the bits of a U[0, h] draw, while the draw itself does not depend on
+    alpha_rev. u is None, and not drawn, when lambda_init sets the price.
 
     Consumes the stream in run_episode's order and touches nothing but
     rng and buffer, so draws on different streams may run concurrently.
     """
-    scenario = config.scenario
-    if config.lambda_init is not None:
-        lam = float(config.lambda_init)
-    else:
-        lam = float(rng.uniform(0.0, 2.0 * scenario.alpha_rev / scenario.n))
-    return (lam, *_noise_statistics(scenario, rng, buffer))
+    u = rng.random() if config.lambda_init is None else None
+    return (u, *_noise_statistics(config.scenario, rng, buffer))
 
 
 def _finish_episode(
     config: OnlineConfig,
-    lam: float,
+    u: Optional[float],
     eps_sum: NDArray[np.float64],
     beta_eps2_sum: NDArray[np.float64],
     stacklevel: int,
 ) -> Trajectory:
-    """Steps 2 and 3 of run_episode from slot-1 price lam and the noise statistics.
+    """Steps 2 and 3 of run_episode from one _draw's uniform and noise statistics.
 
     The degenerate-price warning is attributed stacklevel frames up.
     """
@@ -175,6 +184,7 @@ def _finish_episode(
     n = scenario.n
     t_hor = scenario.horizon
     y = config.y_capacity
+    lam = float(config.lambda_init) if u is None else float(2.0 * scenario.alpha_rev / n) * u
     lam_star = lambda_star_path(scenario, y)
     est_state = init(config.ridge_param, n)
 
@@ -313,13 +323,15 @@ def run_replications(
     master_seed: int,
     ridge_param: float = OnlineConfig.ridge_param,
     coupled_noise: bool = OnlineConfig.coupled_noise,
+    *,
+    shared_draws: Optional[dict] = None,
 ) -> SweepResult:
     """Independent episodes on one scenario, one substream per replication.
 
     Replication r uses substream (1, r) of the master seed, so results
     are independent of execution order and reproducible rep by rep.
 
-    Each replication's draw (run_episode's slot-1 price and step 1) runs
+    Each replication's draw (run_episode's slot-1 uniform and step 1) runs
     on a pool of up to one worker thread per usable CPU; numpy releases
     the GIL while it fills and reduces the noise. Steps 2 and 3 run here,
     in replication order, while later replications are drawn, so every
@@ -330,6 +342,19 @@ def run_replications(
     statistics until its turn. No thread outlives the call; an error in
     a draw is raised here once the earlier replications are done, and
     the draws not yet started are cancelled.
+
+    shared_draws is a dict the caller owns and passes to every call that
+    may share draws; drpsim sweep passes one to all its kinds. A draw
+    depends only on the population's betas, noise_sd, T and its
+    substream, so the store keys its entries by betas (by content),
+    noise_sd, T, reps and master_seed; alpha_rev, the demand, y,
+    ridge_param and coupled_noise may differ. A call that finds its entry
+    runs steps 2 and 3 over the stored draws, in replication order, and
+    starts no thread: its outputs are those of a fresh draw, bit for bit.
+    A call that misses draws as above and stores its draws once every
+    replication has been drawn and finished, so a call that raises
+    stores nothing. An entry holds 32*T + 8 bytes of statistics per
+    replication.
     """
     if isinstance(reps, bool) or not isinstance(reps, numbers.Integral):
         raise TypeError(f"reps must be an integer, got {reps!r}")
@@ -341,15 +366,12 @@ def run_replications(
         ridge_param=ridge_param,
         coupled_noise=coupled_noise,
     )
-    free = list(_noise_buffers(scenario, min(reps, _usable_cpus())))
-    local = threading.local()
-
-    def claim_buffer() -> None:
-        # runs once in each pool thread; the pool starts at most one per buffer
-        local.buffer = free.pop()
-
-    def draw(rng: np.random.Generator) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
-        return _draw(config, rng, local.buffer)
+    stored = kept = None
+    if shared_draws is not None:
+        betas = scenario.population.betas.tobytes()
+        key = (betas, scenario.noise_sd, scenario.horizon, reps, master_seed)
+        stored = shared_draws.get(key)
+        kept = [] if stored is None else None
 
     t_hor = scenario.horizon
     lam = np.empty((reps, t_hor))
@@ -359,10 +381,14 @@ def run_replications(
     first = None
     degenerate = 0
     fallback = 0
-    pool = ThreadPoolExecutor(max_workers=len(free), initializer=claim_buffer)
+    pool = None
     try:
-        # map reads the generator here: substreams open in this thread, in order
-        draws = pool.map(draw, (substream(master_seed, 1, r) for r in range(reps)))
+        if stored is None:
+            pool, draw = _draw_pool(config, reps)
+            # map reads the generator here: substreams open in this thread, in order
+            draws = pool.map(draw, (substream(master_seed, 1, r) for r in range(reps)))
+        else:
+            draws = stored
         for r, drawn in enumerate(draws):
             traj = _finish_episode(config, *drawn, stacklevel=2)
             lam[r] = traj.lambda_online
@@ -373,8 +399,13 @@ def run_replications(
             fallback += traj.fallback_events
             if first is None:
                 first = traj
+            if kept is not None:
+                kept.append(drawn)
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    if kept is not None:
+        shared_draws[key] = kept
     return SweepResult(
         scenario=scenario,
         lambda_star=first.lambda_star,
@@ -386,6 +417,27 @@ def run_replications(
         degenerate_events=degenerate,
         fallback_events=fallback,
     )
+
+
+def _draw_pool(
+    config: OnlineConfig, reps: int
+) -> tuple[ThreadPoolExecutor, Callable[[np.random.Generator], tuple]]:
+    """A thread pool for reps draws, and the function its threads draw with.
+
+    Each pool thread takes one of the buffers _noise_buffers splits one
+    episode's buffer into when it starts, and draws only into it.
+    """
+    free = list(_noise_buffers(config.scenario, min(reps, _usable_cpus())))
+    local = threading.local()
+
+    def claim_buffer() -> None:
+        # runs once in each pool thread; the pool starts at most one per buffer
+        local.buffer = free.pop()
+
+    def draw(rng: np.random.Generator) -> tuple:
+        return _draw(config, rng, local.buffer)
+
+    return ThreadPoolExecutor(max_workers=len(free), initializer=claim_buffer), draw
 
 
 def _usable_cpus() -> int:

@@ -10,9 +10,9 @@ Stream layout used by the experiment harness:
 
     substream(seed, 0)        scenario generation (parameter draws)
     substream(seed, 1, r)     episode stream for replication r:
-                              lambda_init draw first, then per slot the
-                              online noise vector followed by the
-                              counterfactual noise vector
+                              the slot-1 price's unit uniform first, then
+                              per slot the online noise vector followed
+                              by the counterfactual noise vector
 """
 
 from __future__ import annotations

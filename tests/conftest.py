@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drpsim import Population, Scenario
+from drpsim import Population, Scenario, online
 
 
 def _random_scenario(rng, n=None, t=None, noise_sd=1.0):
@@ -39,3 +39,17 @@ def unit_scenario():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1905)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ThreadPoolExecutors drpsim.online constructs during the test, in order."""
+    made = []
+
+    class Counted(online.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(online, "ThreadPoolExecutor", Counted)
+    return made

@@ -5,15 +5,15 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import drpsim
-from drpsim.cli import main
-from drpsim.experiments import ExperimentConfig, scenario_and_capacity
+from drpsim.cli import SWEEP_GRID, main
+from drpsim.experiments import ExperimentConfig, run_experiment, scenario_and_capacity
 from drpsim.model import aggregate_from_noise
 from drpsim.offline import closed_form_solve, lambda_star_path
 
@@ -163,6 +163,29 @@ def test_sweep_runs_whole_grid(sweep_config, clean_env, tmp_path, capsys):
         assert (sub / "summary.json").exists()
         with open(sub / "summary.json") as f:
             assert json.load(f)["experiment"] == kind
+
+
+def test_sweep_shares_draws_and_writes_the_bytes_of_separate_runs(
+    clean_env, pools, tmp_path, capsys
+):
+    config = ExperimentConfig(n_users=20, horizon=40, reps=4, seed=7)
+    path = tmp_path / "sweep.cfg"
+    path.write_text("n_users = 20\nhorizon = 40\nreps = 4\nseed = 7\n")
+    main(["sweep", "--config", str(path), "--out", str(tmp_path / "shared")])
+    capsys.readouterr()
+    # paramset2 draws its own population; the other five kinds reuse baseline's
+    assert len(pools) == 2
+    for kind in SWEEP_GRID:
+        sub = kind.replace(":", "-")
+        run_experiment(replace(config, experiment=kind, out_dir=str(tmp_path / "alone" / sub)))
+    assert len(pools) == 2 + len(SWEEP_GRID)
+    for kind in SWEEP_GRID:
+        sub = kind.replace(":", "-")
+        names = sorted(p.name for p in (tmp_path / "alone" / sub).iterdir())
+        assert names == ["regret.csv", "summary.json", "trajectory.csv"]
+        for name in names:
+            shared = (tmp_path / "shared" / sub / name).read_bytes()
+            assert shared == (tmp_path / "alone" / sub / name).read_bytes(), (kind, name)
 
 
 def test_env_seed_overrides_flag(small_config, clean_env, capsys):

@@ -24,6 +24,7 @@ from drpsim.experiments import (
     write_trajectory_csv,
 )
 from drpsim import build_regret_report, run_replications
+from drpsim.estimator import init
 from drpsim.rng import substream
 
 
@@ -110,6 +111,18 @@ def test_config_validation():
             parse_config(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             ExperimentConfig(**{key: float(value)})
+
+
+@pytest.mark.parametrize("value", [-1, float("nan")])
+def test_bad_ridge_names_its_key_and_follows_the_estimator(value):
+    with pytest.raises(ValueError) as caught:
+        ExperimentConfig(ridge=value)
+    assert re.match(r"ridge\b(?!_)", str(caught.value)), caught.value
+    if value < 0:
+        # the estimator's rule is the only copy of it
+        with pytest.raises(ValueError) as rule:
+            init(float(value))
+        assert str(caught.value) == f"ridge: {rule.value}"
 
 
 def test_parse_config_happy_path():

@@ -1,4 +1,6 @@
 import inspect
+import itertools
+import math
 import re
 import sys
 import threading
@@ -8,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drpsim import estimator, online
 from drpsim.experiments import ExperimentConfig, build_scenario
@@ -178,6 +182,38 @@ def test_slot1_draw_range_and_override():
         OnlineConfig(scenario=sc, y_capacity=0.5, lambda_init=0.042), substream(3, 1, 0)
     )
     assert pinned.lambda_online[0] == 0.042
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.5, 1.0, exclude_max=True),
+    st.integers(-1000, 1000),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**63 - 1),
+)
+def test_scaled_unit_uniform_is_the_uniform_draw(mantissa, exponent, seed, r):
+    # _draw stores rng.random() and prices slot 1 at h*u; numpy forms
+    # uniform(0, h) as 0 + h*u over the same u, so the bits and the
+    # stream position are those of a U[0, h] draw
+    h = math.ldexp(mantissa, exponent)
+    uniform, unit = substream(seed, 1, r), substream(seed, 1, r)
+    for _ in range(3):
+        assert _bits(uniform.uniform(0.0, h)) == _bits(h * unit.random())
+    assert _same_state(uniform.bit_generator.state, unit.bit_generator.state)
+
+
+@pytest.mark.parametrize("alpha_rev", [6.0, 7, np.float32(5.3), np.float64(2.0 / 3.0)])
+def test_slot1_price_keeps_the_bits_of_a_uniform_draw(alpha_rev):
+    sc = replace(_noise_scenario(7, 5, 0.8), alpha_rev=alpha_rev)
+    config = OnlineConfig(scenario=sc, y_capacity=0.5)
+    for r in range(20):
+        lam = run_episode(config, substream(12, 1, r)).lambda_online[0]
+        want = float(substream(12, 1, r).uniform(0.0, 2.0 * alpha_rev / sc.n))
+        assert _bits(lam) == _bits(want)
 
 
 def _same_state(a, b):
@@ -457,7 +493,7 @@ def test_replications_share_buffers_safely_under_many_switches(monkeypatch):
     _assert_sweep_is_episodes(sweep, _episodes(sc, 0.5, 40, 33))
 
 
-def test_replications_warn_per_episode_in_order_from_the_calling_thread(monkeypatch):
+def test_replications_warn_per_episode_in_order_from_the_calling_thread(monkeypatch, pools):
     _cpus(monkeypatch, 2)
     sc = Scenario(Population([0.5], [1.0]), (1.0, 1.2, 0.9, 1.1, 1.0, 1.3, 0.8, 1.2),
                   alpha_rev=1.0, noise_sd=0.3)
@@ -475,15 +511,28 @@ def test_replications_warn_per_episode_in_order_from_the_calling_thread(monkeypa
         return pop.gamma1, pop.gamma2
 
     monkeypatch.setattr(online, "solve_normal_equations", degenerate_for_episode_index_plus_one_slots)
-    caught = []
 
-    def record(message, category, filename, lineno, file=None, line=None):
-        caught.append((str(message), category, filename, lineno, threading.current_thread()))
+    def run(**kwargs):
+        nonlocal episode
+        episode = -1
+        caught = []
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        warnings.showwarning = record
-        sweep = run_replications(sc, 1.0, 5, master_seed=4)
+        def record(message, category, filename, lineno, file=None, line=None):
+            caught.append((str(message), category, filename, lineno, threading.current_thread()))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = record
+            sweep = run_replications(sc, 1.0, 5, master_seed=4, **kwargs)
+        return sweep, caught
+
+    sweep, caught = run()
+    # draws stored for a later call, then reused by it without a pool, warn alike
+    store = {}
+    assert run(shared_draws=store)[1] == caught
+    assert len(pools) == 2
+    assert run(shared_draws=store)[1] == caught
+    assert len(pools) == 2
     assert [c[0] for c in caught] == [
         f"degenerate estimate: reusing previous price in {r + 1} of 8 slots" for r in range(5)
     ]
@@ -612,3 +661,91 @@ def test_noise_buffers_split_one_episode_buffer(n, noise_sd):
             # one slot at least each, so T < count gives fewer buffers
             assert slots >= 1 if noise_sd else slots == 0
             assert len(buffers) * slots <= episode_slots
+
+
+# ------------------------------------------------------------ shared draws
+
+
+def _assert_sweeps_bits_equal(got, want):
+    for field in ("lambda_star", "lambda_online", "gamma1_hat", "cost_online", "cost_star"):
+        _assert_bits_equal(getattr(got, field), getattr(want, field), field)
+    for field in ("lambda_online", "gamma2_hat", "q_online", "q_star", "cost_star"):
+        _assert_bits_equal(
+            getattr(got.first_trajectory, field), getattr(want.first_trajectory, field), field
+        )
+    assert got.degenerate_events == want.degenerate_events
+    assert got.fallback_events == want.fallback_events
+
+
+def test_shared_draws_are_reused_across_revenue_prices(monkeypatch, pools):
+    # c_rev moves alpha_rev, so the slot-1 price and every later one, but
+    # not the population or the noise
+    _cpus(monkeypatch, 2)
+    configs = [ExperimentConfig(n_users=30, horizon=25, c_rev=c_rev) for c_rev in (1.0, 3.0)]
+    scenarios = [build_scenario(cfg, substream(cfg.seed, 0)) for cfg in configs]
+    assert scenarios[0].alpha_rev != scenarios[1].alpha_rev
+    fresh = [run_replications(sc, 2.0, 6, 42) for sc in scenarios]
+    store = {}
+    shared = [run_replications(sc, 2.0, 6, 42, shared_draws=store) for sc in scenarios]
+    assert len(pools) == 3 and len(store) == 1
+    for got, want in zip(shared, fresh):
+        _assert_sweeps_bits_equal(got, want)
+    assert not np.array_equal(shared[0].lambda_online[:, 0], shared[1].lambda_online[:, 0])
+
+
+def test_shared_draws_compare_betas_by_content(pools):
+    sc = _noise_scenario(20, 15, 0.8)
+    pop = sc.population
+    twin = replace(sc, population=Population(pop.alphas.copy() * 1.5, pop.betas.copy()))
+    store = {}
+    run_replications(sc, 0.5, 4, 3, shared_draws=store)
+    got = run_replications(twin, 0.5, 4, 3, shared_draws=store)
+    assert len(pools) == 1 and len(store) == 1
+    _assert_sweeps_bits_equal(got, run_replications(twin, 0.5, 4, 3))
+
+
+def _population_variants(sc):
+    betas = sc.population.betas.copy()
+    betas[-1] = np.nextafter(betas[-1], np.inf)
+    longer = _noise_scenario(sc.n, sc.horizon + 1, sc.noise_sd)
+    return {
+        "betas": (replace(sc, population=Population(sc.population.alphas, betas)), 4, 3),
+        "noise_sd": (replace(sc, noise_sd=0.9), 4, 3),
+        "horizon": (replace(longer, population=sc.population), 4, 3),
+        "reps": (sc, 5, 3),
+        "seed": (sc, 4, 4),
+    }
+
+
+@pytest.mark.parametrize("what", ["betas", "noise_sd", "horizon", "reps", "seed"])
+def test_shared_draws_are_not_reused_for_another_population(pools, what):
+    sc = _noise_scenario(20, 15, 0.8)
+    other, reps, seed = _population_variants(sc)[what]
+    want = run_replications(other, 0.5, reps, seed)
+    store = {}
+    run_replications(sc, 0.5, 4, 3, shared_draws=store)
+    got = run_replications(other, 0.5, reps, seed, shared_draws=store)
+    assert len(pools) == 3 and len(store) == 2
+    _assert_sweeps_bits_equal(got, want)
+
+
+def test_a_failed_draw_leaves_no_shared_entry(monkeypatch):
+    _cpus(monkeypatch, 2)
+    sc = _noise_scenario(40, 10, 1.0)
+    real = online._noise_statistics
+    calls = itertools.count()
+
+    def fail_on_the_third_draw(scenario, rng, buffer):
+        if next(calls) == 2:
+            raise RuntimeError("draw failed")
+        return real(scenario, rng, buffer)
+
+    monkeypatch.setattr(online, "_noise_statistics", fail_on_the_third_draw)
+    store = {}
+    with pytest.raises(RuntimeError, match="^draw failed$"):
+        run_replications(sc, 0.5, 6, 8, shared_draws=store)
+    assert store == {}
+    monkeypatch.setattr(online, "_noise_statistics", real)
+    got = run_replications(sc, 0.5, 6, 8, shared_draws=store)
+    assert len(store) == 1
+    _assert_sweeps_bits_equal(got, run_replications(sc, 0.5, 6, 8))
