@@ -666,17 +666,6 @@ def test_noise_buffers_split_one_episode_buffer(n, noise_sd):
 # ------------------------------------------------------------ shared draws
 
 
-def _assert_sweeps_bits_equal(got, want):
-    for field in ("lambda_star", "lambda_online", "gamma1_hat", "cost_online", "cost_star"):
-        _assert_bits_equal(getattr(got, field), getattr(want, field), field)
-    for field in ("lambda_online", "gamma2_hat", "q_online", "q_star", "cost_star"):
-        _assert_bits_equal(
-            getattr(got.first_trajectory, field), getattr(want.first_trajectory, field), field
-        )
-    assert got.degenerate_events == want.degenerate_events
-    assert got.fallback_events == want.fallback_events
-
-
 def test_shared_draws_are_reused_across_revenue_prices(monkeypatch, pools):
     # c_rev moves alpha_rev, so the slot-1 price and every later one, but
     # not the population or the noise
@@ -684,12 +673,11 @@ def test_shared_draws_are_reused_across_revenue_prices(monkeypatch, pools):
     configs = [ExperimentConfig(n_users=30, horizon=25, c_rev=c_rev) for c_rev in (1.0, 3.0)]
     scenarios = [build_scenario(cfg, substream(cfg.seed, 0)) for cfg in configs]
     assert scenarios[0].alpha_rev != scenarios[1].alpha_rev
-    fresh = [run_replications(sc, 2.0, 6, 42) for sc in scenarios]
     store = {}
     shared = [run_replications(sc, 2.0, 6, 42, shared_draws=store) for sc in scenarios]
-    assert len(pools) == 3 and len(store) == 1
-    for got, want in zip(shared, fresh):
-        _assert_sweeps_bits_equal(got, want)
+    assert len(pools) == 1 and len(store) == 1
+    for got, sc in zip(shared, scenarios):
+        _assert_sweep_is_episodes(got, _episodes(sc, 2.0, 6, 42))
     assert not np.array_equal(shared[0].lambda_online[:, 0], shared[1].lambda_online[:, 0])
 
 
@@ -701,7 +689,7 @@ def test_shared_draws_compare_betas_by_content(pools):
     run_replications(sc, 0.5, 4, 3, shared_draws=store)
     got = run_replications(twin, 0.5, 4, 3, shared_draws=store)
     assert len(pools) == 1 and len(store) == 1
-    _assert_sweeps_bits_equal(got, run_replications(twin, 0.5, 4, 3))
+    _assert_sweep_is_episodes(got, _episodes(twin, 0.5, 4, 3))
 
 
 def _population_variants(sc):
@@ -721,12 +709,11 @@ def _population_variants(sc):
 def test_shared_draws_are_not_reused_for_another_population(pools, what):
     sc = _noise_scenario(20, 15, 0.8)
     other, reps, seed = _population_variants(sc)[what]
-    want = run_replications(other, 0.5, reps, seed)
     store = {}
     run_replications(sc, 0.5, 4, 3, shared_draws=store)
     got = run_replications(other, 0.5, reps, seed, shared_draws=store)
-    assert len(pools) == 3 and len(store) == 2
-    _assert_sweeps_bits_equal(got, want)
+    assert len(pools) == 2 and len(store) == 2
+    _assert_sweep_is_episodes(got, _episodes(other, 0.5, reps, seed))
 
 
 def test_a_failed_draw_leaves_no_shared_entry(monkeypatch):
@@ -748,4 +735,4 @@ def test_a_failed_draw_leaves_no_shared_entry(monkeypatch):
     monkeypatch.setattr(online, "_noise_statistics", real)
     got = run_replications(sc, 0.5, 6, 8, shared_draws=store)
     assert len(store) == 1
-    _assert_sweeps_bits_equal(got, run_replications(sc, 0.5, 6, 8))
+    _assert_sweep_is_episodes(got, _episodes(sc, 0.5, 6, 8))
