@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -138,12 +139,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     base_out = Path(config.out_dir)
     any_failed = False
-    # all kinds but paramset2 share one population, so they share its draws
+    configs = [
+        replace(config, experiment=kind, out_dir=str(base_out / kind.replace(":", "-")))
+        for kind in SWEEP_GRID
+    ]
+    # kinds with equal intervals draw one population from substream (seed, 0),
+    # so they share its draws; a kind alone with its population keeps none
+    populations = Counter(c.intervals() for c in configs)
     shared_draws: dict = {}
-    for kind in SWEEP_GRID:
-        sub_dir = base_out / kind.replace(":", "-")
-        sub_config = replace(config, experiment=kind, out_dir=str(sub_dir))
-        summary = run_experiment(sub_config, shared_draws=shared_draws)
+    for sub_config in configs:
+        store = shared_draws if populations[sub_config.intervals()] > 1 else None
+        summary = run_experiment(sub_config, shared_draws=store)
         analysis = summary["analysis"]
         if analysis is None:
             status = summary["analysis_note"]
@@ -153,7 +159,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             failed = [k for k, v in checks.items() if v is False]
             status = "ok" if not failed else "FAIL " + ",".join(failed)
             any_failed = any_failed or bool(failed)
-        print(f"{kind}: {status}")
+        print(f"{sub_config.experiment}: {status}")
     print(f"outputs in {base_out}")
     return 1 if any_failed else 0
 

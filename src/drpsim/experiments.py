@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, TextIO, get_args, get_type_hints
 
@@ -32,7 +32,7 @@ from numpy.typing import NDArray
 
 from .analysis import RegretReport, build_regret_report, summarize
 from .estimator import init
-from .model import Population, Scenario
+from .model import Population, Scenario, _check_finite
 from .offline import compute_y_star
 from .online import OnlineConfig, Trajectory, run_replications
 from .rng import substream
@@ -102,10 +102,13 @@ class ExperimentConfig:
     The kind fixes the sampling intervals (see intervals()); other
     intervals need a Population and Scenario built directly. y_capacity
     None means commit the closed-form optimum of the drawn scenario.
-    Every field must have its annotated type (a bool is not an int, an
-    int is accepted for a float), else TypeError names the key. Float
-    fields are stored as float, so a config equals the one parse_config
-    reads.
+    The fields are the only list of run settings: parse_config reads
+    each by its annotated type, and run_experiment writes all but out_dir
+    to summary.json. Every field must have its annotated type (a bool is
+    not an int, an int is accepted for a float), else TypeError names
+    the key; a float field must be finite (model._check_finite), else
+    ValueError names it. Float fields are stored as float, so a config
+    equals the one parse_config reads.
     """
 
     experiment: str = "baseline"
@@ -115,8 +118,8 @@ class ExperimentConfig:
     seed: int = 42
     c_rev: float = 1.0
     ridge: float = OnlineConfig.ridge_param
-    noise_sd: float = 1.0
-    coupled_noise: bool = False
+    noise_sd: float = Scenario.noise_sd
+    coupled_noise: bool = OnlineConfig.coupled_noise
     y_capacity: Optional[float] = None
     out_dir: str = "results"
 
@@ -132,8 +135,7 @@ class ExperimentConfig:
                 expected = kind.__name__ + (" or None" if optional else "")
                 raise TypeError(f"{name} must be {expected}, got {value!r}")
             if kind is float:
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
+                _check_finite(name, value)
                 object.__setattr__(self, name, float(value))
         parse_experiment_kind(self.experiment)
         for name in ("n_users", "horizon", "reps"):
@@ -163,9 +165,6 @@ _KEY_TYPES = {
     k: next(a for a in get_args(h) or (h,) if a is not type(None)) for k, h in _HINTS.items()
 }
 _OPTIONAL_KEYS = {k for k, h in _HINTS.items() if type(None) in get_args(h)}
-_INT_KEYS = {k for k, t in _KEY_TYPES.items() if t is int}
-_FLOAT_KEYS = {k for k, t in _KEY_TYPES.items() if t is float}
-_BOOL_KEYS = {k for k, t in _KEY_TYPES.items() if t is bool}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -189,18 +188,18 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: unknown key '{key}'")
         if key in data:
             raise ValueError(f"config line {lineno}: duplicate key '{key}'")
-        if key in _INT_KEYS or key in _FLOAT_KEYS:
-            number = int if key in _INT_KEYS else float
-            data[key] = _parse_number(number, value, f"config line {lineno}: {key}")
-        elif key in _BOOL_KEYS:
+        kind = _KEY_TYPES[key]
+        if kind is bool:
             lowered = value.lower()
             if lowered not in ("true", "false"):
                 raise ValueError(
                     f"config line {lineno}: expected true/false, got '{value}'"
                 )
             data[key] = lowered == "true"
-        else:
+        elif kind is str:
             data[key] = value
+        else:
+            data[key] = _parse_number(kind, value, f"config line {lineno}: {key}")
     return ExperimentConfig(**data)
 
 
@@ -301,6 +300,8 @@ def run_experiment(config: ExperimentConfig, *, shared_draws: Optional[dict] = N
     Writes trajectory.csv (replication 0), regret.csv (when analysis is
     possible; otherwise any earlier regret.csv is removed), and
     summary.json under config.out_dir, and returns the summary dict.
+    The summary records every config field but out_dir, with y_capacity
+    the committed capacity (the closed form when the field is unset).
     Analysis failures that have a defined meaning (fewer than 2
     replications, horizon too short for the fit window, an optimal price
     ~0 where the relative tracking error is undefined) are reported in
@@ -329,16 +330,9 @@ def run_experiment(config: ExperimentConfig, *, shared_draws: Optional[dict] = N
     write_trajectory_csv(out_dir / "trajectory.csv", sweep.first_trajectory)
 
     (a_int, b_int, d_int) = config.intervals()
-    summary: dict = {
-        "experiment": config.experiment,
-        "n_users": config.n_users,
-        "horizon": config.horizon,
-        "reps": config.reps,
-        "seed": config.seed,
-        "c_rev": config.c_rev,
-        "ridge": config.ridge,
-        "noise_sd": config.noise_sd,
-        "coupled_noise": config.coupled_noise,
+    summary: dict = asdict(config)
+    del summary["out_dir"]  # outputs never embed their path
+    summary |= {
         "alpha_interval": [a_int[0], a_int[1]],
         "beta_interval": [b_int[0], b_int[1]],
         "d_interval": [d_int[0], d_int[1]],

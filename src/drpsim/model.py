@@ -53,7 +53,11 @@ def _check_finite(name: str, value: object) -> None:
     """Raise TypeError or ValueError naming name unless value is a finite real, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be finite, got an int too large for a float") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -61,12 +65,13 @@ def _checked_array(name: str, values: ArrayLike, positive: bool) -> NDArray[np.f
     """Read-only 1-D float64 copy of values, each finite and > 0 (or >= 0).
 
     Raises:
-        ValueError: an entry is not a number, the array is empty or not
-            1-D, or an entry is out of range; the message names the array.
+        ValueError: an entry is not a number or an int too large for a
+            float, the array is empty or not 1-D, or an entry is out of
+            range; the message names the array.
     """
     try:
         arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must hold numbers: {exc}") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D array, got shape {arr.shape}")

@@ -188,6 +188,26 @@ def test_sweep_shares_draws_and_writes_the_bytes_of_separate_runs(
             assert shared == (tmp_path / "alone" / sub / name).read_bytes(), (kind, name)
 
 
+def test_sweep_keeps_no_draws_of_a_population_no_other_kind_shares(
+    sweep_config, clean_env, monkeypatch, tmp_path, capsys
+):
+    stores = {}
+
+    def recording_run_experiment(config, *, shared_draws=None):
+        stores[config.experiment] = shared_draws
+        return run_experiment(config, shared_draws=shared_draws)
+
+    monkeypatch.setattr("drpsim.cli.run_experiment", recording_run_experiment)
+    main(["sweep", "--config", sweep_config, "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert list(stores) == list(SWEEP_GRID)
+    assert stores.pop("paramset2") is None
+    store = stores["baseline"]
+    assert isinstance(store, dict)
+    assert all(s is store for s in stores.values())
+    assert len(store) == 1
+
+
 def test_env_seed_overrides_flag(small_config, clean_env, capsys):
     main(["offline", "--config", small_config, "--seed", "9"])
     from_env_free = capsys.readouterr().out

@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drpsim.experiments import (
-    _BOOL_KEYS,
-    _FLOAT_KEYS,
-    _INT_KEYS,
+    _KEY_TYPES,
     ExperimentConfig,
     build_scenario,
     parse_config,
     parse_experiment_kind,
     run_experiment,
+    scenario_and_capacity,
     write_regret_csv,
     write_table,
     write_trajectory_csv,
@@ -111,6 +110,10 @@ def test_config_validation():
             parse_config(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             ExperimentConfig(**{key: float(value)})
+    for key in ("c_rev", "ridge", "noise_sd", "y_capacity"):
+        # an int past the float range names its key, not a bare OverflowError
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got an int too large"):
+            ExperimentConfig(**{key: 10**400})
 
 
 @pytest.mark.parametrize("value", [-1, float("nan")])
@@ -182,19 +185,17 @@ def _config_text(config):
     return "\n".join(lines) + "\n"
 
 
-def test_config_key_tables_match_field_types():
-    # a float field missing from _FLOAT_KEYS would parse as a string and
-    # escape the finiteness check
-    by_type = {}
-    for name, hint in typing.get_type_hints(ExperimentConfig).items():
-        base = next(a for a in typing.get_args(hint) or (hint,) if a is not type(None))
-        by_type.setdefault(base, set()).add(name)
-    assert by_type.pop(int) == _INT_KEYS
-    assert by_type.pop(float) == _FLOAT_KEYS
-    assert by_type.pop(bool) == _BOOL_KEYS
-    assert list(by_type) == [str]
-    typed = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | by_type[str]
-    assert typed == {f.name for f in fields(ExperimentConfig)}
+def test_key_types_match_field_types():
+    # a float key parsed as another type would escape the finiteness check
+    hints = typing.get_type_hints(ExperimentConfig)
+    assert list(_KEY_TYPES) == [f.name for f in fields(ExperimentConfig)]
+    for name, kind in _KEY_TYPES.items():
+        assert hints[name] in (kind, typing.Optional[kind]), name
+    float_keys = [k for k, kind in _KEY_TYPES.items() if kind is float]
+    assert float_keys == ["c_rev", "ridge", "noise_sd", "y_capacity"]
+    parsed = parse_config("".join(f"{k} = 2.5\n" for k in float_keys))
+    for key in float_keys:
+        assert type(getattr(parsed, key)) is float and getattr(parsed, key) == 2.5, key
 
 
 def test_config_round_trip():
@@ -525,6 +526,42 @@ def test_python_and_file_configs_write_identical_summaries(tmp_path):
     assert (tmp_path / "py" / "summary.json").read_bytes() == (
         tmp_path / "file" / "summary.json"
     ).read_bytes()
+
+
+#: summary.json keys that are not config settings
+_DERIVED_KEYS = {
+    "alpha_interval",
+    "beta_interval",
+    "d_interval",
+    "alpha_rev",
+    "gamma1",
+    "gamma2",
+    "y_star_closed_form",
+    "degenerate_events",
+    "fallback_events",
+    "analysis",
+}
+
+
+@pytest.mark.parametrize("y_capacity", [None, 2.5])
+def test_summary_records_every_setting_but_out_dir(tmp_path, y_capacity):
+    cfg = ExperimentConfig(
+        n_users=5, horizon=12, reps=3, seed=3, y_capacity=y_capacity, out_dir=str(tmp_path)
+    )
+    run_experiment(cfg)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    settings = {f.name for f in fields(cfg)} - {"out_dir"}
+    assert set(summary) - _DERIVED_KEYS == settings
+    for name in settings - {"y_capacity"}:
+        value = getattr(cfg, name)
+        assert summary[name] == value and type(summary[name]) is type(value), name
+    # y_capacity is the capacity committed: the override, else the closed form
+    _, y = scenario_and_capacity(cfg)
+    assert summary["y_capacity"] == y
+    if y_capacity is None:
+        assert y == summary["y_star_closed_form"]
+    else:
+        assert y == 2.5 != summary["y_star_closed_form"]
 
 
 def test_run_experiment_outputs_are_path_independent(tmp_path):

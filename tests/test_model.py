@@ -220,6 +220,15 @@ def test_parameter_validation():
         Population(["a"], [1.0])
     with pytest.raises(ValueError, match="betas must hold numbers"):
         Population([1.0], [[1.0], 2.0])
+    # an int past the float range names its key or array, not a bare OverflowError
+    with pytest.raises(ValueError, match="^alphas must hold numbers: int too large"):
+        Population([10**400], [1.0])
+    with pytest.raises(ValueError, match="^demand must hold numbers: int too large"):
+        Scenario(pop, (10**400,), alpha_rev=1.0)
+    for key in ("alpha_rev", "noise_sd"):
+        kwargs = {"alpha_rev": 1.0, key: 10**400}
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got an int too large"):
+            Scenario(pop, (1.0,), **kwargs)
     for key, value in (("alpha_rev", "1"), ("noise_sd", None), ("noise_sd", True)):
         kwargs = {"alpha_rev": 1.0, key: value}
         with pytest.raises(TypeError, match=rf"^{key} must be a real number, got {value!r}$"):
