@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,24 +47,39 @@ SWEEP_GRID = (
     "blocked-dt:4",
 )
 
-_CONFIG_HELP = """\
-config file format: one 'key = value' per line, '#' starts a comment.
-keys (defaults in parentheses):
-  experiment    (baseline)  baseline | paramset2 | repeated-dt:P | blocked-dt:B
-  n_users       (100)       population size N
-  horizon       (100)       number of slots T
-  reps          (1000)      Monte Carlo replications
-  seed          (42)        master seed; every stream derives from it
-  c_rev         (1.0)       revenue price constant: alpha_rev = c_rev * max d_t
-  ridge         (0.001)     estimator regularization weight
-  noise_sd      (1.0)       per-user response noise standard deviation
-  coupled_noise (false)     counterfactual costs reuse the online noise draws
-  y_capacity    (unset)     committed capacity override (default: closed form)
-  out_dir       (results)   output directory
+#: what each config key sets, shown in --help beside the key's default
+_KEY_HELP = {
+    "experiment": "baseline | paramset2 | repeated-dt:P | blocked-dt:B",
+    "n_users": "population size N",
+    "horizon": "number of slots T",
+    "reps": "Monte Carlo replications",
+    "seed": "master seed; every stream derives from it",
+    "c_rev": "revenue price constant: alpha_rev = c_rev * max d_t",
+    "ridge": "estimator regularization weight",
+    "noise_sd": "per-user response noise standard deviation",
+    "coupled_noise": "counterfactual costs reuse the online noise draws",
+    "y_capacity": "committed capacity override (default: closed form)",
+    "out_dir": "output directory",
+}
 
-environment: DRPSIM_SEED and DRPSIM_OUT override seed and output
-directory over any file or flag value.
-"""
+
+def _config_help() -> str:
+    """The --help epilog: every ExperimentConfig field, its default and _KEY_HELP's text."""
+    defaults = asdict(ExperimentConfig())
+    unmatched = set(defaults) ^ set(_KEY_HELP)
+    if unmatched:
+        raise KeyError(f"config keys and their --help descriptions differ in {sorted(unmatched)}")
+    lines = []
+    for key, value in defaults.items():
+        shown = "unset" if value is None else str(value)
+        shown = shown.lower() if isinstance(value, bool) else shown
+        lines.append(f"  {key:<13} {f'({shown})':<11} {_KEY_HELP[key]}")
+    return (
+        "config file format: one 'key = value' per line, '#' starts a comment.\n"
+        "keys (defaults in parentheses):\n" + "\n".join(lines) + "\n\n"
+        "environment: DRPSIM_SEED and DRPSIM_OUT override seed and output\n"
+        "directory over any file or flag value.\n"
+    )
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -168,7 +183,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="drpsim",
         description="Online demand-response pricing simulator.",
-        epilog=_CONFIG_HELP,
+        epilog=_config_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     common = argparse.ArgumentParser(add_help=False)

@@ -49,6 +49,9 @@ __all__ = [
     "write_regret_csv",
 ]
 
+#: rows write_table formats at once: its cell strings stay a few hundred kB
+TABLE_BLOCK = 256
+
 #: sampling intervals (alpha, beta, d) per named parameter set
 KIND_INTERVALS = {
     "baseline": ((1.0, 2.0), (4.0, 8.0), (3.0, 6.0)),
@@ -251,13 +254,22 @@ def scenario_and_capacity(config: ExperimentConfig) -> tuple[Scenario, float]:
 def write_table(f: TextIO, columns: dict[str, NDArray]) -> None:
     """CSV of equal-length columns: a header of their names, then one row per index.
 
-    Each value is written as str of its tolist() form, so ints print as
-    ints and floats as the shortest decimal that round-trips to the same
-    double. Open files with newline="" so every line ends in "\\n".
+    Each value is written as str of its tolist() form (ints as ints, floats
+    as the shortest round-trip decimal), TABLE_BLOCK rows at a time: a
+    numeric column as one repr of its list, which str equals cell by cell,
+    any other column (strings) value by value. Open files with newline=""
+    so every line ends in "\\n".
     """
     f.write(",".join(columns) + "\n")
-    for row in zip(*(c.tolist() for c in columns.values())):
-        f.write(",".join(map(str, row)) + "\n")
+    for start in range(0, min(map(len, columns.values()), default=0), TABLE_BLOCK):
+        cells = []
+        for col in columns.values():
+            values = col[start : start + TABLE_BLOCK].tolist()
+            if col.dtype.kind in "biuf":
+                cells.append(repr(values)[1:-1].split(", "))
+            else:
+                cells.append(map(str, values))
+        f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:

@@ -199,10 +199,9 @@ def aggregate_from_noise(
     Summing realize_outcome's x_i = (N*lambda_t - alpha_i)/beta_i + eps_i
     over users gives this identity, so Q_t needs the per-slot noise sum
     eps_sum instead of the N responses. It agrees with the summed
-    responses up to rounding, not bit for bit. Given floats it returns a
-    float, and the online loop calls it that way once per slot; given
-    arrays it evaluates the same expression elementwise, bit-equal to
-    the scalar calls.
+    responses up to rounding, not bit for bit. Given arrays it evaluates
+    the expression elementwise; the online kernel writes it out for each
+    slot in this operation order, so the two agree bit for bit.
     """
     pop = scenario.population
     return scenario.n * lam * pop.gamma1 + pop.gamma2 + eps_sum

@@ -18,9 +18,11 @@ it from the slot's noise sum by the identity
 Q_t = N*gamma1*lambda_t + gamma2 + sum_i eps_it
 (model.aggregate_from_noise); the N individual responses are never
 built. The noise is reduced to per-slot statistics before the loop, so
-the recursion itself is scalar work only. run_replications draws several
-replications' noise at once on worker threads and runs their recursions
-in replication order, so its outputs do not depend on the thread count.
+the recursion is one kernel over local floats (_finish_episode) that
+calls only the estimator's solve and the price rule each slot.
+run_replications draws several replications' noise at once on worker
+threads and runs their recursions in replication order, so its outputs
+do not depend on the thread count.
 
 An episode's draw (_draw) is the unit uniform u behind the slot-1 price
 and the noise statistics. It depends on the population's betas,
@@ -40,6 +42,7 @@ way, so the flag changes nothing about the online path itself.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import threading
@@ -51,7 +54,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimator import UnidentifiableError, init, solve_normal_equations, update
+from .estimator import UnidentifiableError, init, solve_normal_equations
 from .model import Scenario, _check_finite, aggregate_from_noise, stage_costs_from_noise
 from .offline import DegenerateEstimateError, lambda_star_path, next_price
 from .rng import substream
@@ -135,10 +138,10 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
        scaled by noise_sd in place), and reduced at once to sum_i eps_i
        and sum_i beta_i*eps_i^2 of both rows before the next block
        overwrites it.
-    2. Recursion: estimate, price and observe on plain floats, O(1) per
-       slot. The observed aggregate is model.aggregate_from_noise's
-       Q_t = N*lambda_t*gamma1 + gamma2 + sum_i eps_it, so the loop never
-       forms the N responses.
+    2. Recursion: estimate, price and observe in one kernel over local
+       floats, O(1) per slot. The observed aggregate is
+       model.aggregate_from_noise's Q_t = N*lambda_t*gamma1 + gamma2 +
+       sum_i eps_it, so the loop never forms the N responses.
     3. Costs: the stage costs and the counterfactual aggregates are
        formed after the loop (model.stage_costs_from_noise,
        model.aggregate_from_noise).
@@ -179,40 +182,54 @@ def _finish_episode(
 ) -> Trajectory:
     """Steps 2 and 3 of run_episode from one _draw's uniform and noise statistics.
 
-    The degenerate-price warning is attributed stacklevel frames up.
+    Step 2 is one kernel over locals (the estimator state, N, gamma1,
+    gamma2, y, the price) that calls only this module's
+    solve_normal_equations and next_price each slot and forms Q_t in
+    model.aggregate_from_noise's operation order. A non-finite Q_t raises
+    ValueError (gamma1 > 0, so a non-finite price gives one). The
+    degenerate-price warning is attributed stacklevel frames up.
     """
     scenario = config.scenario
-    n = scenario.n
+    pop = scenario.population
+    n = pop.n
+    gamma1, gamma2 = pop.gamma1, pop.gamma2
     t_hor = scenario.horizon
-    y = config.y_capacity
+    y = float(config.y_capacity)
     lam = float(config.lambda_init) if u is None else float(2.0 * scenario.alpha_rev / n) * u
     lam_star = lambda_star_path(scenario, y)
-    est_state = init(config.ridge_param, n)
+    m, su, suu, sz, suz, ridge = init(config.ridge_param, n)
 
-    lam_path = []
-    g1_path = []
-    g2_path = []
-    q_path = []
-    degenerate_events = 0
-    fallback_events = 0
-    g1, g2 = 0.0, 0.0
-    for t, (d_t, eps_sum_t) in enumerate(zip(scenario.demand.tolist(), eps_sum[:, 0].tolist())):
-        if t > 0:
+    lam_path = [0.0] * t_hor
+    g1_path = [0.0] * t_hor
+    g2_path = [0.0] * t_hor
+    q_path = [0.0] * t_hor
+    degenerate_events = fallback_events = 0
+    g1 = g2 = 0.0
+    inf = math.inf
+    for t, d_t, s_t in zip(range(t_hor), scenario.demand.tolist(), eps_sum[:, 0].tolist()):
+        if t:
             try:
-                g1, g2 = solve_normal_equations(est_state)
+                g1, g2 = solve_normal_equations(m, su, suu, sz, suz, ridge)
             except UnidentifiableError:
-                g1, g2 = 0.0, 0.0
+                g1 = g2 = 0.0
                 fallback_events += 1
             try:
                 lam = next_price(g1, g2, y, d_t, n)
             except DegenerateEstimateError:
                 degenerate_events += 1
-        q = aggregate_from_noise(scenario, lam, eps_sum_t)
-        lam_path.append(lam)
-        g1_path.append(g1)
-        g2_path.append(g2)
-        q_path.append(q)
-        update(est_state, lam, q)
+        u_t = n * lam
+        q = u_t * gamma1 + gamma2 + s_t
+        if not -inf < q < inf:
+            raise ValueError(f"observation must be finite, got ({lam}, {q})")
+        lam_path[t] = lam
+        g1_path[t] = g1
+        g2_path[t] = g2
+        q_path[t] = q
+        m += 1
+        su += u_t
+        suu += u_t * u_t
+        sz += q
+        suz += u_t * q
 
     if degenerate_events:
         warnings.warn(
@@ -427,12 +444,9 @@ def _draw_pool(
 
     Each pool thread takes one of the buffers _noise_buffers splits one
     episode's buffer into when it starts, and draws only into it. The
-    buffers are allocated once per call, here in the calling thread: a
-    variant that let each draw allocate its own block on its pool thread
-    read, over 4 alternating pairs of bench.py --seconds 45 --trace 0 on
-    a 2-core host, large-pop setup_s 2.43 -> 3.76 ms (+55%) and
-    peak_rss_mb 49.8 -> 54.2 (+8.8%), for wall_x_ref 0.472 -> 0.460 on
-    large-pop and 0.180 -> 0.177 on sweep-t1000.
+    buffers are allocated once per call, here in the calling thread;
+    allocating each draw's block on its pool thread measured slower to
+    set up on large-pop (README, Simulation engine).
     """
     free = list(_noise_buffers(config.scenario, min(reps, _usable_cpus())))
     local = threading.local()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import drpsim
+from drpsim import cli
 from drpsim.cli import SWEEP_GRID, main
 from drpsim.experiments import ExperimentConfig, run_experiment, scenario_and_capacity
 from drpsim.model import aggregate_from_noise
@@ -110,6 +111,14 @@ def test_help_names_every_config_key_with_its_default(capsys):
         match = re.search(key + r"[^(]*\(([^)]*)\)", text)
         assert match is not None, field.name
         assert match.group(1) == shown, field.name
+
+
+def test_help_fails_on_a_config_key_without_a_description(monkeypatch):
+    described = dict(cli._KEY_HELP)
+    del described["noise_sd"]
+    monkeypatch.setattr(cli, "_KEY_HELP", described)
+    with pytest.raises(KeyError, match=re.escape("differ in ['noise_sd']")):
+        main(["--help"])
 
 
 def test_simulate_writes_trajectory(small_config, clean_env, tmp_path, capsys):

@@ -3,7 +3,7 @@
 loop_episode is the slot-by-slot body of run_episode before noise was
 drawn in blocks and costs were formed from noise statistics: one noise
 vector per call, realize_outcome and stage_cost on the N responses of
-both streams, solve_normal_equations/update on an EstimatorState. The
+both streams, solve_normal_equations on sums the loop forms itself. The
 estimator observes Q_t = N*lambda_t*gamma1 + gamma2 + sum_i eps_it, the
 identity run_episode uses, and each slot checks that Q_t against the
 summed responses. Prices, gamma estimates and Q_online must agree bit
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpsim.estimator import UnidentifiableError, init, solve_normal_equations, update
+from drpsim.estimator import UnidentifiableError, init, solve_normal_equations
 from drpsim.experiments import ExperimentConfig, build_scenario
 from drpsim.model import Population, Scenario, aggregate_from_noise, realize_outcome, stage_cost
 from drpsim.offline import DegenerateEstimateError, compute_y_star, lambda_star_path, next_price
@@ -39,7 +39,7 @@ def loop_episode(config, rng):
     y = config.y_capacity
     noise_sd = scenario.noise_sd
     lam_star = lambda_star_path(scenario, y)
-    est_state = init(config.ridge_param, n)
+    m, su, suu, sz, suz, ridge = init(config.ridge_param, n)
     if config.lambda_init is not None:
         lam = float(config.lambda_init)
     else:
@@ -54,7 +54,7 @@ def loop_episode(config, rng):
     for t in range(1, t_hor + 1):
         if t > 1:
             try:
-                g1, g2 = solve_normal_equations(est_state)
+                g1, g2 = solve_normal_equations(m, su, suu, sz, suz, ridge)
             except UnidentifiableError:
                 g1, g2 = 0.0, 0.0
                 fallback += 1
@@ -80,7 +80,12 @@ def loop_episode(config, rng):
         assert abs(q - q_summed) <= COST_RTOL * max(1.0, abs(q_summed)), (t, q, q_summed)
         out["q_online"][t - 1] = q
         out["q_star"][t - 1], out["cost_star"][t - 1] = stage_cost(scenario, y, t, x_cf)
-        update(est_state, lam, q)
+        u = n * lam
+        m += 1
+        su += u
+        suu += u * u
+        sz += q
+        suz += u * q
     out["degenerate_events"] = degenerate
     out["fallback_events"] = fallback
     return out

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import math
 import re
 import typing
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from drpsim.experiments import (
     write_table,
     write_trajectory_csv,
 )
-from drpsim import build_regret_report, run_replications
+from drpsim import build_regret_report, experiments, run_replications
 from drpsim.estimator import init
 from drpsim.rng import substream
 
@@ -402,6 +404,44 @@ def test_write_table_matches_csv_writer_with_repr(tmp_path):
     data = path.read_bytes()
     assert data == expected.getvalue().encode()
     assert b"\r" not in data
+
+
+def _row_wise_table(columns):
+    """write_table's bytes as the row-wise writer formed them: str of each value."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(str, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    return "".join(line + "\n" for line in lines)
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 1e22, 0.1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 50).flatmap(
+        lambda rows: st.tuples(
+            st.lists(st.integers(-(2**63), 2**63 - 1), min_size=rows, max_size=rows),
+            st.lists(
+                st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+                min_size=rows,
+                max_size=rows,
+            ),
+            st.lists(st.text(max_size=12), min_size=rows, max_size=rows),
+        )
+    ),
+    st.integers(1, 60),
+)
+def test_write_table_matches_row_wise_writer(data, block):
+    ints, floats, texts = data
+    columns = {
+        "key": np.array(texts),
+        "n": np.array(ints, dtype=np.int64),
+        "x": np.array(floats),
+    }
+    out = io.StringIO(newline="")
+    with mock.patch.object(experiments, "TABLE_BLOCK", block):  # one or many blocks
+        write_table(out, columns)
+    assert out.getvalue() == _row_wise_table(columns)
 
 
 def test_trajectory_csv_round_trip(tiny_sweep, tmp_path):

@@ -98,12 +98,13 @@ def test_true_estimate_is_fixed_point(monkeypatch):
     y = compute_y_star(sc)
     pop = sc.population
 
-    def solve_with_true_history(state):
+    def solve_with_true_history(m, su, suu, sz, suz, ridge):
         # the episode's observations plus two exact ones on the true line
-        state = replace(state)
         for lam in (0.5, 1.0):
-            estimator.update(state, lam, sc.n * pop.gamma1 * lam + pop.gamma2)
-        return estimator.solve_normal_equations(state)
+            u = sc.n * lam
+            z = sc.n * pop.gamma1 * lam + pop.gamma2
+            m, su, suu, sz, suz = m + 1, su + u, suu + u * u, sz + z, suz + u * z
+        return estimator.solve_normal_equations(m, su, suu, sz, suz, ridge)
 
     monkeypatch.setattr(online, "solve_normal_equations", solve_with_true_history)
     traj = run_episode(
@@ -308,9 +309,25 @@ def test_zero_noise_allocates_no_noise_buffer():
     assert _noise_statistics_peak_bytes(_noise_scenario(n, 100, 0.0)) < 2 * n * 8
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("slot", [0, 2])
+def test_episode_rejects_nonfinite_observation(bad, slot):
+    # a non-finite noise sum makes Q_t non-finite; the kernel raises at that
+    # slot instead of carrying it into the sums and pricing from nan
+    sc = _noise_scenario(3, 4, 1.0)
+    config = OnlineConfig(scenario=sc, y_capacity=1.0, lambda_init=0.5)
+    eps_sum = np.zeros((4, 2))
+    eps_sum[slot, 0] = bad
+    clean = online._finish_episode(config, None, np.zeros((4, 2)), np.zeros((4, 2)), stacklevel=2)
+    lam = clean.lambda_online[slot]
+    message = f"observation must be finite, got ({lam}, {bad})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        online._finish_episode(config, None, eps_sum, np.zeros((4, 2)), stacklevel=2)
+
+
 def _degenerate_estimates(monkeypatch):
     """Every estimate is (-1, 5), so N*gamma1_hat + N = 0 and every price degenerates."""
-    monkeypatch.setattr(online, "solve_normal_equations", lambda state: (-1.0, 5.0))
+    monkeypatch.setattr(online, "solve_normal_equations", lambda *state: (-1.0, 5.0))
 
 
 def test_degenerate_recovery_keeps_previous_price(monkeypatch):
@@ -500,13 +517,13 @@ def test_replications_warn_per_episode_in_order_from_the_calling_thread(monkeypa
     pop = sc.population
     episode = -1
 
-    def degenerate_for_episode_index_plus_one_slots(state):
+    def degenerate_for_episode_index_plus_one_slots(m, *sums):
         # episode e prices degenerately for its first e + 1 estimates, so the
         # warnings tell the episodes apart; otherwise the true line
         nonlocal episode
-        if state.n_samples == 1:
+        if m == 1:
             episode += 1
-        if state.n_samples <= episode + 1:
+        if m <= episode + 1:
             return -1.0, 5.0
         return pop.gamma1, pop.gamma2
 
