@@ -57,7 +57,6 @@ _KEY_HELP = {
     "c_rev": "revenue price constant: alpha_rev = c_rev * max d_t",
     "ridge": "estimator regularization weight",
     "noise_sd": "per-user response noise standard deviation",
-    "coupled_noise": "counterfactual costs reuse the online noise draws",
     "y_capacity": "committed capacity override (default: closed form)",
     "out_dir": "output directory",
 }
@@ -72,7 +71,6 @@ def _config_help() -> str:
     lines = []
     for key, value in defaults.items():
         shown = "unset" if value is None else str(value)
-        shown = shown.lower() if isinstance(value, bool) else shown
         lines.append(f"  {key:<13} {f'({shown})':<11} {_KEY_HELP[key]}")
     return (
         "config file format: one 'key = value' per line, '#' starts a comment.\n"
@@ -91,7 +89,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         out_dir=args.out,
         experiment=args.experiment,
         y_capacity=args.y_capacity,
-        coupled_noise=True if args.coupled_noise else None,
     )
     config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     env_seed = os.environ.get("DRPSIM_SEED")
@@ -122,9 +119,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     scenario, y = scenario_and_capacity(config)
     # replication 0 of a sweep is the episode; only online knows its stream
-    traj = run_replications(
-        scenario, y, 1, config.seed, ridge_param=config.ridge, coupled_noise=config.coupled_noise
-    ).first_trajectory
+    traj = run_replications(scenario, y, 1, config.seed, ridge_param=config.ridge).first_trajectory
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "trajectory.csv"
@@ -195,11 +190,6 @@ def main(argv=None) -> int:
         "--experiment",
         metavar="KIND",
         help="baseline | paramset2 | repeated-dt:P | blocked-dt:B",
-    )
-    common.add_argument(
-        "--coupled-noise",
-        action="store_true",
-        help="couple counterfactual costs to the online noise draws",
     )
     common.add_argument(
         "--y-capacity", type=float, metavar="FLOAT", help="override committed capacity"

@@ -39,21 +39,17 @@ class UnidentifiableError(RuntimeError):
     """Normal matrix numerically singular (not enough price variation)."""
 
 
-def init(ridge_param: float, n_scale: int = 1) -> tuple[int, float, float, float, float, float]:
+def init(ridge_param: float) -> tuple[int, float, float, float, float, float]:
     """State with no observations: (m, sum u, sum u^2, sum Z, sum u*Z, ridge).
 
-    Args:
-        ridge_param: regularization weight, >= 0. With a positive weight
-            the zero-data estimate is the prior mean (0, 0); with 0 the
-            estimator refuses to produce estimates until the data
-            identify the line.
-        n_scale: population size N >= 1 entering the regressor N*lambda.
+    ridge_param is the regularization weight, >= 0. With a positive
+    weight the zero-data estimate is the prior mean (0, 0); with 0 the
+    estimator refuses to produce estimates until the data identify the
+    line.
     """
     _check_finite("ridge_param", ridge_param)
     if ridge_param < 0:
         raise ValueError(f"ridge_param must be >= 0, got {ridge_param}")
-    if n_scale < 1:
-        raise ValueError(f"n_scale must be >= 1, got {n_scale}")
     return 0, 0.0, 0.0, 0.0, 0.0, float(ridge_param)
 
 

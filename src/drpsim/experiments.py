@@ -91,7 +91,7 @@ def parse_experiment_kind(kind: str) -> tuple[str, Optional[float]]:
         b = _parse_number(int, arg, "blocked-dt block size")
         if b < 1:
             raise ValueError(f"blocked-dt block size must be >= 1, got {b}")
-        return family, float(b)
+        return family, b
     raise ValueError(
         f"unknown experiment kind '{kind}' (expected baseline, paramset2, "
         "repeated-dt:P, or blocked-dt:B)"
@@ -122,7 +122,6 @@ class ExperimentConfig:
     c_rev: float = 1.0
     ridge: float = OnlineConfig.ridge_param
     noise_sd: float = Scenario.noise_sd
-    coupled_noise: bool = OnlineConfig.coupled_noise
     y_capacity: Optional[float] = None
     out_dir: str = "results"
 
@@ -132,9 +131,9 @@ class ExperimentConfig:
             optional = name in _OPTIONAL_KEYS
             if value is None and optional:
                 continue
-            # bool is an int subclass, so only bool keys may hold one
+            # bool is an int subclass, and no key holds one
             allowed = (int, float) if kind is float else kind
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+            if isinstance(value, bool) or not isinstance(value, allowed):
                 expected = kind.__name__ + (" or None" if optional else "")
                 raise TypeError(f"{name} must be {expected}, got {value!r}")
             if kind is float:
@@ -192,14 +191,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in data:
             raise ValueError(f"config line {lineno}: duplicate key '{key}'")
         kind = _KEY_TYPES[key]
-        if kind is bool:
-            lowered = value.lower()
-            if lowered not in ("true", "false"):
-                raise ValueError(
-                    f"config line {lineno}: expected true/false, got '{value}'"
-                )
-            data[key] = lowered == "true"
-        elif kind is str:
+        if kind is str:
             data[key] = value
         else:
             data[key] = _parse_number(kind, value, f"config line {lineno}: {key}")
@@ -220,7 +212,8 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
     alphas = rng.uniform(a_lo, a_hi, n)
     betas = rng.uniform(b_lo, b_hi, n)
     if family == "blocked-dt":
-        block = int(param)
+        # a block of B >= T slots is one block of T: repeating a huge B would fill memory
+        block = min(param, t_hor)
         n_blocks = math.ceil(t_hor / block)
         d = np.repeat(rng.uniform(d_lo, d_hi, n_blocks), block)[:t_hor]
     else:
@@ -335,7 +328,6 @@ def run_experiment(config: ExperimentConfig, *, shared_draws: Optional[dict] = N
         config.reps,
         config.seed,
         ridge_param=config.ridge,
-        coupled_noise=config.coupled_noise,
         shared_draws=shared_draws,
     )
 

@@ -34,10 +34,8 @@ share a population.
 
 Each slot also realizes the counterfactual outcome at the optimal price
 so that online and optimal stage costs are recorded side by side. The
-counterfactual uses fresh independent noise by default; coupled_noise
-reuses the online draws (common random numbers) for lower-variance gap
-estimates. The counterfactual draw is consumed from the stream either
-way, so the flag changes nothing about the online path itself.
+counterfactual faces its own noise vector, drawn after the online one
+from the same stream and independent of it.
 """
 
 from __future__ import annotations
@@ -82,19 +80,15 @@ class OnlineConfig:
         y_capacity: committed capacity (offline Y* or externally chosen).
         lambda_init: slot-1 price; None draws U[0, 2*alpha_rev/N].
         ridge_param: estimator regularization weight, >= 0 (estimator.init).
-        coupled_noise: counterfactual costs reuse the online noise draws.
     """
 
     scenario: Scenario
     y_capacity: float
     lambda_init: Optional[float] = None
     ridge_param: float = 0.001
-    coupled_noise: bool = False
 
     def __post_init__(self):
         _check_finite("y_capacity", self.y_capacity)
-        if not isinstance(self.coupled_noise, bool):
-            raise TypeError(f"coupled_noise must be bool, got {self.coupled_noise!r}")
         if self.lambda_init is not None:
             _check_finite("lambda_init", self.lambda_init)
         init(self.ridge_param)  # raises here, naming ridge_param, before any draw
@@ -197,7 +191,7 @@ def _finish_episode(
     y = float(config.y_capacity)
     lam = float(config.lambda_init) if u is None else float(2.0 * scenario.alpha_rev / n) * u
     lam_star = lambda_star_path(scenario, y)
-    m, su, suu, sz, suz, ridge = init(config.ridge_param, n)
+    m, su, suu, sz, suz, ridge = init(config.ridge_param)
 
     lam_path = [0.0] * t_hor
     g1_path = [0.0] * t_hor
@@ -241,8 +235,7 @@ def _finish_episode(
 
     lambda_online = np.array(lam_path)
     q_online = np.array(q_path)
-    cf = 0 if config.coupled_noise else 1
-    q_star = aggregate_from_noise(scenario, lam_star, eps_sum[:, cf])
+    q_star = aggregate_from_noise(scenario, lam_star, eps_sum[:, 1])
     return Trajectory(
         t=np.arange(1, t_hor + 1, dtype=np.int64),
         d=scenario.demand.copy(),
@@ -256,7 +249,7 @@ def _finish_episode(
             scenario, y, lambda_online, q_online, eps_sum[:, 0], beta_eps2_sum[:, 0]
         ),
         cost_star=stage_costs_from_noise(
-            scenario, y, lam_star, q_star, eps_sum[:, cf], beta_eps2_sum[:, cf]
+            scenario, y, lam_star, q_star, eps_sum[:, 1], beta_eps2_sum[:, 1]
         ),
         degenerate_events=degenerate_events,
         fallback_events=fallback_events,
@@ -340,7 +333,6 @@ def run_replications(
     reps: int,
     master_seed: int,
     ridge_param: float = OnlineConfig.ridge_param,
-    coupled_noise: bool = OnlineConfig.coupled_noise,
     *,
     shared_draws: Optional[dict] = None,
 ) -> SweepResult:
@@ -365,10 +357,10 @@ def run_replications(
     may share draws; drpsim sweep passes one to the kinds that share a
     population. A draw depends only on the population's betas, noise_sd,
     T and its substream, so the store keys its entries by betas (by
-    content), noise_sd, T, reps and master_seed; alpha_rev, the demand, y,
-    ridge_param and coupled_noise may differ. A call that finds its entry
-    runs steps 2 and 3 over the stored draws, in replication order, and
-    starts no thread: its outputs are those of a fresh draw, bit for bit.
+    content), noise_sd, T, reps and master_seed; alpha_rev, the demand, y
+    and ridge_param may differ. A call that finds its entry runs steps 2
+    and 3 over the stored draws, in replication order, and starts no
+    thread: its outputs are those of a fresh draw, bit for bit.
     A call that misses draws as above and stores its draws once every
     replication has been drawn and finished, so a call that raises
     stores nothing. An entry holds 32*T + 8 bytes of statistics per
@@ -378,12 +370,7 @@ def run_replications(
         raise TypeError(f"reps must be an integer, got {reps!r}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    config = OnlineConfig(
-        scenario=scenario,
-        y_capacity=y,
-        ridge_param=ridge_param,
-        coupled_noise=coupled_noise,
-    )
+    config = OnlineConfig(scenario=scenario, y_capacity=y, ridge_param=ridge_param)
     stored = kept = None
     if shared_draws is not None:
         betas = scenario.population.betas.tobytes()

@@ -43,7 +43,7 @@ RUNS = (
     ("regret-reps1", ["regret", "--reps", "1"], ""),
     ("regret-paramset2", ["regret", "--experiment", "paramset2"], ""),
     ("regret-ridge0", ["regret"], "ridge = 0\n"),
-    ("simulate-coupled", ["simulate", "--coupled-noise"], ""),
+    ("simulate", ["simulate"], ""),
     ("offline", ["offline"], ""),
 )
 

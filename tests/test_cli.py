@@ -142,17 +142,6 @@ def test_regret_reports_analysis(sweep_config, clean_env, tmp_path, capsys):
     assert (out_dir / "summary.json").exists()
 
 
-def test_regret_coupled_noise_flag(sweep_config, clean_env, tmp_path, capsys):
-    out_dir = tmp_path / "coupled"
-    rc = main(
-        ["regret", "--config", sweep_config, "--out", str(out_dir), "--coupled-noise"]
-    )
-    assert rc == 0
-    capsys.readouterr()
-    with open(out_dir / "summary.json") as f:
-        assert json.load(f)["coupled_noise"] is True
-
-
 def test_sweep_runs_whole_grid(sweep_config, clean_env, tmp_path, capsys):
     out_dir = tmp_path / "grid"
     rc = main(["sweep", "--config", sweep_config, "--out", str(out_dir)])
@@ -244,14 +233,14 @@ def test_flag_overrides_config_file(small_config, tmp_path, clean_env, capsys):
 
 
 def test_unset_flags_keep_config_file_values(tmp_path, clean_env, capsys):
-    cfg = tmp_path / "coupled.cfg"
-    cfg.write_text("n_users = 5\nhorizon = 12\nreps = 6\nseed = 3\ncoupled_noise = true\n")
+    cfg = tmp_path / "ridge.cfg"
+    cfg.write_text("n_users = 5\nhorizon = 12\nreps = 6\nseed = 3\nridge = 0.01\n")
     out_dir = tmp_path / "reps7"
     assert main(["regret", "--config", str(cfg), "--reps", "7", "--out", str(out_dir)]) == 0
     capsys.readouterr()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert (summary["seed"], summary["reps"], summary["horizon"]) == (3, 7, 12)
-    assert summary["coupled_noise"] is True
+    assert summary["ridge"] == 0.01
 
 
 def test_unknown_experiment_is_a_clean_error(small_config, clean_env, capsys):

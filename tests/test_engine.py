@@ -39,7 +39,7 @@ def loop_episode(config, rng):
     y = config.y_capacity
     noise_sd = scenario.noise_sd
     lam_star = lambda_star_path(scenario, y)
-    m, su, suu, sz, suz, ridge = init(config.ridge_param, n)
+    m, su, suu, sz, suz, ridge = init(config.ridge_param)
     if config.lambda_init is not None:
         lam = float(config.lambda_init)
     else:
@@ -67,8 +67,6 @@ def loop_episode(config, rng):
         else:
             eps_online = rng.normal(0.0, noise_sd, n)
             eps_cf = rng.normal(0.0, noise_sd, n)
-            if config.coupled_noise:
-                eps_cf = eps_online
         x_online = realize_outcome(scenario, lam, eps_online)
         x_cf = realize_outcome(scenario, float(lam_star[t - 1]), eps_cf)
         out["lambda_online"][t - 1] = lam
@@ -126,7 +124,6 @@ def episodes(draw):
         y_capacity=float(g.uniform(-1.0, 3.0)),
         lambda_init=draw(st.one_of(st.none(), st.floats(-1.0, 2.0))),
         ridge_param=draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0))),
-        coupled_noise=draw(st.booleans()),
     )
     return config, draw(st.integers(0, 2**63 - 1))
 
@@ -138,11 +135,10 @@ def test_engine_matches_per_slot_loop(case):
     assert_engine_matches_loop(config, seed)
 
 
-@pytest.mark.parametrize("coupled", [False, True])
-def test_engine_matches_loop_across_noise_blocks(coupled):
+def test_engine_matches_loop_across_noise_blocks():
     # N=4000 puts 65 slots in a noise block, so T=100 spans two blocks
     cfg = ExperimentConfig(n_users=4000, horizon=100, seed=5)
     scenario = build_scenario(cfg, substream(cfg.seed, 0))
     assert NOISE_BLOCK // (2 * scenario.n) == 65
     y = compute_y_star(scenario)
-    assert_engine_matches_loop(OnlineConfig(scenario, y, coupled_noise=coupled), seed=5)
+    assert_engine_matches_loop(OnlineConfig(scenario, y), seed=5)

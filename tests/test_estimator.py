@@ -39,8 +39,6 @@ def test_init_validation():
         init(-1.0)
     with pytest.raises(ValueError):
         init(float("nan"))
-    with pytest.raises(ValueError):
-        init(0.001, n_scale=0)
 
 
 @pytest.mark.parametrize(
@@ -75,21 +73,21 @@ def test_single_sample_ridge_solve():
     # (lambda=1, Z=1, N=1), ridge 0.001: ([[1,1],[1,1]] + 0.001*I) beta = [1,1]
     # has the symmetric solution 1/(2.001) in both components.  The closed-form
     # 2x2 solve loses ~cond*eps here (cond ~ 2e3), so pin at 1e-9 relative.
-    state = _feed(init(0.001, n_scale=1), [(1.0, 1.0)])
+    state = _feed(init(0.001), [(1.0, 1.0)])
     g1, g2 = solve_normal_equations(*state)
     assert g1 == pytest.approx(1.0 / 2.001, rel=1e-9)
     assert g2 == pytest.approx(1.0 / 2.001, rel=1e-9)
 
 
 def test_single_sample_no_ridge_unidentifiable():
-    state = _feed(init(0.0, n_scale=1), [(1.0, 1.0)])
+    state = _feed(init(0.0), [(1.0, 1.0)])
     with pytest.raises(UnidentifiableError, match="unidentifiable: insufficient price variation"):
         solve_normal_equations(*state)
 
 
 def test_update_accumulates_pinned_stats():
     # (lambda=1, Z=1), (lambda=2, Z=3) with N=1: X'X = [[5, 3], [3, 2]]
-    state = _feed(init(0.0, n_scale=1), [(1.0, 1.0), (2.0, 3.0)])
+    state = _feed(init(0.0), [(1.0, 1.0), (2.0, 3.0)])
     assert state.suu == 5.0
     assert state.su == 3.0
     assert state.m == 2
@@ -98,7 +96,7 @@ def test_update_accumulates_pinned_stats():
 
 
 def test_update_uses_n_scale():
-    state = _feed(init(0.0, n_scale=10), [(0.5, 2.0)], n_scale=10)
+    state = _feed(init(0.0), [(0.5, 2.0)], n_scale=10)
     assert state.suu == 25.0
     assert state.su == 5.0
     assert state.suz == 10.0
@@ -106,14 +104,14 @@ def test_update_uses_n_scale():
 
 def test_two_point_exact_ols():
     # Noiseless line Z = 2u - 1 through u in {1, 2}: integer arithmetic, exact.
-    state = _feed(init(0.0, n_scale=1), [(1.0, 1.0), (2.0, 3.0)])
+    state = _feed(init(0.0), [(1.0, 1.0), (2.0, 3.0)])
     g1, g2 = solve_normal_equations(*state)
     assert g1 == 2.0
     assert g2 == -1.0
 
 
 def test_identical_prices_unidentifiable():
-    state = _feed(init(0.0, n_scale=1), [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)])
+    state = _feed(init(0.0), [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)])
     with pytest.raises(UnidentifiableError, match="insufficient price variation"):
         solve_normal_equations(*state)
 
@@ -125,7 +123,7 @@ def test_exact_recovery_random_design(rng):
         g2 = float(rng.uniform(-3.0, 0.0))
         lams = rng.uniform(0.1, 1.0, 6)
         pairs = [(float(lam), g1 * n * float(lam) + g2) for lam in lams]
-        state = _feed(init(0.0, n_scale=n), pairs, n_scale=n)
+        state = _feed(init(0.0), pairs, n_scale=n)
         g1_hat, g2_hat = solve_normal_equations(*state)
         assert g1_hat == pytest.approx(g1, rel=1e-10)
         assert g2_hat == pytest.approx(g2, rel=1e-10, abs=1e-10)
@@ -136,7 +134,7 @@ def test_ridge_shrinkage_bound_and_explicit_solution(rng):
     # shrinkage moves the estimate by well under 1% of the truth, and the
     # incremental solve matches the explicit dense ridge solution.
     lams = np.linspace(0.3, 0.6, 50)
-    state = _feed(init(0.001, n_scale=1), [(float(lam), 2.0 * lam - 1.0) for lam in lams])
+    state = _feed(init(0.001), [(float(lam), 2.0 * lam - 1.0) for lam in lams])
     g1, g2 = solve_normal_equations(*state)
     assert abs(g1 - 2.0) <= 1e-2 * 2.0
     assert abs(g2 - (-1.0)) <= 1e-2 * 1.0
@@ -152,11 +150,11 @@ def test_ridge_to_ols_monotone_approach(rng):
     zs = 3.0 * lams - 0.5
     errs = []
     for ridge in (1e-3, 1e-6, 1e-9):
-        state = _feed(init(ridge, n_scale=1), zip(lams.tolist(), zs.tolist()))
+        state = _feed(init(ridge), zip(lams.tolist(), zs.tolist()))
         g1, g2 = solve_normal_equations(*state)
         errs.append(abs(g1 - 3.0) + abs(g2 + 0.5))
     assert errs[0] > errs[1] > errs[2]
-    state = _feed(init(0.0, n_scale=1), zip(lams.tolist(), zs.tolist()))
+    state = _feed(init(0.0), zip(lams.tolist(), zs.tolist()))
     g1, g2 = solve_normal_equations(*state)
     assert abs(g1 - 3.0) + abs(g2 + 0.5) <= 1e-10
 
@@ -164,7 +162,7 @@ def test_ridge_to_ols_monotone_approach(rng):
 def test_incremental_matches_batch_recomputation(rng):
     lams = rng.uniform(0.0, 1.0, 10_000)
     zs = rng.normal(0.0, 2.0, 10_000)
-    state = _feed(init(0.001, n_scale=3), zip(lams.tolist(), zs.tolist()), n_scale=3)
+    state = _feed(init(0.001), zip(lams.tolist(), zs.tolist()), n_scale=3)
     u = 3.0 * lams
     assert state.suu == pytest.approx(float(u @ u), rel=1e-9)
     assert state.su == pytest.approx(float(u.sum()), rel=1e-9)
@@ -175,7 +173,7 @@ def test_incremental_matches_batch_recomputation(rng):
 def test_incremental_equals_sequential_batch_exactly():
     # Same accumulation order (index order, one term at a time) => bitwise equal.
     pairs = [(0.1 * k, 0.3 * k - 1.0) for k in range(1, 11)]
-    state = _feed(init(0.0, n_scale=4), pairs, n_scale=4)
+    state = _feed(init(0.0), pairs, n_scale=4)
     suu = su = sz = suz = 0.0
     for lam, z in pairs:
         u = 4 * lam
@@ -196,7 +194,7 @@ def test_fixed_design_unbiasedness():
     draws = np.empty((m, 2))
     for i in range(m):
         pairs = [(float(lam), g1 * lam + g2 + float(rng.normal())) for lam in lams]
-        draws[i] = solve_normal_equations(*_feed(init(0.0, n_scale=1), pairs))
+        draws[i] = solve_normal_equations(*_feed(init(0.0), pairs))
     se = draws.std(axis=0, ddof=1) / np.sqrt(m)
     assert abs(draws[:, 0].mean() - g1) <= 4.0 * se[0]
     assert abs(draws[:, 1].mean() - g2) <= 4.0 * se[1]

@@ -137,7 +137,6 @@ def test_parse_config_happy_path():
     n_users = 12   # population size
     horizon = 25
     c_rev = 2.5
-    coupled_noise = true
     y_capacity = 4.0
     """
     cfg = parse_config(text)
@@ -145,7 +144,6 @@ def test_parse_config_happy_path():
     assert cfg.n_users == 12
     assert cfg.horizon == 25
     assert cfg.c_rev == 2.5
-    assert cfg.coupled_noise is True
     assert cfg.y_capacity == 4.0
     assert cfg.reps == 1000  # untouched default
 
@@ -159,8 +157,8 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config("n_users 5\n")
     with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_config("n_users =\n")
-    with pytest.raises(ValueError, match="expected true/false"):
-        parse_config("coupled_noise = yes\n")
+    with pytest.raises(ValueError, match="config line 1: unknown key 'coupled_noise'"):
+        parse_config("coupled_noise = true\n")
 
 
 def test_parse_config_names_unparsable_numbers():
@@ -179,9 +177,7 @@ def _config_text(config):
         value = getattr(config, f.name)
         if value is None:
             continue
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             value = repr(value)
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
@@ -210,7 +206,6 @@ def test_config_round_trip():
         c_rev=1.75,
         ridge=0.01,
         noise_sd=0.3,
-        coupled_noise=True,
         y_capacity=2.5,
         out_dir="elsewhere",
     )
@@ -233,7 +228,6 @@ def _configs(draw):
         c_rev=draw(st.floats(1e-6, 1e6)),
         ridge=draw(st.floats(0.0, 1e3)),
         noise_sd=draw(st.floats(0.0, 1e3)),
-        coupled_noise=draw(st.booleans()),
         y_capacity=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
         out_dir=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)),
     )
@@ -264,8 +258,6 @@ def test_config_round_trip_property(cfg, float_key, bad, big_seed):
 @pytest.mark.parametrize(
     "key, value, expected",
     [
-        ("coupled_noise", "false", "bool"),
-        ("coupled_noise", 1, "bool"),
         ("reps", 2.0, "int"),
         ("n_users", 5.5, "int"),
         ("n_users", True, "int"),
@@ -325,6 +317,12 @@ def test_blocked_demand_structure():
     blocks = d.reshape(25, 4)
     assert np.all(blocks == blocks[:, :1])
     assert len(np.unique(d)) == 25
+    # a block past the horizon is one block of T slots, whatever its size
+    whole = build_scenario(replace(cfg, experiment="blocked-dt:100"), substream(3, 0)).demand
+    assert len(np.unique(whole)) == 1
+    for huge in (2**50, 10**400):
+        d = build_scenario(replace(cfg, experiment=f"blocked-dt:{huge}"), substream(3, 0)).demand
+        assert np.array_equal(d, whole)
 
 
 def test_blocked_demand_partial_last_block():

@@ -148,16 +148,6 @@ def test_replication_sweep_determinism_and_layout():
     assert np.array_equal(a.first_trajectory.lambda_online, solo.lambda_online)
 
 
-def test_coupled_noise_leaves_online_path_unchanged():
-    sc = _noiseless_table_scenario()
-    noisy = Scenario(sc.population, sc.demand, sc.alpha_rev, noise_sd=1.0)
-    plain = run_replications(noisy, 0.5, 5, master_seed=123)
-    coupled = run_replications(noisy, 0.5, 5, master_seed=123, coupled_noise=True)
-    assert np.array_equal(plain.lambda_online, coupled.lambda_online)
-    assert np.array_equal(plain.cost_online, coupled.cost_online)
-    assert not np.array_equal(plain.cost_star, coupled.cost_star)
-
-
 def test_lambda_star_column_and_counterfactual_aggregate():
     sc = _noiseless_table_scenario()
     y = 0.8
@@ -389,17 +379,6 @@ def test_config_validation():
         run_replications(sc, 1.0, 0, master_seed=1)
 
 
-@pytest.mark.parametrize("value", ["no", 1, None])
-def test_coupled_noise_must_be_a_bool(value):
-    # a truthy "no" would otherwise run coupled noise
-    sc = _noiseless_table_scenario()
-    message = rf"^coupled_noise must be bool, got {value!r}$"
-    with pytest.raises(TypeError, match=message):
-        OnlineConfig(scenario=sc, y_capacity=1.0, coupled_noise=value)
-    with pytest.raises(TypeError, match=message):
-        run_replications(sc, 1.0, 2, 3, coupled_noise=value)
-
-
 @pytest.mark.parametrize("value, error", [("1", TypeError), (None, TypeError), (-1.0, ValueError)])
 def test_bad_ridge_param_fails_before_any_draw(monkeypatch, value, error):
     sc = _noiseless_table_scenario()
@@ -482,8 +461,8 @@ def test_replications_equal_sequential_episodes(monkeypatch, reps, cpus):
 
 @pytest.mark.parametrize(
     "noise_sd, kwargs",
-    [(0.8, {"coupled_noise": True}), (0.8, {"ridge_param": 0.0}), (0.0, {})],
-    ids=["coupled", "ridge0", "noiseless"],
+    [(0.8, {"ridge_param": 0.0}), (0.0, {})],
+    ids=["ridge0", "noiseless"],
 )
 def test_replication_variants_equal_sequential_episodes(monkeypatch, noise_sd, kwargs):
     _cpus(monkeypatch, 3)
