@@ -210,7 +210,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader left (`drpsim offline | head -1`): end quietly, and send
+        # what is still buffered to devnull so the final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Optional, TextIO, get_args, get_type_hints
 
 import numpy as np
+import orjson
 from numpy.typing import NDArray
 
 from .analysis import RegretReport, build_regret_report, summarize
@@ -248,20 +249,32 @@ def write_table(f: TextIO, columns: dict[str, NDArray]) -> None:
     """CSV of equal-length columns: a header of their names, then one row per index.
 
     Each value is written as str of its tolist() form (ints as ints, floats
-    as the shortest round-trip decimal), TABLE_BLOCK rows at a time: a
-    numeric column as one repr of its list, which str equals cell by cell,
-    any other column (strings) value by value. Open files with newline=""
-    so every line ends in "\\n".
+    as the shortest round-trip decimal of their float64 value), TABLE_BLOCK
+    rows at a time. A float column is cast to float64 and formatted by one
+    orjson.dumps, whose shortest round-trip text equals repr for every
+    finite x with 1e-4 <= |x| < 1e16 and for +-0; the other cells (other
+    exponents, nan, +-inf) take repr. An int or bool column is one repr of
+    its list, which str equals cell by cell; any other column (strings)
+    takes str value by value. Open files with newline="" so every line
+    ends in "\\n".
     """
     f.write(",".join(columns) + "\n")
     for start in range(0, min(map(len, columns.values()), default=0), TABLE_BLOCK):
         cells = []
         for col in columns.values():
-            values = col[start : start + TABLE_BLOCK].tolist()
-            if col.dtype.kind in "biuf":
-                cells.append(repr(values)[1:-1].split(", "))
+            block = col[start : start + TABLE_BLOCK]
+            if col.dtype.kind == "f":
+                with np.errstate(invalid="ignore"):  # a signalling nan casts to nan
+                    x = np.ascontiguousarray(block, dtype=np.float64)
+                text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+                mag = np.abs(x)
+                for i in np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (x == 0))).tolist():
+                    text[i] = repr(float(x[i]))
+                cells.append(text)
+            elif col.dtype.kind in "biu":
+                cells.append(repr(block.tolist())[1:-1].split(", "))
             else:
-                cells.append(map(str, values))
+                cells.append(map(str, block.tolist()))
         f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

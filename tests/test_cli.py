@@ -278,22 +278,27 @@ def test_missing_config_file_is_a_clean_error(clean_env, capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
-def _run_child(command, args, cwd):
-    """Run ``<command> <args>`` as a child process that imports this source tree.
+def _child_env():
+    """The environment of a child process that imports this source tree.
 
-    DRPSIM_SEED and DRPSIM_OUT are dropped from the child's environment, as
-    ``clean_env`` drops them for the in-process tests.
+    DRPSIM_SEED and DRPSIM_OUT are dropped from it, as ``clean_env`` drops
+    them for the in-process tests.
     """
     env = {
         k: v for k, v in os.environ.items() if k not in ("DRPSIM_SEED", "DRPSIM_OUT")
     }
     src = str(Path(drpsim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_child(command, args, cwd):
+    """Run ``<command> <args>`` as a child process in ``_child_env()``."""
     return subprocess.run(
         [*command, *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         cwd=cwd,
     )
 
@@ -343,3 +348,23 @@ def test_skipped_analysis_is_reported_once_on_stdout(negative_capacity_config, t
     assert proc.stderr == ""
     assert proc.stdout.count("need >= 2 replications") == 1
     assert "analysis: need >= 2 replications" in proc.stdout.splitlines()
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    # 20000 rows outgrow the pipe's buffer, so drpsim is still writing when
+    # the reader closes its end after one line (`drpsim offline | head -1`)
+    config = tmp_path / "long.cfg"
+    config.write_text("horizon = 20000\n")
+    command = [sys.executable, "-m", "drpsim", "offline", "--config", str(config)]
+    with subprocess.Popen(
+        command,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+        cwd=tmp_path,
+    ) as proc:
+        assert proc.stdout.readline() == b"key,value\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert stderr == b""
+    assert proc.returncode == 1

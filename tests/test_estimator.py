@@ -21,11 +21,10 @@ class State(NamedTuple):
     ridge: float
 
 
-def _feed(state, pairs, n_scale=1):
-    """state after absorbing (lambda, Z) pairs, summed as online._finish_episode sums them."""
+def _feed(state, pairs):
+    """state after absorbing (u, Z) pairs, summed as online._finish_episode sums them."""
     m, su, suu, sz, suz, ridge = state
-    for lam, z in pairs:
-        u = n_scale * lam
+    for u, z in pairs:
         m += 1
         su += u
         suu += u * u
@@ -95,13 +94,6 @@ def test_update_accumulates_pinned_stats():
     assert state.suz == 7.0
 
 
-def test_update_uses_n_scale():
-    state = _feed(init(0.0), [(0.5, 2.0)], n_scale=10)
-    assert state.suu == 25.0
-    assert state.su == 5.0
-    assert state.suz == 10.0
-
-
 def test_two_point_exact_ols():
     # Noiseless line Z = 2u - 1 through u in {1, 2}: integer arithmetic, exact.
     state = _feed(init(0.0), [(1.0, 1.0), (2.0, 3.0)])
@@ -122,8 +114,8 @@ def test_exact_recovery_random_design(rng):
         g1 = float(rng.uniform(0.5, 5.0))
         g2 = float(rng.uniform(-3.0, 0.0))
         lams = rng.uniform(0.1, 1.0, 6)
-        pairs = [(float(lam), g1 * n * float(lam) + g2) for lam in lams]
-        state = _feed(init(0.0), pairs, n_scale=n)
+        pairs = [(n * float(lam), g1 * n * float(lam) + g2) for lam in lams]
+        state = _feed(init(0.0), pairs)
         g1_hat, g2_hat = solve_normal_equations(*state)
         assert g1_hat == pytest.approx(g1, rel=1e-10)
         assert g2_hat == pytest.approx(g2, rel=1e-10, abs=1e-10)
@@ -162,8 +154,8 @@ def test_ridge_to_ols_monotone_approach(rng):
 def test_incremental_matches_batch_recomputation(rng):
     lams = rng.uniform(0.0, 1.0, 10_000)
     zs = rng.normal(0.0, 2.0, 10_000)
-    state = _feed(init(0.001), zip(lams.tolist(), zs.tolist()), n_scale=3)
     u = 3.0 * lams
+    state = _feed(init(0.001), zip(u.tolist(), zs.tolist()))
     assert state.suu == pytest.approx(float(u @ u), rel=1e-9)
     assert state.su == pytest.approx(float(u.sum()), rel=1e-9)
     assert state.sz == pytest.approx(float(zs.sum()), rel=1e-9)
@@ -173,7 +165,7 @@ def test_incremental_matches_batch_recomputation(rng):
 def test_incremental_equals_sequential_batch_exactly():
     # Same accumulation order (index order, one term at a time) => bitwise equal.
     pairs = [(0.1 * k, 0.3 * k - 1.0) for k in range(1, 11)]
-    state = _feed(init(0.0), pairs, n_scale=4)
+    state = _feed(init(0.0), [(4 * lam, z) for lam, z in pairs])
     suu = su = sz = suz = 0.0
     for lam, z in pairs:
         u = 4 * lam

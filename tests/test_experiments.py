@@ -442,6 +442,31 @@ def test_write_table_matches_row_wise_writer(data, block):
     assert out.getvalue() == _row_wise_table(columns)
 
 
+def test_write_table_float_cells_match_row_wise_writer_on_every_exponent():
+    # write_table's orjson text equals repr only for 1e-4 <= |x| < 1e16 and +-0;
+    # fully random bit patterns cover every exponent, subnormals and nan payloads,
+    # and patterns with an exponent in [2**-14, 2**53] the cells orjson writes
+    rng = np.random.default_rng(2018)
+    edges = np.array([1e-4, 1e16])
+    near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    rows, random_rows = 2**18, 2**15
+    bits = np.frombuffer(rng.bytes(8 * rows), dtype=np.uint64).copy()
+    exponent = rng.integers(1023 - 14, 1023 + 53, rows - random_rows, endpoint=True)
+    bits[random_rows:] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+    bits[random_rows:] |= exponent.astype(np.uint64) << np.uint64(52)
+    x = np.concatenate([near, -near, special, bits.view(np.float64)])
+    tables = [{"x": x}, {"x32": np.frombuffer(rng.bytes(4 * 2**14), dtype=np.float32)}]
+    for columns in tables:
+        out = io.StringIO(newline="")
+        write_table(out, columns)
+        got = out.getvalue().splitlines()
+        want = _row_wise_table(columns).splitlines()
+        assert len(got) == len(want) == len(next(iter(columns.values()))) + 1
+        mismatches = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert mismatches[:3] == [], f"{len(mismatches)} rows differ"
+
+
 def test_trajectory_csv_round_trip(tiny_sweep, tmp_path):
     path = tmp_path / "trajectory.csv"
     traj = tiny_sweep.first_trajectory

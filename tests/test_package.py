@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,11 @@ import pytest
 
 import drpsim
 
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    tomllib = None
+
 MODULES = ["drpsim"] + [
     f"drpsim.{m.name}"
     for m in pkgutil.iter_modules(drpsim.__path__)
@@ -19,6 +25,7 @@ MODULES = ["drpsim"] + [
 ]
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 SOURCES = sorted(Path(drpsim.__file__).resolve().parent.glob("*.py"))
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,6 +52,29 @@ def test_no_unused_top_level_imports(path):
         ):
             used.update(ast.literal_eval(node.value))
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def _imported_packages(path):
+    """The top-level package of every absolute import in a source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_third_party_imports_are_declared_dependencies():
+    toml = tomllib or pytest.importorskip("tomli")
+    with open(PYPROJECT, "rb") as f:
+        requirements = toml.load(f)["project"]["dependencies"]
+    # every package drpsim imports is installed under its import name
+    declared = {re.match(r"[\w.-]+", r).group().lower().replace("-", "_") for r in requirements}
+    imported = set().union(*map(_imported_packages, SOURCES))
+    third_party = imported - set(sys.stdlib_module_names) - {"drpsim"}
+    assert {"numpy", "orjson"} <= third_party
+    assert third_party - declared == set()
 
 
 def test_demos_found():
