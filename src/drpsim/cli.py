@@ -18,13 +18,14 @@ import argparse
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .experiments import (
     ExperimentConfig,
+    _make_out_dir,
     _parse_number,
     parse_config,
     run_experiment,
@@ -47,31 +48,12 @@ SWEEP_GRID = (
     "blocked-dt:4",
 )
 
-#: what each config key sets, shown in --help beside the key's default
-_KEY_HELP = {
-    "experiment": "baseline | paramset2 | repeated-dt:P | blocked-dt:B",
-    "n_users": "population size N",
-    "horizon": "number of slots T",
-    "reps": "Monte Carlo replications",
-    "seed": "master seed; every stream derives from it",
-    "c_rev": "revenue price constant: alpha_rev = c_rev * max d_t",
-    "ridge": "estimator regularization weight",
-    "noise_sd": "per-user response noise standard deviation",
-    "y_capacity": "committed capacity override (default: closed form)",
-    "out_dir": "output directory",
-}
-
-
 def _config_help() -> str:
-    """The --help epilog: every ExperimentConfig field, its default and _KEY_HELP's text."""
-    defaults = asdict(ExperimentConfig())
-    unmatched = set(defaults) ^ set(_KEY_HELP)
-    if unmatched:
-        raise KeyError(f"config keys and their --help descriptions differ in {sorted(unmatched)}")
+    """The --help epilog: every ExperimentConfig field, its default and description."""
     lines = []
-    for key, value in defaults.items():
-        shown = "unset" if value is None else str(value)
-        lines.append(f"  {key:<13} {f'({shown})':<11} {_KEY_HELP[key]}")
+    for key in fields(ExperimentConfig):
+        shown = "unset" if key.default is None else str(key.default)
+        lines.append(f"  {key.name:<13} {f'({shown})':<11} {key.metadata['help']}")
     return (
         "config file format: one 'key = value' per line, '#' starts a comment.\n"
         "keys (defaults in parentheses):\n" + "\n".join(lines) + "\n\n"
@@ -83,13 +65,8 @@ def _config_help() -> str:
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults <- config file <- flags <- environment."""
     config = parse_config(Path(args.config).read_text() if args.config is not None else "")
-    flags = dict(
-        seed=args.seed,
-        reps=args.reps,
-        out_dir=args.out,
-        experiment=args.experiment,
-        y_capacity=args.y_capacity,
-    )
+    # every override flag's dest is its field name
+    flags = {key.name: getattr(args, key.name, None) for key in fields(ExperimentConfig)}
     config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     env_seed = os.environ.get("DRPSIM_SEED")
     if env_seed is not None:
@@ -117,12 +94,10 @@ def cmd_offline(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    path = _make_out_dir(config) / "trajectory.csv"
     scenario, y = scenario_and_capacity(config)
     # replication 0 of a sweep is the episode; only online knows its stream
     traj = run_replications(scenario, y, 1, config.seed, ridge_param=config.ridge).first_trajectory
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "trajectory.csv"
     write_trajectory_csv(path, traj)
     print(f"wrote {path}")
     return 0
@@ -185,7 +160,7 @@ def main(argv=None) -> int:
     common.add_argument("--config", metavar="PATH", help="key = value config file")
     common.add_argument("--seed", type=int, metavar="U64", help="master seed")
     common.add_argument("--reps", type=int, metavar="INT", help="replication count")
-    common.add_argument("--out", metavar="DIR", help="output directory")
+    common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     common.add_argument(
         "--experiment",
         metavar="KIND",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, TextIO, get_args, get_type_hints
 
@@ -99,6 +99,11 @@ def parse_experiment_kind(kind: str) -> tuple[str, Optional[float]]:
     )
 
 
+def _key(default, help: str):
+    """A config key's default and its --help description (field metadata "help")."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one experiment from a master seed.
@@ -107,24 +112,25 @@ class ExperimentConfig:
     intervals need a Population and Scenario built directly. y_capacity
     None means commit the closed-form optimum of the drawn scenario.
     The fields are the only list of run settings: parse_config reads
-    each by its annotated type, and run_experiment writes all but out_dir
-    to summary.json. Every field must have its annotated type (a bool is
-    not an int, an int is accepted for a float), else TypeError names
-    the key; a float field must be finite (model._check_finite), else
-    ValueError names it. Float fields are stored as float, so a config
-    equals the one parse_config reads.
+    each by its annotated type, run_experiment writes all but out_dir
+    to summary.json, and the cli's --help reads each name, default and
+    description (_key). Every field must have its annotated type
+    (a bool is not an int, an int is accepted for a float), else
+    TypeError names the key; a float field must be finite
+    (model._check_finite), else ValueError names it. Float fields are
+    stored as float, so a config equals the one parse_config reads.
     """
 
-    experiment: str = "baseline"
-    n_users: int = 100
-    horizon: int = 100
-    reps: int = 1000
-    seed: int = 42
-    c_rev: float = 1.0
-    ridge: float = OnlineConfig.ridge_param
-    noise_sd: float = Scenario.noise_sd
-    y_capacity: Optional[float] = None
-    out_dir: str = "results"
+    experiment: str = _key("baseline", "baseline | paramset2 | repeated-dt:P | blocked-dt:B")
+    n_users: int = _key(100, "population size N")
+    horizon: int = _key(100, "number of slots T")
+    reps: int = _key(1000, "Monte Carlo replications")
+    seed: int = _key(42, "master seed; every stream derives from it")
+    c_rev: float = _key(1.0, "revenue price constant: alpha_rev = c_rev * max d_t")
+    ridge: float = _key(OnlineConfig.ridge_param, "estimator regularization weight")
+    noise_sd: float = _key(Scenario.noise_sd, "per-user response noise standard deviation")
+    y_capacity: Optional[float] = _key(None, "committed capacity override (default: closed form)")
+    out_dir: str = _key("results", "output directory")
 
     def __post_init__(self):
         for name, kind in _KEY_TYPES.items():
@@ -245,6 +251,16 @@ def scenario_and_capacity(config: ExperimentConfig) -> tuple[Scenario, float]:
     return scenario, y
 
 
+def _make_out_dir(config: ExperimentConfig) -> Path:
+    """Create config.out_dir with its parents; an OSError names the directory."""
+    out_dir = Path(config.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory '{out_dir}': {exc}") from exc
+    return out_dir
+
+
 def write_table(f: TextIO, columns: dict[str, NDArray]) -> None:
     """CSV of equal-length columns: a header of their names, then one row per index.
 
@@ -323,16 +339,12 @@ def run_experiment(config: ExperimentConfig, *, shared_draws: Optional[dict] = N
     Analysis failures that have a defined meaning (fewer than 2
     replications, horizon too short for the fit window, an optimal price
     ~0 where the relative tracking error is undefined) are reported in
-    the summary instead of aborting; the per-slot CSV is always written.
+    the summary instead of aborting. A summary value that is not finite
+    raises ValueError naming its keys, and no file is written.
     shared_draws is passed to run_replications: experiments run with one
     store draw each population's noise once, with unchanged outputs.
     """
-    out_dir = Path(config.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory '{out_dir}': {exc}") from exc
-
+    out_dir = _make_out_dir(config)
     scenario, y = scenario_and_capacity(config)
     y_closed = y if config.y_capacity is None else compute_y_star(scenario)
     sweep = run_replications(
@@ -343,8 +355,6 @@ def run_experiment(config: ExperimentConfig, *, shared_draws: Optional[dict] = N
         ridge_param=config.ridge,
         shared_draws=shared_draws,
     )
-
-    write_trajectory_csv(out_dir / "trajectory.csv", sweep.first_trajectory)
 
     (a_int, b_int, d_int) = config.intervals()
     summary: dict = asdict(config)
@@ -365,16 +375,25 @@ def run_experiment(config: ExperimentConfig, *, shared_draws: Optional[dict] = N
     try:
         report = build_regret_report(sweep)
     except ValueError as exc:
+        report = None
         summary["analysis"] = None
         summary["analysis_note"] = str(exc)
+    else:
+        summary["analysis"] = summarize(report)
+    # RFC 8259 JSON has no NaN or Infinity: fail before any file is written
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        flat = summary | {f"analysis.{k}": v for k, v in (summary["analysis"] or {}).items()}
+        bad = sorted(k for k, v in flat.items() if isinstance(v, float) and not math.isfinite(v))
+        raise ValueError(f"summary.json cannot hold non-finite values: {', '.join(bad)}") from None
+
+    write_trajectory_csv(out_dir / "trajectory.csv", sweep.first_trajectory)
+    if report is None:
         # a regret.csv left by an earlier run would contradict this summary
         (out_dir / "regret.csv").unlink(missing_ok=True)
     else:
         write_regret_csv(out_dir / "regret.csv", report)
-        summary["analysis"] = summarize(report)
-
-    with open(out_dir / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    (out_dir / "summary.json").write_text(text + "\n")
     return summary
 

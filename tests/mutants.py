@@ -1,0 +1,125 @@
+"""Mutation checks: small source edits that named tests must catch.
+
+Each entry of MUTANTS names a source file, an exact fragment of it, the
+text that replaces the fragment, and the pytest node ids that must fail
+on the edited tree. The runner first runs every named test on an
+unedited copy, where all must pass. Then, for each mutant, it copies
+src, tests and pyproject.toml into a temporary directory, applies the
+mutant there and runs its tests in a child pytest; a failing test kills
+the mutant. The whole tree is copied because pytest's
+pythonpath = ["src"] puts the copy's own src first: pointing PYTHONPATH
+at a mutated src would be ignored and every mutant would survive.
+
+    python tests/mutants.py
+
+Exits 0 when every mutant is killed, 1 when one survives or its run
+errs, and 2 when a named test fails on the unedited tree. A Tier-1 test
+(tests/test_mutants.py) checks that every fragment occurs exactly once
+in today's source, so a stale entry fails loudly.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to the repository root
+    fragment: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # the su^2 term of the estimator's determinant off by a relative 1e-9
+    Mutant(
+        "src/drpsim/estimator.py",
+        "det = a00 * a11 - su * su",
+        "det = a00 * a11 - su * su * (1 + 1e-9)",
+        ("tests/test_estimator.py::test_single_sample_ridge_solve",),
+    ),
+    # the kernel's regressor u = N * lambda off by a relative 1e-12
+    Mutant(
+        "src/drpsim/online.py",
+        "u_t = n * lam",
+        "u_t = n * lam * (1 + 1e-12)",
+        ("tests/test_engine.py::test_engine_matches_per_slot_loop",),
+    ),
+    # a non-finite observation is fed to the estimator
+    Mutant(
+        "src/drpsim/online.py",
+        "if not -inf < q < inf:",
+        "if False:",
+        ("tests/test_online.py::test_episode_rejects_nonfinite_observation",),
+    ),
+    # next_price divides by a near-zero denominator
+    Mutant(
+        "src/drpsim/offline.py",
+        "if abs(denom) < DENOM_TOL:",
+        "if False:",
+        ("tests/test_online.py::test_next_price_degenerate",),
+    ),
+    # the log bound passes without its cap on k2 / k1
+    Mutant(
+        "src/drpsim/analysis.py",
+        " and k2 <= LOG_BOUND_RATIO_CAP * k1",
+        "",
+        ("tests/test_analysis.py::test_log_bound_rejects_linear_regret",),
+    ),
+    # summary.json written with NaN, which strict JSON cannot hold
+    Mutant(
+        "src/drpsim/experiments.py",
+        "allow_nan=False",
+        "allow_nan=True",
+        ("tests/test_cli.py::test_nonfinite_summary_is_an_error_and_writes_no_file",),
+    ),
+)
+
+
+def run_tests(mutant: Optional[Mutant], tests: list[str]) -> int:
+    """pytest's exit status for tests on a copy of the tree with mutant applied."""
+    with tempfile.TemporaryDirectory(prefix="drpsim-mutant-") as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", tree)
+        if mutant is not None:
+            path = tree / mutant.path
+            source = path.read_text()
+            if source.count(mutant.fragment) != 1:
+                raise ValueError(f"{mutant.path}: fragment {mutant.fragment!r} is not unique")
+            path.write_text(source.replace(mutant.fragment, mutant.replacement))
+        env = {k: v for k, v in os.environ.items() if k not in ("DRPSIM_SEED", "DRPSIM_OUT")}
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+        return subprocess.run(command, cwd=tree, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    every_test = sorted({t for m in MUTANTS for t in m.tests})
+    if run_tests(None, every_test) != 0:
+        print("the named tests fail on the unedited tree; no mutant was run")
+        return 2
+    survivors = 0
+    for m in MUTANTS:
+        start = time.perf_counter()
+        status = run_tests(m, list(m.tests))
+        # pytest exits 1 when a test failed; any other status is an error, not a kill
+        verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
+        survivors += status != 1
+        print(f"{verdict:<8} {time.perf_counter() - start:5.1f} s  {m.path}: {m.fragment!r}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -106,19 +106,28 @@ def test_help_names_every_config_key_with_its_default(capsys):
     for field in fields(ExperimentConfig):
         value = getattr(ExperimentConfig(), field.name)
         shown = "unset" if value is None else str(value)
-        shown = shown.lower() if isinstance(value, bool) else shown
-        key = rf"(?m)^  {field.name}\b"
-        match = re.search(key + r"[^(]*\(([^)]*)\)", text)
+        match = re.search(rf"(?m)^  {field.name} +\(([^)]*)\) +(.*)$", text)
         assert match is not None, field.name
         assert match.group(1) == shown, field.name
+        assert match.group(2) == field.metadata["help"], field.name
 
 
-def test_help_fails_on_a_config_key_without_a_description(monkeypatch):
-    described = dict(cli._KEY_HELP)
-    del described["noise_sd"]
-    monkeypatch.setattr(cli, "_KEY_HELP", described)
-    with pytest.raises(KeyError, match=re.escape("differ in ['noise_sd']")):
-        main(["--help"])
+HELP_SCREENS = Path(__file__).with_name("golden")
+
+
+@pytest.mark.parametrize("command", ["", "offline", "simulate", "regret", "sweep"])
+def test_help_screen_matches_its_golden_text(command, monkeypatch, capsys):
+    """Pinned text of `drpsim [command] --help` at 80 columns.
+
+    An intended change rewrites the file, e.g.
+    `COLUMNS=80 python -m drpsim offline --help > tests/golden/help-offline.txt`.
+    """
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    assert exit_info.value.code == 0
+    name = f"help-{command}.txt" if command else "help.txt"
+    assert capsys.readouterr().out == (HELP_SCREENS / name).read_text()
 
 
 def test_simulate_writes_trajectory(small_config, clean_env, tmp_path, capsys):
@@ -128,6 +137,21 @@ def test_simulate_writes_trajectory(small_config, clean_env, tmp_path, capsys):
     lines = (out_dir / "trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("t,d_t,lambda_online")
     assert len(lines) == 6
+
+
+def test_simulate_names_an_output_directory_it_cannot_create(
+    small_config, clean_env, tmp_path, capsys, monkeypatch
+):
+    not_a_dir = tmp_path / "afile"
+    not_a_dir.write_text("")
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("simulate ran an episode before creating its directory")
+
+    monkeypatch.setattr(cli, "run_replications", no_episode)
+    out_dir = not_a_dir / "sub"
+    assert main(["simulate", "--config", small_config, "--out", str(out_dir)]) == 2
+    assert f"error: cannot create output directory '{out_dir}'" in capsys.readouterr().err
 
 
 def test_regret_reports_analysis(sweep_config, clean_env, tmp_path, capsys):
@@ -368,3 +392,18 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path):
         stderr = proc.stderr.read()
     assert stderr == b""
     assert proc.returncode == 1
+
+
+def test_nonfinite_summary_is_an_error_and_writes_no_file(tmp_path):
+    # noise this large overflows: cum_regret_final, k1 and k2 come out NaN, which
+    # strict JSON cannot hold (a child process, as the overflow warns on pool threads)
+    config = tmp_path / "overflow.cfg"
+    config.write_text("n_users = 2\nhorizon = 20\nreps = 3\nnoise_sd = 1e300\n")
+    args = ["regret", "--config", str(config), "--out", "o"]
+    proc = _run_child([sys.executable, "-m", "drpsim"], args, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith("error: summary.json cannot hold non-finite values: ")
+    assert "analysis.cum_regret_final" in error
+    assert list((tmp_path / "o").iterdir()) == []
