@@ -3,8 +3,8 @@
 Draws the default baseline scenario (N=100 users, T=100 slots), solves
 for the optimal committed capacity y* and the per-slot optimal prices
 in closed form, and cross-checks both against the slower numerical
-oracles (golden-section search over the reduced capacity objective and
-a dense KKT solve per slot).
+oracles (the exact vertex of the reduced capacity objective, a parabola
+in y, and a dense KKT solve per slot).
 
 Run:  python3 demos/offline_solution.py
 """
@@ -27,7 +27,7 @@ def main() -> None:
 
     print(f"closed-form optimal capacity y* = {y_closed:.6f}")
     y_oracle = oracle_y_star(scenario)
-    print(f"golden-section oracle        y* = {y_oracle:.6f}")
+    print(f"vertex oracle                y* = {y_oracle:.6f}")
     print(f"agreement: |diff| = {abs(y_closed - y_oracle):.2e}")
     print()
 

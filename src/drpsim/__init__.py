@@ -1,6 +1,6 @@
 """Online demand-response pricing: offline optima, online learning, regret.
 
-A numpy/scipy library plus a small CLI. The model module holds the
+A numpy library plus a small CLI. The model module holds the
 population and demand as arrays, user responses, and stage costs;
 offline computes the full-information optimum (with independent
 numerical oracles); estimator and online implement the

@@ -33,7 +33,7 @@ from numpy.typing import NDArray
 
 from .analysis import RegretReport, build_regret_report, summarize
 from .estimator import init
-from .model import Population, Scenario, _check_finite
+from .model import Population, Scenario, _check_finite, _check_noise_sd
 from .offline import compute_y_star
 from .online import OnlineConfig, Trajectory, run_replications
 from .rng import substream
@@ -159,8 +159,7 @@ class ExperimentConfig:
             init(self.ridge)  # the estimator owns the rule
         except ValueError as exc:
             raise ValueError(f"ridge: {exc}") from None
-        if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        _check_noise_sd(self.noise_sd)
 
     def intervals(self) -> tuple[tuple[float, float], ...]:
         """The kind's (alpha, beta, d) sampling intervals; the variants use baseline's."""

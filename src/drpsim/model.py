@@ -61,6 +61,23 @@ def _check_finite(name: str, value: object) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+#: largest noise_sd accepted (see _check_noise_sd)
+NOISE_SD_MAX = 1e60
+
+
+def _check_noise_sd(noise_sd: float) -> None:
+    """Raise ValueError naming noise_sd unless 0 <= noise_sd <= NOISE_SD_MAX.
+
+    Costs grow as noise_sd^2 (through beta_i*eps_i^2 and the squared
+    imbalance; the prices follow the noisy aggregates), and the analysis
+    squares cost differences, so noise_sd^4 must fit below float64's
+    1.8e308 with room for beta_i, N, T, reps and the squared draws:
+    1e60^4 = 1e240 leaves a factor of about 1e68.
+    """
+    if not 0 <= noise_sd <= NOISE_SD_MAX:
+        raise ValueError(f"noise_sd must be in [0, {NOISE_SD_MAX:g}], got {noise_sd}")
+
+
 def _checked_array(name: str, values: ArrayLike, positive: bool) -> NDArray[np.float64]:
     """Read-only 1-D float64 copy of values, each finite and > 0 (or >= 0).
 
@@ -132,7 +149,7 @@ class Scenario:
         demand: normalized per-slot demand-reduction requirements d_t,
             finite and > 0; a read-only float64 array of length T.
         alpha_rev: revenue price per standardized unit of reduction, > 0.
-        noise_sd: per-user response noise standard deviation, >= 0.
+        noise_sd: per-user response noise standard deviation, 0..NOISE_SD_MAX.
     """
 
     population: Population
@@ -146,8 +163,7 @@ class Scenario:
         _check_finite("noise_sd", self.noise_sd)
         if self.alpha_rev <= 0:
             raise ValueError(f"alpha_rev must be > 0, got {self.alpha_rev}")
-        if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        _check_noise_sd(self.noise_sd)
 
     @property
     def n(self) -> int:

@@ -9,8 +9,8 @@ Closed forms (with gamma1 = sum 1/beta_i, S = sum_i alpha_i/beta_i = -gamma2):
 where a is the revenue price. lambda*_t is evaluated by next_price, the
 certainty-equivalent price the online loop sets from estimated
 aggregates, at the true (gamma1, gamma2). Two independent numerical
-oracles validate the closed forms: a per-slot dense KKT solve, and a
-golden-section minimization of the reduced capacity objective.
+oracles validate the closed forms: a per-slot dense KKT solve, and the
+vertex of the reduced capacity objective, a parabola in y.
 """
 
 from __future__ import annotations
@@ -171,39 +171,23 @@ def reduced_objective(scenario: Scenario, y: float) -> float:
 
 
 def oracle_y_star(scenario: Scenario) -> float:
-    """Independent capacity optimum via golden-section search.
+    """Independent capacity optimum: two exact vertex steps on reduced_objective.
 
-    The reduced objective is a strictly convex parabola in y, so a
-    data-independent bracket around the closed-form magnitude bound
-    suffices. Golden section alone stalls once the parabola is flat to
-    rounding (location error ~ sqrt(eps)), so the result is refined by
-    one exact parabolic-vertex step through three well-separated
-    evaluations, which pins the minimizer of a true quadratic to near
-    machine precision.
+    reduced_objective is a strictly convex parabola in y, so the vertex
+    through its values at y - h, y, y + h is its minimizer, up to rounding
+    that grows as |y*| moves away from 1. The first step uses y in
+    {-1, 0, 1}; the second, centred on that vertex with h = max(1, |y|)/2,
+    pins y* to near machine precision at any scale.
+
+    Raises:
+        RuntimeError: a second difference is not > 0 (no convex parabola).
     """
-    # scipy.optimize takes ~45 MB and ~0.7 s to import and nothing else
-    # in the package needs it, so only this oracle pays for it
-    from scipy.optimize import minimize_scalar
-
-    pop = scenario.population
-    d = scenario.demand
-    magnitude = (
-        scenario.horizon * scenario.alpha_rev * (1.0 + pop.gamma1)
-        + abs(pop.gamma2) * float(d.sum())
-    ) / float((d * d).sum())
-    bound = 2.0 * magnitude + 1.0  # keeps |y*| < bound/2 so (-b, 0, b) brackets
-    res = minimize_scalar(
-        lambda y: reduced_objective(scenario, y),
-        bracket=(-bound, 0.0, bound),
-        method="golden",
-        options={"xtol": 1e-10},
-    )
-    y0 = float(res.x)
-    h = 0.5 * max(1.0, abs(y0))
-    f_lo = reduced_objective(scenario, y0 - h)
-    f_mid = reduced_objective(scenario, y0)
-    f_hi = reduced_objective(scenario, y0 + h)
-    denom = f_hi - 2.0 * f_mid + f_lo  # = 2*A*h^2 > 0 for a strictly convex parabola
-    if denom <= 0.0:  # pragma: no cover - curvature is strictly positive
-        return y0
-    return y0 - 0.5 * h * (f_hi - f_lo) / denom
+    y, h = 0.0, 1.0
+    for _ in range(2):
+        f_lo, f_mid, f_hi = (reduced_objective(scenario, v) for v in (y - h, y, y + h))
+        curvature = f_hi - 2.0 * f_mid + f_lo  # = 2*A*h^2 for a parabola A*y^2 + B*y + C
+        if not curvature > 0.0:
+            raise RuntimeError(f"reduced objective has second difference {curvature:g} at y={y:g}")
+        y -= 0.5 * h * (f_hi - f_lo) / curvature
+        h = 0.5 * max(1.0, abs(y))
+    return y

@@ -47,6 +47,13 @@ MUTANTS = (
         "det = a00 * a11 - su * su * (1 + 1e-9)",
         ("tests/test_estimator.py::test_single_sample_ridge_solve",),
     ),
+    # the whole determinant off by a relative 1e-9
+    Mutant(
+        "src/drpsim/estimator.py",
+        "det = a00 * a11 - su * su",
+        "det = (a00 * a11 - su * su) * (1 + 1e-9)",
+        ("tests/test_estimator.py::test_single_sample_ridge_solve",),
+    ),
     # the kernel's regressor u = N * lambda off by a relative 1e-12
     Mutant(
         "src/drpsim/online.py",
@@ -67,6 +74,20 @@ MUTANTS = (
         "if abs(denom) < DENOM_TOL:",
         "if False:",
         ("tests/test_online.py::test_next_price_degenerate",),
+    ),
+    # the oracle's vertex step moves 0.8 of the way to the vertex
+    Mutant(
+        "src/drpsim/offline.py",
+        "y -= 0.5 * h * (f_hi - f_lo) / curvature",
+        "y -= 0.4 * h * (f_hi - f_lo) / curvature",
+        ("tests/test_offline.py::test_oracle_y_star_matches_closed_random",),
+    ),
+    # a noise_sd past the float range is accepted
+    Mutant(
+        "src/drpsim/model.py",
+        "if not 0 <= noise_sd <= NOISE_SD_MAX:",
+        "if not 0 <= noise_sd:",
+        ("tests/test_cli.py::test_noise_sd_past_the_float_range_fails_before_any_draw",),
     ),
     # the log bound passes without its cap on k2 / k1
     Mutant(
@@ -116,7 +137,8 @@ def main() -> int:
         # pytest exits 1 when a test failed; any other status is an error, not a kill
         verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
         survivors += status != 1
-        print(f"{verdict:<8} {time.perf_counter() - start:5.1f} s  {m.path}: {m.fragment!r}")
+        elapsed = time.perf_counter() - start
+        print(f"{verdict:<8} {elapsed:5.1f} s  {m.path}: {m.fragment!r} -> {m.replacement!r}")
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 

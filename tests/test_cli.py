@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 
 import drpsim
-from drpsim import cli
+from drpsim import cli, experiments, online
 from drpsim.cli import SWEEP_GRID, main
 from drpsim.experiments import ExperimentConfig, run_experiment, scenario_and_capacity
-from drpsim.model import aggregate_from_noise
+from drpsim.model import NOISE_SD_MAX, aggregate_from_noise
 from drpsim.offline import closed_form_solve, lambda_star_path
 
 try:
@@ -394,16 +395,51 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path):
     assert proc.returncode == 1
 
 
-def test_nonfinite_summary_is_an_error_and_writes_no_file(tmp_path):
-    # noise this large overflows: cum_regret_final, k1 and k2 come out NaN, which
-    # strict JSON cannot hold (a child process, as the overflow warns on pool threads)
-    config = tmp_path / "overflow.cfg"
-    config.write_text("n_users = 2\nhorizon = 20\nreps = 3\nnoise_sd = 1e300\n")
-    args = ["regret", "--config", str(config), "--out", "o"]
-    proc = _run_child([sys.executable, "-m", "drpsim"], args, tmp_path)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    error = proc.stderr.splitlines()[-1]
+def test_nonfinite_summary_is_an_error_and_writes_no_file(tmp_path, clean_env, capsys):
+    # no valid config reaches a non-finite summary (noise_sd is bounded), so
+    # put a NaN into it: strict JSON cannot hold one
+    real = experiments.summarize
+    clean_env.setattr(
+        experiments, "summarize", lambda report: real(report) | {"cum_regret_final": math.nan}
+    )
+    config = tmp_path / "small.cfg"
+    config.write_text("n_users = 2\nhorizon = 20\nreps = 3\n")
+    out_dir = tmp_path / "o"
+    assert main(["regret", "--config", str(config), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = captured.err.splitlines()[-1]
     assert error.startswith("error: summary.json cannot hold non-finite values: ")
     assert "analysis.cum_regret_final" in error
-    assert list((tmp_path / "o").iterdir()) == []
+    assert list(out_dir.iterdir()) == []
+
+
+def test_noise_sd_past_the_float_range_fails_before_any_draw(tmp_path, clean_env, capsys, recwarn):
+    # the analysis squares costs that grow as noise_sd^2, and 1e300^4 overflows
+    def refuse(*args):
+        raise AssertionError("a stream was opened")
+
+    clean_env.setattr(experiments, "substream", refuse)
+    clean_env.setattr(online, "substream", refuse)
+    config = tmp_path / "overflow.cfg"
+    config.write_text("n_users = 2\nhorizon = 20\nreps = 3\nnoise_sd = 1e300\n")
+    out_dir = tmp_path / "o"
+    assert main(["regret", "--config", str(config), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: noise_sd must be in [0, {NOISE_SD_MAX:g}], got 1e+300\n"
+    assert not out_dir.exists()
+    assert len(recwarn) == 0
+
+
+def test_noise_sd_at_its_bound_gives_a_finite_summary(tmp_path, clean_env, capsys, recwarn):
+    config = tmp_path / "loud.cfg"
+    config.write_text(f"n_users = 2\nhorizon = 20\nreps = 3\nnoise_sd = {NOISE_SD_MAX!r}\n")
+    out_dir = tmp_path / "o"
+    assert main(["regret", "--config", str(config), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["noise_sd"] == NOISE_SD_MAX
+    analysis = summary["analysis"]
+    assert all(math.isfinite(v) for v in analysis.values() if isinstance(v, float))
+    assert len(recwarn) == 0

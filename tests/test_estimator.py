@@ -71,11 +71,13 @@ def test_zero_data_no_ridge_is_insufficient():
 def test_single_sample_ridge_solve():
     # (lambda=1, Z=1, N=1), ridge 0.001: ([[1,1],[1,1]] + 0.001*I) beta = [1,1]
     # has the symmetric solution 1/(2.001) in both components.  The closed-form
-    # 2x2 solve loses ~cond*eps here (cond ~ 2e3), so pin at 1e-9 relative.
+    # 2x2 solve may lose cond*eps ~ 4e-13 here (cond ~ 2e3); it is off by 4.1e-14
+    # against an exact rational solve.  Pin at 1e-11 relative, so a relative
+    # 1e-9 error in the determinant fails.
     state = _feed(init(0.001), [(1.0, 1.0)])
     g1, g2 = solve_normal_equations(*state)
-    assert g1 == pytest.approx(1.0 / 2.001, rel=1e-9)
-    assert g2 == pytest.approx(1.0 / 2.001, rel=1e-9)
+    assert g1 == pytest.approx(1.0 / 2.001, rel=1e-11)
+    assert g2 == pytest.approx(1.0 / 2.001, rel=1e-11)
 
 
 def test_single_sample_no_ridge_unidentifiable():

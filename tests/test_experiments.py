@@ -97,6 +97,8 @@ def test_config_validation():
         ExperimentConfig(ridge=-0.001)
     with pytest.raises(ValueError, match="noise_sd"):
         ExperimentConfig(noise_sd=-1.0)
+    with pytest.raises(ValueError, match=r"noise_sd must be in \[0, 1e\+60\]"):
+        ExperimentConfig(noise_sd=1e300)
     with pytest.raises(ValueError, match="unknown experiment kind"):
         ExperimentConfig(experiment="warmstart")
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drpsim import offline
 from drpsim.model import Population, Scenario
 from drpsim.offline import (
     OfflineSolution,
@@ -45,7 +46,7 @@ def test_y_star_negative_is_returned_silently():
     assert y < 0
 
 
-def test_y_star_golden_section_oracle_table1_style():
+def test_y_star_vertex_oracle_table1_style():
     rng = np.random.default_rng(42)
     pop = Population(rng.uniform(1.0, 2.0, 100), rng.uniform(4.0, 8.0, 100))
     d = tuple(float(v) for v in rng.uniform(3.0, 6.0, 100))
@@ -176,6 +177,24 @@ def test_oracle_y_star_matches_closed_random(scenario_factory, rng):
         y_oracle = oracle_y_star(sc)
         assert abs(y_oracle - y_closed) <= 1e-6 * abs(y_closed)
         checked += 1
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e8])
+def test_oracle_y_star_matches_closed_far_from_unit_scale(scenario_factory, rng, scale):
+    # Y* is linear in (alpha_i, alpha_rev), so scaling both puts |y*| far from
+    # the first vertex step's points {-1, 0, 1}
+    base = scenario_factory(rng, n=6, t=4)
+    pop = base.population
+    sc = Scenario(Population(pop.alphas * scale, pop.betas), base.demand, base.alpha_rev * scale)
+    y_closed = compute_y_star(sc)
+    assert abs(y_closed) == pytest.approx(scale * abs(compute_y_star(base)), rel=1e-12)
+    assert abs(oracle_y_star(sc) - y_closed) <= 1e-6 * abs(y_closed)
+
+
+def test_oracle_y_star_rejects_a_non_convex_objective(monkeypatch, unit_scenario):
+    monkeypatch.setattr(offline, "reduced_objective", lambda scenario, y: -y * y)
+    with pytest.raises(RuntimeError, match="second difference"):
+        oracle_y_star(unit_scenario)
 
 
 @st.composite

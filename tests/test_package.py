@@ -65,16 +65,38 @@ def _imported_packages(path):
     return names
 
 
-def test_third_party_imports_are_declared_dependencies():
+def _third_party(paths):
+    """Top-level names paths import that are neither the standard library nor drpsim."""
+    imported = set().union(*map(_imported_packages, paths))
+    # tomllib joined the standard library in 3.11; on 3.10 the tests fall back to tomli
+    return imported - set(sys.stdlib_module_names) - {"tomllib", "drpsim"}
+
+
+def _declared(requirements):
+    """Import names of requirement strings: each package installs under its import name."""
+    return {re.match(r"[\w.-]+", r).group().lower().replace("-", "_") for r in requirements}
+
+
+@pytest.fixture(scope="module")
+def project():
     toml = tomllib or pytest.importorskip("tomli")
     with open(PYPROJECT, "rb") as f:
-        requirements = toml.load(f)["project"]["dependencies"]
-    # every package drpsim imports is installed under its import name
-    declared = {re.match(r"[\w.-]+", r).group().lower().replace("-", "_") for r in requirements}
-    imported = set().union(*map(_imported_packages, SOURCES))
-    third_party = imported - set(sys.stdlib_module_names) - {"drpsim"}
-    assert {"numpy", "orjson"} <= third_party
-    assert third_party - declared == set()
+        return toml.load(f)["project"]
+
+
+def test_third_party_imports_are_declared_dependencies(project):
+    # both ways: drpsim imports nothing undeclared, and every dependency is imported
+    assert _third_party(SOURCES) == _declared(project["dependencies"])
+
+
+def test_test_and_benchmark_imports_are_declared(project):
+    root = PYPROJECT.parent
+    paths = [*(root / "tests").rglob("*.py"), *(root / "benchmarks").rglob("*.py")]
+    local = {p.stem for p in paths}  # conftest, reference, spans, worker, ...
+    used = _third_party(paths) - local
+    assert {"numpy", "pytest", "hypothesis"} <= used
+    declared = _declared(project["dependencies"] + project["optional-dependencies"]["test"])
+    assert used - declared == set()
 
 
 def test_demos_found():
