@@ -2,7 +2,7 @@
 
 Subcommands:
     offline    print the committed capacity and optimal price path as CSV
-    simulate   run one online episode and emit its per-slot CSV
+    simulate   run one online episode, writing what regret --reps 1 writes
     regret     run a replication sweep, write analysis CSVs + summary.json
     sweep      run the whole experiment grid into per-kind subdirectories
 
@@ -25,17 +25,14 @@ import numpy as np
 
 from .experiments import (
     ExperimentConfig,
-    _make_out_dir,
     _parse_number,
     parse_config,
     run_experiment,
     scenario_and_capacity,
     write_table,
-    write_trajectory_csv,
 )
 from .model import aggregate_from_noise
 from .offline import lambda_star_path
-from .online import run_replications
 
 __all__ = ["main"]
 
@@ -93,13 +90,10 @@ def cmd_offline(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    path = _make_out_dir(config) / "trajectory.csv"
-    scenario, y = scenario_and_capacity(config)
-    # replication 0 of a sweep is the episode; only online knows its stream
-    traj = run_replications(scenario, y, 1, config.seed, ridge_param=config.ridge).first_trajectory
-    write_trajectory_csv(path, traj)
-    print(f"wrote {path}")
+    # one episode is a one-replication run: it writes what `regret --reps 1` writes
+    config = replace(_load_config(args), reps=1)
+    run_experiment(config)
+    print(f"wrote {Path(config.out_dir) / 'trajectory.csv'}")
     return 0
 
 

@@ -33,7 +33,7 @@ from numpy.typing import NDArray
 
 from .analysis import RegretReport, build_regret_report, summarize
 from .estimator import init
-from .model import Population, Scenario, _check_finite, _check_noise_sd
+from .model import SCALE_MAX, Population, Scenario, _check_finite, _check_range
 from .offline import compute_y_star
 from .online import OnlineConfig, Trajectory, run_replications
 from .rng import substream
@@ -117,8 +117,10 @@ class ExperimentConfig:
     description (_key). Every field must have its annotated type
     (a bool is not an int, an int is accepted for a float), else
     TypeError names the key; a float field must be finite
-    (model._check_finite), else ValueError names it. Float fields are
-    stored as float, so a config equals the one parse_config reads.
+    (model._check_finite), and c_rev, noise_sd and y_capacity at most
+    model.SCALE_MAX in size (model._check_range), else ValueError names
+    it. Float fields are stored as float, so a config equals the one
+    parse_config reads.
     """
 
     experiment: str = _key("baseline", "baseline | paramset2 | repeated-dt:P | blocked-dt:B")
@@ -153,13 +155,15 @@ class ExperimentConfig:
         # substream takes only u64 seeds; reject others here, where the key is known
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.c_rev <= 0:
-            raise ValueError(f"c_rev must be > 0, got {self.c_rev}")
+        if not 0 < self.c_rev <= SCALE_MAX:  # the bound is model._check_range's
+            raise ValueError(f"c_rev must be in (0, {SCALE_MAX:g}], got {self.c_rev}")
         try:
             init(self.ridge)  # the estimator owns the rule
         except ValueError as exc:
             raise ValueError(f"ridge: {exc}") from None
-        _check_noise_sd(self.noise_sd)
+        _check_range("noise_sd", self.noise_sd, 0)
+        if self.y_capacity is not None:
+            _check_range("y_capacity", self.y_capacity)
 
     def intervals(self) -> tuple[tuple[float, float], ...]:
         """The kind's (alpha, beta, d) sampling intervals; the variants use baseline's."""
@@ -250,16 +254,6 @@ def scenario_and_capacity(config: ExperimentConfig) -> tuple[Scenario, float]:
     return scenario, y
 
 
-def _make_out_dir(config: ExperimentConfig) -> Path:
-    """Create config.out_dir with its parents; an OSError names the directory."""
-    out_dir = Path(config.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory '{out_dir}': {exc}") from exc
-    return out_dir
-
-
 def write_table(f: TextIO, columns: dict[str, NDArray]) -> None:
     """CSV of equal-length columns: a header of their names, then one row per index.
 
@@ -343,7 +337,11 @@ def run_experiment(config: ExperimentConfig, *, shared_draws: Optional[dict] = N
     shared_draws is passed to run_replications: experiments run with one
     store draw each population's noise once, with unchanged outputs.
     """
-    out_dir = _make_out_dir(config)
+    out_dir = Path(config.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory '{out_dir}': {exc}") from exc
     scenario, y = scenario_and_capacity(config)
     y_closed = y if config.y_capacity is None else compute_y_star(scenario)
     sweep = run_replications(

@@ -61,21 +61,26 @@ def _check_finite(name: str, value: object) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-#: largest noise_sd accepted (see _check_noise_sd)
-NOISE_SD_MAX = 1e60
+#: largest |value| accepted for a key whose costs grow as its square (see _check_range)
+SCALE_MAX = 1e60
 
 
-def _check_noise_sd(noise_sd: float) -> None:
-    """Raise ValueError naming noise_sd unless 0 <= noise_sd <= NOISE_SD_MAX.
+def _check_range(name: str, value: float, low: float = -SCALE_MAX) -> None:
+    """Raise ValueError naming name unless low <= value <= SCALE_MAX.
 
-    Costs grow as noise_sd^2 (through beta_i*eps_i^2 and the squared
-    imbalance; the prices follow the noisy aggregates), and the analysis
-    squares cost differences, so noise_sd^4 must fit below float64's
-    1.8e308 with room for beta_i, N, T, reps and the squared draws:
-    1e60^4 = 1e240 leaves a factor of about 1e68.
+    Costs grow as the square of noise_sd (through beta_i*eps_i^2 and the
+    squared imbalance; the prices follow the noisy aggregates), of a set
+    capacity y (through the imbalance Q_t - y*d_t) and of c_rev (the
+    closed-form capacity is about c_rev * (1 + gamma1), which grows with
+    N). The analysis squares cost differences, so each key's fourth
+    power must fit below float64's 1.8e308 with room for beta_i, N, T,
+    reps and the squared draws: 1e60^4 = 1e240 leaves a factor of about
+    1e68. Only user-set keys are bounded: at c_rev = 1e60 the closed-form
+    capacity is about 5e60 at N = 100 and 5e63 at N = 1e5, where the
+    cumulative regret is about 1e133 and its square still fits.
     """
-    if not 0 <= noise_sd <= NOISE_SD_MAX:
-        raise ValueError(f"noise_sd must be in [0, {NOISE_SD_MAX:g}], got {noise_sd}")
+    if not low <= value <= SCALE_MAX:
+        raise ValueError(f"{name} must be in [{low:g}, {SCALE_MAX:g}], got {value}")
 
 
 def _checked_array(name: str, values: ArrayLike, positive: bool) -> NDArray[np.float64]:
@@ -149,7 +154,7 @@ class Scenario:
         demand: normalized per-slot demand-reduction requirements d_t,
             finite and > 0; a read-only float64 array of length T.
         alpha_rev: revenue price per standardized unit of reduction, > 0.
-        noise_sd: per-user response noise standard deviation, 0..NOISE_SD_MAX.
+        noise_sd: per-user response noise standard deviation, 0..SCALE_MAX.
     """
 
     population: Population
@@ -163,7 +168,7 @@ class Scenario:
         _check_finite("noise_sd", self.noise_sd)
         if self.alpha_rev <= 0:
             raise ValueError(f"alpha_rev must be > 0, got {self.alpha_rev}")
-        _check_noise_sd(self.noise_sd)
+        _check_range("noise_sd", self.noise_sd, 0)
 
     @property
     def n(self) -> int:

@@ -20,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -46,6 +47,9 @@ RUNS = (
     ("simulate", ["simulate"], ""),
     ("offline", ["offline"], ""),
 )
+
+#: relative tolerance of the value comparison on another platform
+RTOL = 1e-12
 
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Infinity|inf)|NaN|nan")
 
@@ -90,6 +94,51 @@ def run_all() -> dict:
                     files[path.relative_to(out_dir).as_posix()] = describe(path.read_bytes())
         records[name] = {"exit": status, "files": files}
     return records
+
+
+def values_close(got: list, want: list) -> bool:
+    """Equal lengths, and each pair equal, both nan, or within RTOL relative."""
+    return len(got) == len(want) and all(
+        a == b or (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=RTOL)
+        for a, b in zip(got, want)
+    )
+
+
+def compare(manifest: dict, runs: dict) -> list[str]:
+    """Each run or run/file of runs that differs from manifest, is new or is missing.
+
+    Digests are compared as bytes when the manifest's provenance is this
+    interpreter's, else as skeletons and values_close numbers. An empty
+    list means runs reproduce the manifest, order of runs and files too.
+    """
+    same_platform = manifest["provenance"] == provenance()
+    want_runs = manifest["runs"]
+    found = []
+    for name in {**want_runs, **runs}:  # the manifest's order, then new runs
+        if name not in runs or name not in want_runs:
+            found.append(f"{name} ({'missing' if name not in runs else 'new'})")
+            continue
+        got, want = runs[name], want_runs[name]
+        if got["exit"] != want["exit"]:
+            found.append(f"{name}: exit {got['exit']}, manifest {want['exit']}")
+        for path in {**want["files"], **got["files"]}:
+            new, old = got["files"].get(path), want["files"].get(path)
+            if new is None or old is None:
+                found.append(f"{name}/{path} ({'missing' if new is None else 'new'})")
+                continue
+            if same_platform:
+                same = new["sha256"] == old["sha256"]
+            else:
+                same = new["skeleton_sha256"] == old["skeleton_sha256"] and values_close(
+                    new["values"], old["values"]
+                )
+            if not same:
+                found.append(f"{name}/{path} (differs)")
+    if not found and [(n, list(r["files"])) for n, r in runs.items()] != [
+        (n, list(r["files"])) for n, r in want_runs.items()
+    ]:
+        found.append("runs or files in another order than the manifest's")
+    return found
 
 
 def _dump(manifest: dict) -> str:

@@ -82,12 +82,33 @@ MUTANTS = (
         "y -= 0.4 * h * (f_hi - f_lo) / curvature",
         ("tests/test_offline.py::test_oracle_y_star_matches_closed_random",),
     ),
-    # a noise_sd past the float range is accepted
+    # a noise_sd, y_capacity or c_rev past the float range is accepted
     Mutant(
         "src/drpsim/model.py",
-        "if not 0 <= noise_sd <= NOISE_SD_MAX:",
-        "if not 0 <= noise_sd:",
+        "if not low <= value <= SCALE_MAX:",
+        "if not low <= value:",
         ("tests/test_cli.py::test_noise_sd_past_the_float_range_fails_before_any_draw",),
+    ),
+    # a y_capacity past the float range is accepted
+    Mutant(
+        "src/drpsim/experiments.py",
+        '_check_range("y_capacity", self.y_capacity)',
+        "pass",
+        ("tests/test_cli.py::test_noise_sd_past_the_float_range_fails_before_any_draw",),
+    ),
+    # a c_rev past the float range is accepted
+    Mutant(
+        "src/drpsim/experiments.py",
+        "if not 0 < self.c_rev <= SCALE_MAX:",
+        "if not 0 < self.c_rev:",
+        ("tests/test_cli.py::test_noise_sd_past_the_float_range_fails_before_any_draw",),
+    ),
+    # simulate runs the config's replication count, not one episode
+    Mutant(
+        "src/drpsim/cli.py",
+        "replace(_load_config(args), reps=1)",
+        "_load_config(args)",
+        ("tests/test_cli.py::test_simulate_replaces_a_regret_run_with_what_regret_reps1_writes",),
     ),
     # the log bound passes without its cap on k2 / k1
     Mutant(

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import drpsim
-from drpsim import cli, experiments, online
+from drpsim import experiments, online
 from drpsim.cli import SWEEP_GRID, main
 from drpsim.experiments import ExperimentConfig, run_experiment, scenario_and_capacity
-from drpsim.model import NOISE_SD_MAX, aggregate_from_noise
+from drpsim.model import SCALE_MAX, aggregate_from_noise
 from drpsim.offline import closed_form_solve, lambda_star_path
 
 try:
@@ -149,10 +149,30 @@ def test_simulate_names_an_output_directory_it_cannot_create(
     def no_episode(*args, **kwargs):
         raise AssertionError("simulate ran an episode before creating its directory")
 
-    monkeypatch.setattr(cli, "run_replications", no_episode)
+    monkeypatch.setattr(experiments, "run_replications", no_episode)
     out_dir = not_a_dir / "sub"
     assert main(["simulate", "--config", small_config, "--out", str(out_dir)]) == 2
     assert f"error: cannot create output directory '{out_dir}'" in capsys.readouterr().err
+
+
+def test_simulate_replaces_a_regret_run_with_what_regret_reps1_writes(
+    sweep_config, clean_env, tmp_path, capsys
+):
+    shared = tmp_path / "shared"
+    assert main(["regret", "--config", sweep_config, "--seed", "7", "--out", str(shared)]) == 0
+    assert (shared / "regret.csv").exists()
+    assert main(["simulate", "--config", sweep_config, "--seed", "8", "--out", str(shared)]) == 0
+    alone = tmp_path / "alone"
+    args = ["--config", sweep_config, "--reps", "1", "--seed", "8", "--out", str(alone)]
+    assert main(["regret", *args]) == 0
+    capsys.readouterr()
+    # no file of the seed-7 run survives beside the seed-8 episode
+    names = sorted(p.name for p in shared.iterdir())
+    assert names == ["summary.json", "trajectory.csv"]
+    for name in names:
+        assert (shared / name).read_bytes() == (alone / name).read_bytes(), name
+    summary = json.loads((shared / "summary.json").read_text())
+    assert (summary["seed"], summary["reps"], summary["analysis"]) == (8, 1, None)
 
 
 def test_regret_reports_analysis(sweep_config, clean_env, tmp_path, capsys):
@@ -414,32 +434,52 @@ def test_nonfinite_summary_is_an_error_and_writes_no_file(tmp_path, clean_env, c
     assert list(out_dir.iterdir()) == []
 
 
+#: a value of each key whose costs grow as its square, past the float range, and its range
+_OVERFLOWING = (
+    ("noise_sd", "1e300", f"[0, {SCALE_MAX:g}]"),
+    ("y_capacity", "1e300", f"[{-SCALE_MAX:g}, {SCALE_MAX:g}]"),
+    ("y_capacity", "-1e300", f"[{-SCALE_MAX:g}, {SCALE_MAX:g}]"),
+    ("c_rev", "1e300", f"(0, {SCALE_MAX:g}]"),
+)
+
+
 def test_noise_sd_past_the_float_range_fails_before_any_draw(tmp_path, clean_env, capsys, recwarn):
-    # the analysis squares costs that grow as noise_sd^2, and 1e300^4 overflows
+    # the analysis squares costs that grow as each key^2, and 1e300^4 overflows
     def refuse(*args):
         raise AssertionError("a stream was opened")
 
     clean_env.setattr(experiments, "substream", refuse)
     clean_env.setattr(online, "substream", refuse)
-    config = tmp_path / "overflow.cfg"
-    config.write_text("n_users = 2\nhorizon = 20\nreps = 3\nnoise_sd = 1e300\n")
-    out_dir = tmp_path / "o"
-    assert main(["regret", "--config", str(config), "--out", str(out_dir)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: noise_sd must be in [0, {NOISE_SD_MAX:g}], got 1e+300\n"
-    assert not out_dir.exists()
+    for key, value, bound in _OVERFLOWING:
+        config = tmp_path / "overflow.cfg"
+        config.write_text(f"n_users = 2\nhorizon = 20\nreps = 3\n{key} = {value}\n")
+        out_dir = tmp_path / "o"
+        assert main(["regret", "--config", str(config), "--out", str(out_dir)]) == 2, key
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} must be in {bound}, got {float(value)!r}\n"
+        assert not out_dir.exists()
     assert len(recwarn) == 0
 
 
 def test_noise_sd_at_its_bound_gives_a_finite_summary(tmp_path, clean_env, capsys, recwarn):
-    config = tmp_path / "loud.cfg"
-    config.write_text(f"n_users = 2\nhorizon = 20\nreps = 3\nnoise_sd = {NOISE_SD_MAX!r}\n")
-    out_dir = tmp_path / "o"
-    assert main(["regret", "--config", str(config), "--out", str(out_dir)]) == 0
-    assert capsys.readouterr().err == ""
-    summary = json.loads((out_dir / "summary.json").read_text())
-    assert summary["noise_sd"] == NOISE_SD_MAX
-    analysis = summary["analysis"]
-    assert all(math.isfinite(v) for v in analysis.values() if isinstance(v, float))
+    # the closed-form capacity grows as c_rev * (1 + gamma1), so past SCALE_MAX at the default N
+    for size, key, value in (
+        ("n_users = 2\n", "noise_sd", SCALE_MAX),
+        ("n_users = 2\n", "y_capacity", SCALE_MAX),
+        ("n_users = 2\n", "y_capacity", -SCALE_MAX),
+        ("n_users = 2\n", "c_rev", SCALE_MAX),
+        ("", "c_rev", SCALE_MAX),
+    ):
+        config = tmp_path / "loud.cfg"
+        config.write_text(f"{size}horizon = 20\nreps = 3\n{key} = {value!r}\n")
+        out_dir = tmp_path / "o"
+        assert main(["regret", "--config", str(config), "--out", str(out_dir)]) == 0, key
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary[key] == value
+        if not size:
+            assert summary["y_capacity"] > SCALE_MAX
+        analysis = summary["analysis"]
+        assert all(math.isfinite(v) for v in analysis.values() if isinstance(v, float)), key
     assert len(recwarn) == 0

@@ -26,6 +26,7 @@ from drpsim.experiments import (
 )
 from drpsim import build_regret_report, experiments, run_replications
 from drpsim.estimator import init
+from drpsim.model import SCALE_MAX
 from drpsim.rng import substream
 
 
@@ -91,7 +92,7 @@ def test_config_validation():
         ExperimentConfig(reps=0)
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(seed=-1)
-    with pytest.raises(ValueError, match="c_rev"):
+    with pytest.raises(ValueError, match=r"^c_rev must be in \(0, 1e\+60\], got 0.0$"):
         ExperimentConfig(c_rev=0.0)
     with pytest.raises(ValueError, match="ridge"):
         ExperimentConfig(ridge=-0.001)
@@ -99,6 +100,11 @@ def test_config_validation():
         ExperimentConfig(noise_sd=-1.0)
     with pytest.raises(ValueError, match=r"noise_sd must be in \[0, 1e\+60\]"):
         ExperimentConfig(noise_sd=1e300)
+    with pytest.raises(ValueError, match=r"^c_rev must be in \(0, 1e\+60\], got 1e\+300$"):
+        ExperimentConfig(c_rev=1e300)
+    for y in (1e300, -1e300):
+        with pytest.raises(ValueError, match=r"^y_capacity must be in \[-1e\+60, 1e\+60\]"):
+            ExperimentConfig(y_capacity=y)
     with pytest.raises(ValueError, match="unknown experiment kind"):
         ExperimentConfig(experiment="warmstart")
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
@@ -230,7 +236,7 @@ def _configs(draw):
         c_rev=draw(st.floats(1e-6, 1e6)),
         ridge=draw(st.floats(0.0, 1e3)),
         noise_sd=draw(st.floats(0.0, 1e3)),
-        y_capacity=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
+        y_capacity=draw(st.none() | st.floats(-SCALE_MAX, SCALE_MAX)),
         out_dir=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)),
     )
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drpsim.model import (
-    NOISE_SD_MAX,
+    SCALE_MAX,
     Population,
     Scenario,
     aggregate_from_noise,
@@ -217,8 +217,8 @@ def test_parameter_validation():
         Scenario(pop, (1.0,), alpha_rev=0.0)
     with pytest.raises(ValueError):
         Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=-1.0)
-    # noise past NOISE_SD_MAX would overflow the analysis's squared cost differences
-    assert Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=NOISE_SD_MAX).noise_sd == NOISE_SD_MAX
+    # noise past SCALE_MAX would overflow the analysis's squared cost differences
+    assert Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=SCALE_MAX).noise_sd == SCALE_MAX
     with pytest.raises(ValueError, match=r"^noise_sd must be in \[0, 1e\+60\], got 1e\+300$"):
         Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=1e300)
     with pytest.raises(ValueError, match="alphas must hold numbers"):
