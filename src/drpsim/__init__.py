@@ -3,9 +3,9 @@
 A numpy library plus a small CLI. The model module holds the
 population and demand as arrays, user responses, and stage costs;
 offline computes the full-information optimum (with independent
-numerical oracles); estimator and online implement the
-iterative-linear-regression pricing loop; analysis turns replication
-sweeps into regret, bias/variance, and decay-rate reports;
+numerical oracles); online implements the iterative-linear-regression
+pricing loop, its state, update and solve included; analysis turns
+replication sweeps into regret, bias/variance, and decay-rate reports;
 experiments/cli reproduce the named experiment families end to end.
 
 The names below are the common entry points; everything else is

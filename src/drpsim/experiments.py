@@ -32,10 +32,9 @@ import orjson
 from numpy.typing import NDArray
 
 from .analysis import RegretReport, build_regret_report, summarize
-from .estimator import init
 from .model import SCALE_MAX, Population, Scenario, _check_finite, _check_range
 from .offline import compute_y_star
-from .online import OnlineConfig, Trajectory, run_replications
+from .online import OnlineConfig, Trajectory, init, run_replications
 from .rng import substream
 
 __all__ = [
@@ -158,7 +157,7 @@ class ExperimentConfig:
         if not 0 < self.c_rev <= SCALE_MAX:  # the bound is model._check_range's
             raise ValueError(f"c_rev must be in (0, {SCALE_MAX:g}], got {self.c_rev}")
         try:
-            init(self.ridge)  # the estimator owns the rule
+            init(self.ridge)  # online.init owns the rule
         except ValueError as exc:
             raise ValueError(f"ridge: {exc}") from None
         _check_range("noise_sd", self.noise_sd, 0)

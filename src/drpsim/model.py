@@ -75,7 +75,10 @@ def _check_range(name: str, value: float, low: float = -SCALE_MAX) -> None:
     N). The analysis squares cost differences, so each key's fourth
     power must fit below float64's 1.8e308 with room for beta_i, N, T,
     reps and the squared draws: 1e60^4 = 1e240 leaves a factor of about
-    1e68. Only user-set keys are bounded: at c_rev = 1e60 the closed-form
+    1e68. A config's alpha_rev is c_rev * max_t d_t, so Scenario holds
+    alpha_rev to SCALE_MAX * max_t d_t, the alpha_rev of c_rev = SCALE_MAX:
+    the slot-1 price and the closed-form capacity grow with it as with c_rev.
+    Only user-set keys are bounded: at c_rev = 1e60 the closed-form
     capacity is about 5e60 at N = 100 and 5e63 at N = 1e5, where the
     cumulative regret is about 1e133 and its square still fits.
     """
@@ -153,7 +156,8 @@ class Scenario:
         population: the N users.
         demand: normalized per-slot demand-reduction requirements d_t,
             finite and > 0; a read-only float64 array of length T.
-        alpha_rev: revenue price per standardized unit of reduction, > 0.
+        alpha_rev: revenue price per standardized unit of reduction, > 0
+            and at most SCALE_MAX * max_t d_t.
         noise_sd: per-user response noise standard deviation, 0..SCALE_MAX.
     """
 
@@ -168,6 +172,13 @@ class Scenario:
         _check_finite("noise_sd", self.noise_sd)
         if self.alpha_rev <= 0:
             raise ValueError(f"alpha_rev must be > 0, got {self.alpha_rev}")
+        # the product experiments.build_scenario forms at c_rev = SCALE_MAX
+        bound = SCALE_MAX * float(self.demand.max())
+        if float(self.alpha_rev) > bound:  # a float32 would cast the bound and overflow
+            raise ValueError(
+                f"alpha_rev must be <= {bound:g}, {SCALE_MAX:g} times the largest demand, "
+                f"got {self.alpha_rev}"
+            )
         _check_range("noise_sd", self.noise_sd, 0)
 
     @property

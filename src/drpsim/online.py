@@ -13,13 +13,27 @@ never fatal: a degenerate denominator reuses the previous price, and an
 estimator failure (possible only with ridge_param = 0) falls back to
 the prior mean (0, 0); both event kinds are counted on the Trajectory.
 
+The estimate is an iterative linear regression of the aggregate
+response on the price. Each slot adds one pair (u_s, Z_s) with
+regressor u_s = N*lambda_s and Z_s = gamma1*u_s + gamma2 + noise. The
+state is the sample count m, four running sums and the ridge weight r,
+as a tuple of plain numbers (m, sum u, sum u^2, sum Z, sum u*Z, r):
+
+    X'X = [[sum u^2, sum u], [sum u, m]]      X'Z = [sum u*Z, sum Z]
+
+init gives the state with no observations, _finish_episode keeps it in
+locals and adds each observation in O(1), and solve_normal_equations
+solves (X'X + r*I) theta = X'Z in closed form. With r = 0 this is plain
+least squares and needs two distinct prices; with r > 0 it is defined
+from zero data and shrinks toward the prior mean (0, 0).
+
 The operator observes only the aggregate response, and the loop forms
 it from the slot's noise sum by the identity
 Q_t = N*gamma1*lambda_t + gamma2 + sum_i eps_it
 (model.aggregate_from_noise); the N individual responses are never
 built. The noise is reduced to per-slot statistics before the loop, so
 the recursion is one kernel over local floats (_finish_episode) that
-calls only the estimator's solve and the price rule each slot.
+calls only solve_normal_equations and the price rule each slot.
 run_replications draws several replications' noise at once on worker
 threads and runs their recursions in replication order, so its outputs
 do not depend on the thread count.
@@ -52,12 +66,14 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimator import UnidentifiableError, init, solve_normal_equations
 from .model import Scenario, _check_finite, aggregate_from_noise, stage_costs_from_noise
 from .offline import DegenerateEstimateError, lambda_star_path, next_price
 from .rng import substream
 
 __all__ = [
+    "UnidentifiableError",
+    "init",
+    "solve_normal_equations",
     "OnlineConfig",
     "Trajectory",
     "SweepResult",
@@ -70,6 +86,56 @@ __all__ = [
 #: count: _noise_buffers splits it into one buffer per worker thread.
 NOISE_BLOCK = 1 << 19
 
+#: condition numbers beyond this are treated as rank deficiency
+COND_LIMIT = 1e12
+
+
+class UnidentifiableError(RuntimeError):
+    """Normal matrix numerically singular (not enough price variation)."""
+
+
+def init(ridge_param: float) -> tuple[int, float, float, float, float, float]:
+    """State with no observations: (m, sum u, sum u^2, sum Z, sum u*Z, ridge).
+
+    ridge_param is the regularization weight, >= 0. With a positive
+    weight the zero-data estimate is the prior mean (0, 0); with 0 the
+    estimator refuses to produce estimates until the data identify the
+    line.
+    """
+    _check_finite("ridge_param", ridge_param)
+    if ridge_param < 0:
+        raise ValueError(f"ridge_param must be >= 0, got {ridge_param}")
+    return 0, 0.0, 0.0, 0.0, 0.0, float(ridge_param)
+
+
+def solve_normal_equations(
+    m: int, su: float, suu: float, sz: float, suz: float, ridge: float
+) -> tuple[float, float]:
+    """(gamma1_hat, gamma2_hat) solving (X'X + ridge*I) theta = X'Z in closed form.
+
+    Scalar arithmetic on the state init gives, cheap enough for the online
+    kernel to call every slot; gamma2_hat estimates -sum_i alpha_i/beta_i.
+
+    Raises:
+        UnidentifiableError: condition number of the regularized normal
+            matrix exceeds COND_LIMIT (prices carry too little variation)
+            or the matrix is zero (no samples and ridge == 0).
+    """
+    a00 = suu + ridge
+    a11 = m + ridge
+
+    # condition number from the closed-form symmetric 2x2 eigenvalues
+    mean = 0.5 * (a00 + a11)
+    disc = math.hypot(0.5 * (a00 - a11), su)
+    lo = mean - disc
+    if lo <= 0.0 or (mean + disc) > COND_LIMIT * lo:
+        raise UnidentifiableError("unidentifiable: insufficient price variation")
+
+    det = a00 * a11 - su * su
+    g1 = (a11 * suz - su * sz) / det
+    g2 = (a00 * sz - su * suz) / det
+    return g1, g2
+
 
 @dataclass(frozen=True)
 class OnlineConfig:
@@ -79,7 +145,7 @@ class OnlineConfig:
         scenario: population, demand, noise level.
         y_capacity: committed capacity (offline Y* or externally chosen).
         lambda_init: slot-1 price; None draws U[0, 2*alpha_rev/N].
-        ridge_param: estimator regularization weight, >= 0 (estimator.init).
+        ridge_param: estimator regularization weight, >= 0 (init).
     """
 
     scenario: Scenario
@@ -176,9 +242,9 @@ def _finish_episode(
 ) -> Trajectory:
     """Steps 2 and 3 of run_episode from one _draw's uniform and noise statistics.
 
-    Step 2 is one kernel over locals (the estimator state, N, gamma1,
-    gamma2, y, the price) that calls only this module's
-    solve_normal_equations and next_price each slot and forms Q_t in
+    Step 2 is one kernel over locals (the regression state from init, N,
+    gamma1, gamma2, y, the price) that calls only solve_normal_equations and
+    next_price each slot, through this module's globals, and forms Q_t in
     model.aggregate_from_noise's operation order. A non-finite Q_t raises
     ValueError (gamma1 > 0, so a non-finite price gives one). The
     degenerate-price warning is attributed stacklevel frames up.

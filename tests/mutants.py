@@ -40,16 +40,16 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the su^2 term of the estimator's determinant off by a relative 1e-9
+    # the su^2 term of the ridge solve's determinant off by a relative 1e-9
     Mutant(
-        "src/drpsim/estimator.py",
+        "src/drpsim/online.py",
         "det = a00 * a11 - su * su",
         "det = a00 * a11 - su * su * (1 + 1e-9)",
         ("tests/test_estimator.py::test_single_sample_ridge_solve",),
     ),
     # the whole determinant off by a relative 1e-9
     Mutant(
-        "src/drpsim/estimator.py",
+        "src/drpsim/online.py",
         "det = a00 * a11 - su * su",
         "det = (a00 * a11 - su * su) * (1 + 1e-9)",
         ("tests/test_estimator.py::test_single_sample_ridge_solve",),
@@ -59,6 +59,13 @@ MUTANTS = (
         "src/drpsim/online.py",
         "u_t = n * lam",
         "u_t = n * lam * (1 + 1e-12)",
+        ("tests/test_engine.py::test_engine_matches_per_slot_loop",),
+    ),
+    # the kernel's running sum u*Z off by a relative 1e-12
+    Mutant(
+        "src/drpsim/online.py",
+        "suz += u_t * q",
+        "suz += u_t * q * (1 + 1e-12)",
         ("tests/test_engine.py::test_engine_matches_per_slot_loop",),
     ),
     # a non-finite observation is fed to the estimator
@@ -88,6 +95,13 @@ MUTANTS = (
         "if not low <= value <= SCALE_MAX:",
         "if not low <= value:",
         ("tests/test_cli.py::test_noise_sd_past_the_float_range_fails_before_any_draw",),
+    ),
+    # an alpha_rev past SCALE_MAX times the largest demand is accepted
+    Mutant(
+        "src/drpsim/model.py",
+        "if float(self.alpha_rev) > bound:",
+        "if False:",
+        ("tests/test_model.py::test_parameter_validation",),
     ),
     # a y_capacity past the float range is accepted
     Mutant(

@@ -18,11 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpsim.estimator import UnidentifiableError, init, solve_normal_equations
 from drpsim.experiments import ExperimentConfig, build_scenario
 from drpsim.model import Population, Scenario, aggregate_from_noise, realize_outcome, stage_cost
 from drpsim.offline import DegenerateEstimateError, compute_y_star, lambda_star_path, next_price
-from drpsim.online import NOISE_BLOCK, OnlineConfig, run_episode
+from drpsim.online import (
+    NOISE_BLOCK,
+    OnlineConfig,
+    UnidentifiableError,
+    init,
+    run_episode,
+    solve_normal_equations,
+)
 from drpsim.rng import substream
 
 #: stage costs and Q_star: |engine - loop| <= COST_RTOL * max(1, |loop|); also

@@ -3,7 +3,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from drpsim.estimator import (
+from drpsim.online import (
     UnidentifiableError,
     init,
     solve_normal_equations,

@@ -24,9 +24,11 @@ from drpsim.experiments import (
     write_table,
     write_trajectory_csv,
 )
-from drpsim import build_regret_report, experiments, run_replications
-from drpsim.estimator import init
-from drpsim.model import SCALE_MAX
+from drpsim import build_regret_report, compute_y_star, experiments, run_replications
+from drpsim.analysis import summarize
+from drpsim.cli import SWEEP_GRID
+from drpsim.model import SCALE_MAX, Population, Scenario
+from drpsim.online import init
 from drpsim.rng import substream
 
 
@@ -132,10 +134,27 @@ def test_bad_ridge_names_its_key_and_follows_the_estimator(value):
         ExperimentConfig(ridge=value)
     assert re.match(r"ridge\b(?!_)", str(caught.value)), caught.value
     if value < 0:
-        # the estimator's rule is the only copy of it
+        # online.init's rule is the only copy of it
         with pytest.raises(ValueError) as rule:
             init(float(value))
         assert str(caught.value) == f"ridge: {rule.value}"
+
+
+@pytest.mark.parametrize("capacity", ["one", "closed form"])
+def test_alpha_rev_at_its_bound_gives_a_finite_summary(capacity, recwarn):
+    sc = Scenario(Population([1.5] * 2, [6.0] * 2), np.full(20, 4.0), alpha_rev=SCALE_MAX * 4.0)
+    y = 1.0 if capacity == "one" else compute_y_star(sc)
+    summary = summarize(build_regret_report(run_replications(sc, y, 3, 42)))
+    assert math.isfinite(summary["cum_regret_final"])
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("kind", SWEEP_GRID)
+def test_largest_c_rev_builds_every_sweep_kind(kind):
+    # Scenario bounds alpha_rev by the product build_scenario forms at c_rev = SCALE_MAX
+    config = ExperimentConfig(experiment=kind, c_rev=SCALE_MAX)
+    scenario = build_scenario(config, substream(config.seed, 0))
+    assert scenario.alpha_rev == SCALE_MAX * float(scenario.demand.max())
 
 
 def test_parse_config_happy_path():

@@ -221,6 +221,12 @@ def test_parameter_validation():
     assert Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=SCALE_MAX).noise_sd == SCALE_MAX
     with pytest.raises(ValueError, match=r"^noise_sd must be in \[0, 1e\+60\], got 1e\+300$"):
         Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=1e300)
+    # alpha_rev = 1e300 used to run until the kernel met a non-finite observation
+    with pytest.raises(ValueError) as caught:
+        Scenario(Population([1.5] * 2, [6.0] * 2), np.full(20, 4.0), alpha_rev=1e300)
+    assert str(caught.value) == (
+        "alpha_rev must be <= 4e+60, 1e+60 times the largest demand, got 1e+300"
+    )
     with pytest.raises(ValueError, match="alphas must hold numbers"):
         Population(["a"], [1.0])
     with pytest.raises(ValueError, match="betas must hold numbers"):

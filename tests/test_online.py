@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpsim import estimator, online
+from drpsim import online
 from drpsim.experiments import ExperimentConfig, build_scenario
 from drpsim.model import Population, Scenario
 from drpsim.offline import (
@@ -97,6 +97,7 @@ def test_true_estimate_is_fixed_point(monkeypatch):
     sc = _noiseless_table_scenario()
     y = compute_y_star(sc)
     pop = sc.population
+    solve = online.solve_normal_equations  # the original, before the patch
 
     def solve_with_true_history(m, su, suu, sz, suz, ridge):
         # the episode's observations plus two exact ones on the true line
@@ -104,7 +105,7 @@ def test_true_estimate_is_fixed_point(monkeypatch):
             u = sc.n * lam
             z = sc.n * pop.gamma1 * lam + pop.gamma2
             m, su, suu, sz, suz = m + 1, su + u, suu + u * u, sz + z, suz + u * z
-        return estimator.solve_normal_equations(m, su, suu, sz, suz, ridge)
+        return solve(m, su, suu, sz, suz, ridge)
 
     monkeypatch.setattr(online, "solve_normal_equations", solve_with_true_history)
     traj = run_episode(
@@ -473,6 +474,32 @@ def test_replication_variants_equal_sequential_episodes(monkeypatch, noise_sd, k
     if kwargs.get("ridge_param") == 0.0:
         # slot 2 has one sample: every episode falls back at least once
         assert sweep.fallback_events >= 7
+
+
+def test_replications_solve_through_the_module_name(monkeypatch):
+    # the kernel looks solve_normal_equations up in online's globals on every
+    # slot but the first, so a wrapper there sees each solve of a sweep
+    _cpus(monkeypatch, 2)
+    sc = _noise_scenario(50, 30, 0.8)
+    reps = 4
+    plain = run_replications(sc, 0.5, reps, master_seed=33, ridge_param=0.001)
+    solve = online.solve_normal_equations  # the original, before the patch
+    calls = itertools.count()
+
+    def counted(*state):
+        next(calls)
+        return solve(*state)
+
+    monkeypatch.setattr(online, "solve_normal_equations", counted)
+    wrapped = run_replications(sc, 0.5, reps, master_seed=33, ridge_param=0.001)
+    assert next(calls) == reps * (sc.horizon - 1)
+    for field in ("lambda_star", "lambda_online", "gamma1_hat", "cost_online", "cost_star"):
+        _assert_bits_equal(getattr(wrapped, field), getattr(plain, field), field)
+    for field in ("gamma2_hat", "q_online", "q_star"):
+        got, want = wrapped.first_trajectory, plain.first_trajectory
+        _assert_bits_equal(getattr(got, field), getattr(want, field), field)
+    assert wrapped.degenerate_events == plain.degenerate_events
+    assert wrapped.fallback_events == plain.fallback_events
 
 
 def test_replications_share_buffers_safely_under_many_switches(monkeypatch):

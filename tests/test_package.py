@@ -26,6 +26,7 @@ MODULES = ["drpsim"] + [
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 SOURCES = sorted(Path(drpsim.__file__).resolve().parent.glob("*.py"))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -52,6 +53,13 @@ def test_no_unused_top_level_imports(path):
         ):
             used.update(ast.literal_eval(node.value))
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def test_readme_module_map_names_exactly_the_modules():
+    section = README.read_text().split("\n## Module map\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `drpsim\.(\w+)`", section, flags=re.MULTILINE)
+    modules = [p.stem for p in SOURCES if p.stem not in ("__init__", "__main__")]
+    assert sorted(rows) == sorted(modules)
 
 
 def _imported_packages(path):
