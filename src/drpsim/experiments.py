@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, TextIO, get_args, get_type_hints
@@ -32,7 +33,7 @@ import orjson
 from numpy.typing import NDArray
 
 from .analysis import RegretReport, build_regret_report, summarize
-from .model import SCALE_MAX, Population, Scenario, _check_finite, _check_range
+from .model import Population, Scenario, _check_finite, _check_scale
 from .offline import compute_y_star
 from .online import OnlineConfig, Trajectory, init, run_replications
 from .rng import substream
@@ -116,10 +117,11 @@ class ExperimentConfig:
     description (_key). Every field must have its annotated type
     (a bool is not an int, an int is accepted for a float), else
     TypeError names the key; a float field must be finite
-    (model._check_finite), and c_rev, noise_sd and y_capacity at most
-    model.SCALE_MAX in size (model._check_range), else ValueError names
-    it. Float fields are stored as float, so a config equals the one
-    parse_config reads.
+    (model._check_finite), and c_rev, noise_sd, y_capacity and ridge
+    must keep the magnitudes a run forms, at the extremes of the kind's
+    intervals, within the scale contract (model._check_scale), else
+    ValueError names the key. Float fields are stored as float, so a
+    config equals the one parse_config reads.
     """
 
     experiment: str = _key("baseline", "baseline | paramset2 | repeated-dt:P | blocked-dt:B")
@@ -154,15 +156,21 @@ class ExperimentConfig:
         # substream takes only u64 seeds; reject others here, where the key is known
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if not 0 < self.c_rev <= SCALE_MAX:  # the bound is model._check_range's
-            raise ValueError(f"c_rev must be in (0, {SCALE_MAX:g}], got {self.c_rev}")
+        if self.c_rev <= 0:
+            raise ValueError(f"c_rev must be > 0, got {self.c_rev}")
         try:
             init(self.ridge)  # online.init owns the rule
         except ValueError as exc:
             raise ValueError(f"ridge: {exc}") from None
-        _check_range("noise_sd", self.noise_sd, 0)
-        if self.y_capacity is not None:
-            _check_range("y_capacity", self.y_capacity)
+        (a_lo, a_hi), (b_lo, b_hi), (d_lo, d_hi) = self.intervals()
+        n = min(self.n_users, sys.float_info.max)  # an int past the float range fails below
+        # the kind's extremes (the largest gamma1, |gamma2| and alpha_rev, the least d_t^2) for
+        # one slot: the closed-form capacity's bound is the same at every horizon
+        scales = (n, 1, n / b_lo, -n * a_hi / b_lo, a_hi, b_hi, d_hi, d_lo * d_lo)
+        scales += (self.c_rev * d_hi, self.noise_sd)
+        # inside the intervals only the population size can take gamma1 or gamma2 out of range
+        names = dict(alpha_rev="c_rev", ridge_param="ridge", alphas="n_users", betas="n_users")
+        _check_scale(scales, self.y_capacity, ridge=self.ridge, names=names)
 
     def intervals(self) -> tuple[tuple[float, float], ...]:
         """The kind's (alpha, beta, d) sampling intervals; the variants use baseline's."""
@@ -218,8 +226,8 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
     family, param = parse_experiment_kind(config.experiment)
     n = config.n_users
     t_hor = config.horizon
-    alphas = rng.uniform(a_lo, a_hi, n)
-    betas = rng.uniform(b_lo, b_hi, n)
+    # Population copies the draws; freeing them here lets Scenario's scale check reuse their memory
+    population = Population(rng.uniform(a_lo, a_hi, n), rng.uniform(b_lo, b_hi, n))
     if family == "blocked-dt":
         # a block of B >= T slots is one block of T: repeating a huge B would fill memory
         block = min(param, t_hor)
@@ -235,7 +243,7 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
                 d[idx] = rng.uniform(d_lo, d_hi)
     alpha_rev = config.c_rev * float(d.max())
     return Scenario(
-        population=Population(alphas, betas),
+        population=population,
         demand=d,
         alpha_rev=alpha_rev,
         noise_sd=config.noise_sd,
@@ -264,10 +272,13 @@ def write_table(f: TextIO, columns: dict[str, NDArray]) -> None:
     exponents, nan, +-inf) take repr. An int or bool column is one repr of
     its list, which str equals cell by cell; any other column (strings)
     takes str value by value. Open files with newline="" so every line
-    ends in "\\n".
+    ends in "\\n". Columns of unequal lengths raise ValueError before any write.
     """
+    lengths = {name: len(col) for name, col in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns must have equal lengths, got {lengths}")
     f.write(",".join(columns) + "\n")
-    for start in range(0, min(map(len, columns.values()), default=0), TABLE_BLOCK):
+    for start in range(0, min(lengths.values(), default=0), TABLE_BLOCK):
         cells = []
         for col in columns.values():
             block = col[start : start + TABLE_BLOCK]

@@ -27,12 +27,20 @@ aggregate_from_noise (one slot or a whole horizon) and
 stage_costs_from_noise evaluate Q_t and C_t from two statistics of each
 slot's noise vector, sum_i eps_i and sum_i beta_i*eps_i^2, through
 algebraic identities derived in their docstrings.
+
+One scale contract guards every run: Scenario, online.OnlineConfig and
+experiments.ExperimentConfig call _check_scale, which holds the magnitudes
+a run forms (gamma1, gamma2, the capacity, the prices, C1 and the stage
+cost's terms) where their squares, summed over replications and slots,
+stay a factor SCALE_MARGIN below float64's largest value. A ValueError at
+construction names the input that breaks it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,33 +69,67 @@ def _check_finite(name: str, value: object) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-#: largest |value| accepted for a key whose costs grow as its square (see _check_range)
-SCALE_MAX = 1e60
+#: factor of float64's range that _check_scale keeps free, for the sums of squared
+#: costs over replications and slots and the online prices' excursions
+SCALE_MARGIN = 1e30
 
 
-def _check_range(name: str, value: float, low: float = -SCALE_MAX) -> None:
-    """Raise ValueError naming name unless low <= value <= SCALE_MAX.
+def _check_scale(scales: tuple, y=None, lambda_init=None, ridge=0.0, names=None) -> None:
+    """Raise ValueError naming the input that takes a run's magnitude out of float64's range.
 
-    Costs grow as the square of noise_sd (through beta_i*eps_i^2 and the
-    squared imbalance; the prices follow the noisy aggregates), of a set
-    capacity y (through the imbalance Q_t - y*d_t) and of c_rev (the
-    closed-form capacity is about c_rev * (1 + gamma1), which grows with
-    N). The analysis squares cost differences, so each key's fourth
-    power must fit below float64's 1.8e308 with room for beta_i, N, T,
-    reps and the squared draws: 1e60^4 = 1e240 leaves a factor of about
-    1e68. A config's alpha_rev is c_rev * max_t d_t, so Scenario holds
-    alpha_rev to SCALE_MAX * max_t d_t, the alpha_rev of c_rev = SCALE_MAX:
-    the slot-1 price and the closed-form capacity grow with it as with c_rev.
-    Only user-set keys are bounded: at c_rev = 1e60 the closed-form
-    capacity is about 5e60 at N = 100 and 5e63 at N = 1e5, where the
-    cumulative regret is about 1e133 and its square still fits.
+    scales is a Scenario's _scales(), y the capacity (None: a bound on
+    compute_y_star's closed form) and lambda_init the slot-1 price (None:
+    2*alpha_rev/N, the top of its draw). Each row below is a magnitude the
+    engine or the analysis forms. The prices range up to the larger of the
+    slot-1 price and (|y|*max d_t + |gamma2| + noise_sd*sqrt(N))/N, the
+    price set from an estimate between the prior mean (0, 0) and the truth
+    whose intercept is off by the noise sum's scale. A linear row must be
+    at most top = (1.8e308/SCALE_MARGIN)^(1/4) = 3.7e69 and a quadratic one
+    (C1 and the stage cost's terms) at most top^2: costs and the
+    regression's sums are products of two linear magnitudes, and the
+    analysis squares costs. compute_y_star's divisor must be a normal float
+    and every row >= 0 (noise_sd's domain check). The message names the
+    input of the first row out of range (of a product, the larger factor),
+    through names for a caller that keys it otherwise. Python floats
+    overflow to inf silently, and inf and nan fail every row.
     """
-    if not low <= value <= SCALE_MAX:
-        raise ValueError(f"{name} must be in [{low:g}, {SCALE_MAX:g}], got {value}")
+    n, horizon, gamma1, gamma2, alpha_max, beta_max, d_max, d2_sum, alpha_rev, noise_sd = scales
+    ridge, g, names = float(ridge), 1.0 + gamma1, names or {}
+    if y is None:  # sum d_t <= T*max d_t; d2_sum = 0 fails the demand row
+        y = horizon * (alpha_rev * g + abs(gamma2) * d_max) / (d2_sum or math.nan)
+        y_name = "alpha_rev"
+    else:
+        y, y_name = abs(float(y)), "y_capacity"
+    yd_name = y_name if y >= d_max else "demand"
+    slot1 = ((2.0 * alpha_rev, "alpha_rev") if lambda_init is None
+             else (n * abs(float(lambda_init)), "lambda_init"))
+    terms = ((y * d_max, yd_name), (abs(gamma2), "alphas"), (noise_sd * math.sqrt(n), "noise_sd"))
+    u, u_name = max(slot1, (sum(t for t, _ in terms), max(terms)[1]))
+    c1, lam, sd2 = 0.5 * n * (gamma1 + gamma1 * gamma1), u / n, noise_sd * noise_sd
+    top = (sys.float_info.max / SCALE_MARGIN) ** 0.25
+    top2 = top * top
+    for name, what, value, low, high in (
+        ("betas", "gamma1 = sum_i 1/beta_i", gamma1, 0.0, top),
+        ("alphas", "max_i alpha_i", alpha_max, 0.0, top),
+        ("alphas", "|gamma2| = sum_i alpha_i/beta_i", abs(gamma2), 0.0, top),
+        ("demand", "sum_t d_t^2 * (1 + gamma1)", d2_sum * g, sys.float_info.min, top2),
+        ("noise_sd", "the noise level sigma", noise_sd, 0.0, top),
+        ("ridge_param", "the ridge weight", ridge, 0.0, top),
+        (y_name, "the capacity |y|", y, 0.0, top),
+        (u_name, "the regressor N*lambda", u, 0.0, top),
+        ("betas", "C1 = N*(gamma1 + gamma1^2)/2", c1, 0.0, top2),
+        ("betas" if c1 > lam * lam else u_name, "C1*lambda^2", c1 * lam * lam, 0.0, top2),
+        ("alphas", "max_i alpha_i * |gamma2|", alpha_max * abs(gamma2), 0.0, top2),
+        ("noise_sd" if sd2 >= beta_max else "betas", "sigma^2*max beta", sd2 * beta_max, 0, top2),
+        (yd_name, "(|y| * max_t d_t)^2 / N", y * d_max * y * d_max / n, 0.0, top2),
+    ):
+        if not low <= value <= high:
+            raise ValueError(f"{names.get(name, name)} out of range: {what} is {value:.3g}, "
+                             f"outside [{low:.3g}, {high:.3g}]")
 
 
-def _checked_array(name: str, values: ArrayLike, positive: bool) -> NDArray[np.float64]:
-    """Read-only 1-D float64 copy of values, each finite and > 0 (or >= 0).
+def _checked_array(name: str, values: ArrayLike, positive: bool) -> tuple:
+    """Read-only 1-D float64 copy of values, each finite and > 0 (or >= 0), its min and max.
 
     Raises:
         ValueError: an entry is not a number or an int too large for a
@@ -100,13 +142,13 @@ def _checked_array(name: str, values: ArrayLike, positive: bool) -> NDArray[np.f
         raise ValueError(f"{name} must hold numbers: {exc}") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D array, got shape {arr.shape}")
-    ok = np.isfinite(arr) & ((arr > 0.0) if positive else (arr >= 0.0))
-    if not ok.all():
-        i = int(np.argmin(ok))
+    lo, hi = float(arr.min()), float(arr.max())  # a nan makes both nan
+    if not ((lo > 0.0 if positive else lo >= 0.0) and hi < math.inf):
+        i = int(np.argmin(np.isfinite(arr) & ((arr > 0.0) if positive else (arr >= 0.0))))
         bound = "> 0" if positive else ">= 0"
         raise ValueError(f"{name}[{i}]={float(arr[i])} must be finite and {bound}")
     arr.flags.writeable = False
-    return arr
+    return arr, lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,14 +166,15 @@ class Population:
     betas: NDArray[np.float64]
 
     def __post_init__(self):
-        alphas = _checked_array("alphas", self.alphas, positive=False)
-        betas = _checked_array("betas", self.betas, positive=True)
+        alphas, _, a_max = _checked_array("alphas", self.alphas, positive=False)
+        betas, b_min, b_max = _checked_array("betas", self.betas, positive=True)
         if alphas.shape != betas.shape:
             raise ValueError(
                 f"alphas and betas must have equal length, got {alphas.size} and {betas.size}"
             )
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "_extremes", (a_max, b_min, b_max))  # for _check_scale
 
     @property
     def n(self) -> int:
@@ -152,13 +195,16 @@ class Population:
 class Scenario:
     """One simulation instance: who responds, to what demand, at what noise.
 
+    Construction applies the scale contract (_check_scale) with the
+    closed-form capacity and a drawn slot-1 price: a ValueError names the
+    input that takes a magnitude of the run out of float64's range.
+
     Attributes:
         population: the N users.
         demand: normalized per-slot demand-reduction requirements d_t,
             finite and > 0; a read-only float64 array of length T.
-        alpha_rev: revenue price per standardized unit of reduction, > 0
-            and at most SCALE_MAX * max_t d_t.
-        noise_sd: per-user response noise standard deviation, 0..SCALE_MAX.
+        alpha_rev: revenue price per standardized unit of reduction, > 0.
+        noise_sd: per-user response noise standard deviation, >= 0.
     """
 
     population: Population
@@ -167,19 +213,28 @@ class Scenario:
     noise_sd: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "demand", _checked_array("demand", self.demand, positive=True))
+        demand, _, d_max = _checked_array("demand", self.demand, positive=True)
+        object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "_d_max", d_max)  # for _check_scale
         _check_finite("alpha_rev", self.alpha_rev)
         _check_finite("noise_sd", self.noise_sd)
         if self.alpha_rev <= 0:
             raise ValueError(f"alpha_rev must be > 0, got {self.alpha_rev}")
-        # the product experiments.build_scenario forms at c_rev = SCALE_MAX
-        bound = SCALE_MAX * float(self.demand.max())
-        if float(self.alpha_rev) > bound:  # a float32 would cast the bound and overflow
-            raise ValueError(
-                f"alpha_rev must be <= {bound:g}, {SCALE_MAX:g} times the largest demand, "
-                f"got {self.alpha_rev}"
-            )
-        _check_range("noise_sd", self.noise_sd, 0)
+        _check_scale(self._scales())
+
+    def _scales(self) -> tuple:
+        """N, T, gamma1, gamma2, max alpha_i and beta_i, max d_t, sum d_t^2, alpha_rev, noise_sd.
+
+        A sum that could overflow (gamma1 <= N/min beta_i, |gamma2| <= N*max alpha_i/min
+        beta_i, sum d_t^2 <= T*max d_t^2) is not formed: its inf fails _check_scale.
+        """
+        pop, d = self.population, self.demand
+        n, (a_max, b_min, b_max), d_max = pop.n, pop._extremes, self._d_max
+        g1 = pop.gamma1 if n / b_min <= 1e300 else math.inf
+        g2 = pop.gamma2 if n * a_max / b_min <= 1e300 else -math.inf
+        d2 = float(np.dot(d, d)) if self.horizon * d_max * d_max <= 1e300 else math.inf
+        return (n, self.horizon, g1, g2, a_max, b_max, d_max, d2, float(self.alpha_rev),
+                float(self.noise_sd))
 
     @property
     def n(self) -> int:

@@ -66,7 +66,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import Scenario, _check_finite, aggregate_from_noise, stage_costs_from_noise
+from .model import Scenario, _check_finite, _check_scale, aggregate_from_noise
+from .model import stage_costs_from_noise
 from .offline import DegenerateEstimateError, lambda_star_path, next_price
 from .rng import substream
 
@@ -146,6 +147,9 @@ class OnlineConfig:
         y_capacity: committed capacity (offline Y* or externally chosen).
         lambda_init: slot-1 price; None draws U[0, 2*alpha_rev/N].
         ridge_param: estimator regularization weight, >= 0 (init).
+
+    Construction applies the scale contract (model._check_scale) to these
+    against the scenario, so run_replications fails before any stream opens.
     """
 
     scenario: Scenario
@@ -158,6 +162,7 @@ class OnlineConfig:
         if self.lambda_init is not None:
             _check_finite("lambda_init", self.lambda_init)
         init(self.ridge_param)  # raises here, naming ridge_param, before any draw
+        _check_scale(self.scenario._scales(), self.y_capacity, self.lambda_init, self.ridge_param)
 
 
 @dataclass

@@ -89,33 +89,36 @@ MUTANTS = (
         "y -= 0.4 * h * (f_hi - f_lo) / curvature",
         ("tests/test_offline.py::test_oracle_y_star_matches_closed_random",),
     ),
-    # a noise_sd, y_capacity or c_rev past the float range is accepted
+    # Scenario accepts inputs past the float range
     Mutant(
         "src/drpsim/model.py",
-        "if not low <= value <= SCALE_MAX:",
-        "if not low <= value:",
-        ("tests/test_cli.py::test_noise_sd_past_the_float_range_fails_before_any_draw",),
-    ),
-    # an alpha_rev past SCALE_MAX times the largest demand is accepted
-    Mutant(
-        "src/drpsim/model.py",
-        "if float(self.alpha_rev) > bound:",
-        "if False:",
+        "_check_scale(self._scales())",
+        "None",
         ("tests/test_model.py::test_parameter_validation",),
     ),
-    # a y_capacity past the float range is accepted
+    # OnlineConfig accepts a capacity or a slot-1 price past the float range
+    Mutant(
+        "src/drpsim/online.py",
+        "_check_scale(self.scenario._scales(), ",
+        "(lambda *args: None)(",
+        ("tests/test_model.py::test_out_of_scale_inputs_fail_by_name_before_any_stream",),
+    ),
+    # ExperimentConfig leaves its keys to Scenario, after the scenario's stream opened
     Mutant(
         "src/drpsim/experiments.py",
-        '_check_range("y_capacity", self.y_capacity)',
-        "pass",
+        "_check_scale(scales, ",
+        "(lambda *args, **kwargs: None)(scales, ",
         ("tests/test_cli.py::test_noise_sd_past_the_float_range_fails_before_any_draw",),
     ),
-    # a c_rev past the float range is accepted
+    # the margin widened past float64's range: every bound is inf
     Mutant(
-        "src/drpsim/experiments.py",
-        "if not 0 < self.c_rev <= SCALE_MAX:",
-        "if not 0 < self.c_rev:",
-        ("tests/test_cli.py::test_noise_sd_past_the_float_range_fails_before_any_draw",),
+        "src/drpsim/model.py",
+        "\nSCALE_MARGIN = 1e30\n",
+        "\nSCALE_MARGIN = 1e-30\n",
+        (
+            "tests/test_model.py::test_out_of_scale_inputs_fail_by_name_before_any_stream",
+            "tests/test_model.py::test_every_input_is_refused_by_name_or_runs_finite",
+        ),
     ),
     # simulate runs the config's replication count, not one episode
     Mutant(

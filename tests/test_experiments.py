@@ -27,7 +27,7 @@ from drpsim.experiments import (
 from drpsim import build_regret_report, compute_y_star, experiments, run_replications
 from drpsim.analysis import summarize
 from drpsim.cli import SWEEP_GRID
-from drpsim.model import SCALE_MAX, Population, Scenario
+from drpsim.model import Population, Scenario
 from drpsim.online import init
 from drpsim.rng import substream
 
@@ -94,19 +94,24 @@ def test_config_validation():
         ExperimentConfig(reps=0)
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(seed=-1)
-    with pytest.raises(ValueError, match=r"^c_rev must be in \(0, 1e\+60\], got 0.0$"):
+    with pytest.raises(ValueError, match=r"^c_rev must be > 0, got 0.0$"):
         ExperimentConfig(c_rev=0.0)
     with pytest.raises(ValueError, match="ridge"):
         ExperimentConfig(ridge=-0.001)
     with pytest.raises(ValueError, match="noise_sd"):
         ExperimentConfig(noise_sd=-1.0)
-    with pytest.raises(ValueError, match=r"noise_sd must be in \[0, 1e\+60\]"):
+    with pytest.raises(ValueError, match=r"^noise_sd out of range: the noise level sigma is 1e\+300,"):
         ExperimentConfig(noise_sd=1e300)
-    with pytest.raises(ValueError, match=r"^c_rev must be in \(0, 1e\+60\], got 1e\+300$"):
+    with pytest.raises(ValueError, match=r"^c_rev out of range: the capacity \|y\| is 1.73e\+301"):
         ExperimentConfig(c_rev=1e300)
     for y in (1e300, -1e300):
-        with pytest.raises(ValueError, match=r"^y_capacity must be in \[-1e\+60, 1e\+60\]"):
+        with pytest.raises(ValueError, match=r"^y_capacity out of range: the capacity \|y\| is 1e"):
             ExperimentConfig(y_capacity=y)
+    # the scale contract names the config's keys: ridge, and n_users for a population past range
+    with pytest.raises(ValueError, match=r"^ridge out of range: the ridge weight is 1e\+300, "):
+        ExperimentConfig(ridge=1e300)
+    with pytest.raises(ValueError, match=r"^n_users out of range: gamma1 = sum_i 1/beta_i is "):
+        ExperimentConfig(n_users=10**400)
     with pytest.raises(ValueError, match="unknown experiment kind"):
         ExperimentConfig(experiment="warmstart")
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
@@ -142,7 +147,7 @@ def test_bad_ridge_names_its_key_and_follows_the_estimator(value):
 
 @pytest.mark.parametrize("capacity", ["one", "closed form"])
 def test_alpha_rev_at_its_bound_gives_a_finite_summary(capacity, recwarn):
-    sc = Scenario(Population([1.5] * 2, [6.0] * 2), np.full(20, 4.0), alpha_rev=SCALE_MAX * 4.0)
+    sc = Scenario(Population([1.5] * 2, [6.0] * 2), np.full(20, 4.0), alpha_rev=1e60 * 4.0)
     y = 1.0 if capacity == "one" else compute_y_star(sc)
     summary = summarize(build_regret_report(run_replications(sc, y, 3, 42)))
     assert math.isfinite(summary["cum_regret_final"])
@@ -151,10 +156,10 @@ def test_alpha_rev_at_its_bound_gives_a_finite_summary(capacity, recwarn):
 
 @pytest.mark.parametrize("kind", SWEEP_GRID)
 def test_largest_c_rev_builds_every_sweep_kind(kind):
-    # Scenario bounds alpha_rev by the product build_scenario forms at c_rev = SCALE_MAX
-    config = ExperimentConfig(experiment=kind, c_rev=SCALE_MAX)
+    # every kind builds at c_rev = 1e60, the largest c_rev the CLI tests run at
+    config = ExperimentConfig(experiment=kind, c_rev=1e60)
     scenario = build_scenario(config, substream(config.seed, 0))
-    assert scenario.alpha_rev == SCALE_MAX * float(scenario.demand.max())
+    assert scenario.alpha_rev == 1e60 * float(scenario.demand.max())
 
 
 def test_parse_config_happy_path():
@@ -255,7 +260,7 @@ def _configs(draw):
         c_rev=draw(st.floats(1e-6, 1e6)),
         ridge=draw(st.floats(0.0, 1e3)),
         noise_sd=draw(st.floats(0.0, 1e3)),
-        y_capacity=draw(st.none() | st.floats(-SCALE_MAX, SCALE_MAX)),
+        y_capacity=draw(st.none() | st.floats(-1e60, 1e60)),
         out_dir=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)),
     )
 
@@ -429,6 +434,11 @@ def test_write_table_matches_csv_writer_with_repr(tmp_path):
     data = path.read_bytes()
     assert data == expected.getvalue().encode()
     assert b"\r" not in data
+    # a short column used to cut the table to its length without an error
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=r"^columns must have equal lengths, got \{'a': 3, 'b': 2\}$"):
+        write_table(out, {"a": np.arange(3), "b": np.arange(2.0)})
+    assert out.getvalue() == ""
 
 
 def _row_wise_table(columns):

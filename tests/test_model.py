@@ -1,12 +1,16 @@
 import math
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drpsim import online
+from drpsim.analysis import build_regret_report, summarize
 from drpsim.model import (
-    SCALE_MAX,
     Population,
     Scenario,
     aggregate_from_noise,
@@ -14,7 +18,9 @@ from drpsim.model import (
     stage_cost,
     stage_costs_from_noise,
 )
-from drpsim.offline import closed_form_solve
+from drpsim.offline import closed_form_solve, compute_y_star
+from drpsim.online import OnlineConfig, run_episode, run_replications
+from drpsim.rng import substream
 
 
 # ------------------------------------------------ per-user oracle (plain Python)
@@ -217,15 +223,15 @@ def test_parameter_validation():
         Scenario(pop, (1.0,), alpha_rev=0.0)
     with pytest.raises(ValueError):
         Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=-1.0)
-    # noise past SCALE_MAX would overflow the analysis's squared cost differences
-    assert Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=SCALE_MAX).noise_sd == SCALE_MAX
-    with pytest.raises(ValueError, match=r"^noise_sd must be in \[0, 1e\+60\], got 1e\+300$"):
+    # noise past the scale contract would overflow the analysis's squared cost differences
+    assert Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=1e60).noise_sd == 1e60
+    with pytest.raises(ValueError, match=r"^noise_sd out of range: the noise level sigma is 1e\+300, "):
         Scenario(pop, (1.0,), alpha_rev=1.0, noise_sd=1e300)
     # alpha_rev = 1e300 used to run until the kernel met a non-finite observation
     with pytest.raises(ValueError) as caught:
         Scenario(Population([1.5] * 2, [6.0] * 2), np.full(20, 4.0), alpha_rev=1e300)
     assert str(caught.value) == (
-        "alpha_rev must be <= 4e+60, 1e+60 times the largest demand, got 1e+300"
+        "alpha_rev out of range: the capacity |y| is 8.33e+298, outside [0, 3.66e+69]"
     )
     with pytest.raises(ValueError, match="alphas must hold numbers"):
         Population(["a"], [1.0])
@@ -378,3 +384,137 @@ def test_population_and_scenario_accept_exactly_valid_arrays(arrays):
         return
     sc = Scenario(pop, demand, alpha_rev=1.0)
     assert sc.demand.tolist() == demand and sc.horizon == len(demand)
+
+
+# ---------------------------------------------------------- scale contract
+
+#: every input a scale-contract message may name
+_INPUTS = ("alphas", "betas", "demand", "alpha_rev", "noise_sd", "y_capacity", "lambda_init",
+           "ridge_param")
+
+
+class _StreamOpened(Exception):
+    """A patched-in substream was called: construction finished without an error."""
+
+
+def _refuse(*args):
+    raise _StreamOpened
+
+
+def _scale(zero=False, signed=False):
+    """Unit scale or log-uniform over [1e-300, 1e300], with 0 and -x where the input allows."""
+    value = st.floats(0.5, 2.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+    if zero:
+        value |= st.just(0.0)
+    if signed:
+        value = st.tuples(value, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+    return value
+
+
+@st.composite
+def _runs(draw):
+    """One library run: every input of Scenario, OnlineConfig and run_replications."""
+    n, t_hor = draw(st.integers(1, 5)), draw(st.integers(11, 60))
+
+    def array(scale, size):
+        return scale * np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=size, max_size=size)))
+
+    return {
+        "alphas": array(draw(_scale(zero=True)), n),
+        "betas": array(draw(_scale()), n),
+        "demand": array(draw(_scale()), t_hor),
+        "alpha_rev": draw(_scale()),
+        "noise_sd": draw(_scale(zero=True)),
+        "y": draw(st.none() | _scale(zero=True, signed=True)),
+        "lambda_init": draw(st.none() | _scale(zero=True, signed=True)),
+        "ridge": draw(_scale(zero=True)),
+        "reps": draw(st.integers(2, 3)),
+    }
+
+
+def _run(**moved):
+    """Two users, T = 20, 3 reps: alpha 1.5, beta 6, d 4, alpha_rev 2d, noise 1; moved inputs."""
+    base = {"alphas": np.full(2, 1.5), "betas": np.full(2, 6.0), "demand": np.full(20, 4.0)}
+    base |= {"alpha_rev": 8.0, "noise_sd": 1.0, "y": None, "lambda_init": None, "ridge": 0.001}
+    return base | {"reps": 3} | moved
+
+
+#: runs that end in an error naming no input, or in a warning, without the scale contract:
+#: one input moved from _run (with alpha_rev = 2d), demand under a set capacity, the
+#: capacity and the slot-1 price of library calls
+_OUT_OF_SCALE = (
+    _run(alphas=np.full(2, 1e300)),
+    _run(demand=np.full(20, 1e300), alpha_rev=2e300),
+    _run(betas=np.full(2, 1e-100)),
+    _run(betas=np.full(2, 1e300)),
+    _run(demand=np.full(20, 1e100), alpha_rev=2e100),
+    _run(betas=np.full(2, 1e-300)),
+    _run(demand=np.full(20, 1e-300), alpha_rev=2e-300),
+    _run(demand=np.full(20, 1e300), alpha_rev=1.0, y=1.0),
+    _run(demand=np.full(20, 1e100), alpha_rev=1.0, y=1.0),
+    _run(y=1e300),
+    _run(y=-1e300),
+    _run(y=1e100),
+    _run(lambda_init=1e300),
+)
+
+
+def _construct(run):
+    """The run's scenario, capacity and OnlineConfig, built while every stream is refused.
+
+    Without lambda_init the run is the library call run_replications, which
+    must build its own OnlineConfig and reach its first stream.
+    """
+    with mock.patch.object(online, "substream", _refuse):
+        pop = Population(run["alphas"], run["betas"])
+        sc = Scenario(pop, run["demand"], alpha_rev=run["alpha_rev"], noise_sd=run["noise_sd"])
+        y = compute_y_star(sc) if run["y"] is None else run["y"]
+        if run["lambda_init"] is None:
+            with pytest.raises(_StreamOpened):
+                run_replications(sc, y, run["reps"], 7, run["ridge"])
+        return sc, y, OnlineConfig(sc, y, run["lambda_init"], run["ridge"])
+
+
+def _names_one_input(exc):
+    named = [k for k in _INPUTS if re.search(rf"\b{k}\b", str(exc))]
+    return len(named) == 1
+
+
+@pytest.mark.parametrize("run", _OUT_OF_SCALE, ids=range(len(_OUT_OF_SCALE)))
+def test_out_of_scale_inputs_fail_by_name_before_any_stream(run):
+    with pytest.raises(ValueError) as caught:
+        _construct(run)
+    assert _names_one_input(caught.value), caught.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs())
+@example(_run())
+@example(_run(noise_sd=1e60))
+@example(_run(y=-1e60))
+@example(_run(alpha_rev=4e60))
+@example(_run(alpha_rev=8e-100, demand=np.full(20, 1e-100)))
+def test_every_input_is_refused_by_name_or_runs_finite(run):
+    # the contract's specification: a named error at construction, or finite outputs
+    try:
+        sc, y, config = _construct(run)
+    except (ValueError, TypeError) as exc:
+        assert _names_one_input(exc), exc
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if run["lambda_init"] is not None:
+            for r in range(run["reps"]):
+                traj = run_episode(config, substream(7, 1, r))
+                for name in ("lambda_online", "gamma1_hat", "q_online", "cost_online", "cost_star"):
+                    assert np.isfinite(getattr(traj, name)).all(), name
+            return
+        sweep = run_replications(sc, y, run["reps"], 7, run["ridge"])
+        for name in ("lambda_online", "lambda_star", "gamma1_hat", "cost_online", "cost_star"):
+            assert np.isfinite(getattr(sweep, name)).all(), name
+        try:
+            summary = summarize(build_regret_report(sweep))
+        except ValueError as exc:  # run_experiment records these as analysis_note
+            assert re.search("nonpositive value|tracking error undefined", str(exc)), exc
+            return
+    assert all(math.isfinite(v) for v in summary.values() if isinstance(v, float)), summary
