@@ -117,11 +117,12 @@ class ExperimentConfig:
     description (_key). Every field must have its annotated type
     (a bool is not an int, an int is accepted for a float), else
     TypeError names the key; a float field must be finite
-    (model._check_finite), and c_rev, noise_sd, y_capacity and ridge
-    must keep the magnitudes a run forms, at the extremes of the kind's
-    intervals, within the scale contract (model._check_scale), else
-    ValueError names the key. Float fields are stored as float, so a
-    config equals the one parse_config reads.
+    (model._check_finite), n_users, horizon and reps in [1, sys.maxsize]
+    (a size in range but too large for memory still fails in numpy), and
+    c_rev, noise_sd, y_capacity and ridge must keep the magnitudes a run
+    forms, at the extremes of the kind's intervals, within the scale
+    contract (model._check_scale), else ValueError names the key. Float
+    fields are stored as float, so a config equals the one parse_config reads.
     """
 
     experiment: str = _key("baseline", "baseline | paramset2 | repeated-dt:P | blocked-dt:B")
@@ -151,8 +152,8 @@ class ExperimentConfig:
                 object.__setattr__(self, name, float(value))
         parse_experiment_kind(self.experiment)
         for name in ("n_users", "horizon", "reps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if not 1 <= getattr(self, name) <= sys.maxsize:
+                raise ValueError(f"{name} must be in [1, {sys.maxsize}], got {getattr(self, name)}")
         # substream takes only u64 seeds; reject others here, where the key is known
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
@@ -163,13 +164,12 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"ridge: {exc}") from None
         (a_lo, a_hi), (b_lo, b_hi), (d_lo, d_hi) = self.intervals()
-        n = min(self.n_users, sys.float_info.max)  # an int past the float range fails below
+        n = self.n_users
         # the kind's extremes (the largest gamma1, |gamma2| and alpha_rev, the least d_t^2) for
         # one slot: the closed-form capacity's bound is the same at every horizon
         scales = (n, 1, n / b_lo, -n * a_hi / b_lo, a_hi, b_hi, d_hi, d_lo * d_lo)
         scales += (self.c_rev * d_hi, self.noise_sd)
-        # inside the intervals only the population size can take gamma1 or gamma2 out of range
-        names = dict(alpha_rev="c_rev", ridge_param="ridge", alphas="n_users", betas="n_users")
+        names = dict(alpha_rev="c_rev", ridge_param="ridge")
         _check_scale(scales, self.y_capacity, ridge=self.ridge, names=names)
 
     def intervals(self) -> tuple[tuple[float, float], ...]:
@@ -264,34 +264,33 @@ def scenario_and_capacity(config: ExperimentConfig) -> tuple[Scenario, float]:
 def write_table(f: TextIO, columns: dict[str, NDArray]) -> None:
     """CSV of equal-length columns: a header of their names, then one row per index.
 
-    Each value is written as str of its tolist() form (ints as ints, floats
-    as the shortest round-trip decimal of their float64 value), TABLE_BLOCK
-    rows at a time. A float column is cast to float64 and formatted by one
-    orjson.dumps, whose shortest round-trip text equals repr for every
-    finite x with 1e-4 <= |x| < 1e16 and for +-0; the other cells (other
-    exponents, nan, +-inf) take repr. An int or bool column is one repr of
-    its list, which str equals cell by cell; any other column (strings)
-    takes str value by value. Open files with newline="" so every line
-    ends in "\\n". Columns of unequal lengths raise ValueError before any write.
+    Each block of TABLE_BLOCK rows of a numeric column is one orjson.dumps:
+    an int prints as its decimal, a float (cast to float64) as the shortest
+    text that parses back to its bits, in exponent form (1.234e-7, 1e16)
+    unless 0 or 1e-5 <= |x| < 1e16. Bool and string columns take str value
+    by value. Open files with newline="" so every line ends in "\\n". Columns
+    of unequal lengths, or a nan or +-inf cell (it has no CSV spelling), raise
+    ValueError before any write; the latter names its column and 1-based row.
     """
     lengths = {name: len(col) for name, col in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"columns must have equal lengths, got {lengths}")
+    for name, col in columns.items():
+        finite = np.isfinite(col) if col.dtype.kind == "f" else True
+        if not np.all(finite):
+            i = int(np.argmin(finite))
+            raise ValueError(f"column {name} row {i + 1} is {col[i]}: CSV cells must be finite")
     f.write(",".join(columns) + "\n")
     for start in range(0, min(lengths.values(), default=0), TABLE_BLOCK):
         cells = []
         for col in columns.values():
             block = col[start : start + TABLE_BLOCK]
-            if col.dtype.kind == "f":
-                with np.errstate(invalid="ignore"):  # a signalling nan casts to nan
-                    x = np.ascontiguousarray(block, dtype=np.float64)
-                text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-                mag = np.abs(x)
-                for i in np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (x == 0))).tolist():
-                    text[i] = repr(float(x[i]))
-                cells.append(text)
-            elif col.dtype.kind in "biu":
-                cells.append(repr(block.tolist())[1:-1].split(", "))
+            if col.dtype.kind in "fiu":
+                # orjson reads a C-contiguous array in native byte order
+                dtype = np.float64 if col.dtype.kind == "f" else col.dtype.newbyteorder("=")
+                x = np.ascontiguousarray(block, dtype=dtype)
+                text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+                cells.append(text.split(","))
             else:
                 cells.append(map(str, block.tolist()))
         f.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -203,8 +203,8 @@ class Scenario:
         population: the N users.
         demand: normalized per-slot demand-reduction requirements d_t,
             finite and > 0; a read-only float64 array of length T.
-        alpha_rev: revenue price per standardized unit of reduction, > 0.
-        noise_sd: per-user response noise standard deviation, >= 0.
+        alpha_rev: revenue price per standardized unit of reduction, > 0; a float.
+        noise_sd: per-user response noise standard deviation, >= 0; a float.
     """
 
     population: Population
@@ -216,8 +216,9 @@ class Scenario:
         demand, _, d_max = _checked_array("demand", self.demand, positive=True)
         object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "_d_max", d_max)  # for _check_scale
-        _check_finite("alpha_rev", self.alpha_rev)
-        _check_finite("noise_sd", self.noise_sd)
+        for name in ("alpha_rev", "noise_sd"):
+            _check_finite(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.alpha_rev <= 0:
             raise ValueError(f"alpha_rev must be > 0, got {self.alpha_rev}")
         _check_scale(self._scales())
@@ -233,8 +234,7 @@ class Scenario:
         g1 = pop.gamma1 if n / b_min <= 1e300 else math.inf
         g2 = pop.gamma2 if n * a_max / b_min <= 1e300 else -math.inf
         d2 = float(np.dot(d, d)) if self.horizon * d_max * d_max <= 1e300 else math.inf
-        return (n, self.horizon, g1, g2, a_max, b_max, d_max, d2, float(self.alpha_rev),
-                float(self.noise_sd))
+        return n, self.horizon, g1, g2, a_max, b_max, d_max, d2, self.alpha_rev, self.noise_sd
 
     @property
     def n(self) -> int:

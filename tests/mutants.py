@@ -134,6 +134,23 @@ MUTANTS = (
         "",
         ("tests/test_analysis.py::test_log_bound_rejects_linear_regret",),
     ),
+    # every float cell of a CSV table loses its last character
+    Mutant(
+        "src/drpsim/experiments.py",
+        'cells.append(text.split(","))',
+        'cells.append([c[:-1] if col.dtype.kind == "f" else c for c in text.split(",")])',
+        (
+            "tests/test_experiments.py::test_write_table_cells_parse_back_to_their_bits",
+            "tests/test_experiments.py::test_write_table_spells_floats_as_orjson_does",
+        ),
+    ),
+    # a nan or +-inf cell reaches orjson, which writes it as null
+    Mutant(
+        "src/drpsim/experiments.py",
+        "if not np.all(finite):",
+        "if False:",
+        ("tests/test_experiments.py::test_write_table_refuses_unequal_columns_and_nonfinite_cells",),
+    ),
     # summary.json written with NaN, which strict JSON cannot hold
     Mutant(
         "src/drpsim/experiments.py",

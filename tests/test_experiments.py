@@ -3,16 +3,20 @@ import io
 import json
 import math
 import re
+import sys
 import typing
 from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drpsim import experiments
 from drpsim.experiments import (
+    TABLE_BLOCK,
     _KEY_TYPES,
     ExperimentConfig,
     build_scenario,
@@ -24,7 +28,7 @@ from drpsim.experiments import (
     write_table,
     write_trajectory_csv,
 )
-from drpsim import build_regret_report, compute_y_star, experiments, run_replications
+from drpsim import build_regret_report, compute_y_star, run_replications
 from drpsim.analysis import summarize
 from drpsim.cli import SWEEP_GRID
 from drpsim.model import Population, Scenario
@@ -107,11 +111,16 @@ def test_config_validation():
     for y in (1e300, -1e300):
         with pytest.raises(ValueError, match=r"^y_capacity out of range: the capacity \|y\| is 1e"):
             ExperimentConfig(y_capacity=y)
-    # the scale contract names the config's keys: ridge, and n_users for a population past range
+    # the scale contract names the config's keys
     with pytest.raises(ValueError, match=r"^ridge out of range: the ridge weight is 1e\+300, "):
         ExperimentConfig(ridge=1e300)
-    with pytest.raises(ValueError, match=r"^n_users out of range: gamma1 = sum_i 1/beta_i is "):
-        ExperimentConfig(n_users=10**400)
+    # a size past sys.maxsize fits no array: name it before the output directory exists
+    for key in ("n_users", "horizon", "reps"):
+        message = rf"^{key} must be in \[1, {sys.maxsize}\], got 10+$"
+        for value in (10**20, 10**400):
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(**{key: value})
+        ExperimentConfig(**{key: sys.maxsize})
     with pytest.raises(ValueError, match="unknown experiment kind"):
         ExperimentConfig(experiment="warmstart")
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
@@ -421,19 +430,19 @@ def _same_bits(parsed, column):
     return np.array_equal(parsed.view(np.int64), np.asarray(column, dtype=float).view(np.int64))
 
 
-def test_write_table_matches_csv_writer_with_repr(tmp_path):
-    x = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1 / 3, 2.0])
-    n = np.array([-(2**62), -1, 0, 1, 7, 10**6, 2**53 + 1, 3, 4], dtype=np.int64)
-    expected = io.StringIO()
-    w = csv.writer(expected, lineterminator="\n")
-    w.writerow(["n", "x"])
-    w.writerows([str(i), repr(float(v))] for i, v in zip(n.tolist(), x))
+def test_write_table_refuses_unequal_columns_and_nonfinite_cells(tmp_path):
+    # CSV has no spelling for nan or +-inf (orjson writes null): the file stays empty
     path = tmp_path / "table.csv"
+    for bad in (math.nan, math.inf, -math.inf):
+        for dtype in (np.float64, np.float32):
+            x = np.array([0.5, 2.0, bad, 1.0], dtype=dtype)
+            with open(path, "w", newline="") as f:
+                with pytest.raises(ValueError, match=rf"^column x row 3 is {bad}: CSV cells must"):
+                    write_table(f, {"n": np.arange(4), "x": x})
+            assert path.read_bytes() == b""
     with open(path, "w", newline="") as f:
-        write_table(f, {"n": n, "x": x})
-    data = path.read_bytes()
-    assert data == expected.getvalue().encode()
-    assert b"\r" not in data
+        write_table(f, {"n": np.arange(3), "x": np.array([0.5, -0.0, 1e-7])})
+    assert path.read_bytes() == b"n,x\n0,0.5\n1,-0.0\n2,1e-7\n"
     # a short column used to cut the table to its length without an error
     out = io.StringIO()
     with pytest.raises(ValueError, match=r"^columns must have equal lengths, got \{'a': 3, 'b': 2\}$"):
@@ -441,14 +450,73 @@ def test_write_table_matches_csv_writer_with_repr(tmp_path):
     assert out.getvalue() == ""
 
 
+def test_write_table_spells_floats_as_orjson_does():
+    # decimal for 1e-5 <= |x| < 1e16, exponent form without '+' or padding elsewhere
+    spellings = [
+        (1e-5, "0.00001"),
+        (-2.5e-5, "-0.000025"),
+        (1.234e-7, "1.234e-7"),
+        (1e16, "1e16"),
+        (1.7976931348623157e308, "1.7976931348623157e308"),
+        (-0.0, "-0.0"),
+        (5e-324, "5e-324"),
+        (0.1, "0.1"),
+        (2.0, "2.0"),
+    ]
+    out = io.StringIO(newline="")
+    write_table(out, {"x": np.array([x for x, _ in spellings])})
+    assert out.getvalue().splitlines() == ["x", *(text for _, text in spellings)]
+
+
+def _finite_bit_patterns(rng, rows, dtype):
+    """rows finite values of dtype from uniformly random bit patterns: every exponent."""
+    x = np.frombuffer(rng.bytes(2 * rows * np.dtype(dtype).itemsize), dtype=dtype)
+    return x[np.isfinite(x)][:rows]
+
+
+def test_write_table_cells_parse_back_to_their_bits():
+    rng = np.random.default_rng(2018)
+    rows = 64 * TABLE_BLOCK + 17
+    edges = np.array([1e-5, 1e-4, 1e16])
+    near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    special = np.concatenate([near, -near, [0.0, -0.0, 5e-324, -5e-324]])
+    x = np.concatenate([special, _finite_bit_patterns(rng, rows - special.size, np.float64)])
+    extremes = np.array([-(2**63), -(2**63) + 1, -1, 0, 1, 2**53 + 1, 2**63 - 1], dtype=np.int64)
+    draws = rng.integers(-(2**63), 2**63, rows - extremes.size, dtype=np.int64)
+    n = np.concatenate([extremes, draws])
+    columns = {
+        "key": np.array([f"k{i}" for i in range(rows)]),
+        "n": n,
+        "u": rng.integers(0, 2**64, rows, dtype=np.uint64),
+        "big_endian": n.astype(">i8"),
+        "x": x,
+        "x32": _finite_bit_patterns(rng, rows, np.float32),
+    }
+    columns["u"][0] = 2**64 - 1
+    out = io.StringIO(newline="")
+    write_table(out, columns)
+    header, *lines = csv.reader(io.StringIO(out.getvalue()))
+    assert header == list(columns) and len(lines) == rows
+    key, n_text, u_text, be_text, x_text, x32_text = zip(*lines)
+    assert list(key) == columns["key"].tolist()
+    for text, col in ((n_text, n), (u_text, columns["u"]), (be_text, n)):
+        assert list(map(int, text)) == col.tolist()
+    for text, col in ((x_text, x), (x32_text, columns["x32"])):
+        assert _same_bits(np.array([float(t) for t in text]), col)
+
+
 def _row_wise_table(columns):
-    """write_table's bytes as the row-wise writer formed them: str of each value."""
+    """write_table's text formed cell by cell: orjson.dumps of a float, str of the rest."""
+
+    def cell(value):
+        return orjson.dumps(value).decode() if isinstance(value, float) else str(value)
+
     lines = [",".join(columns)]
-    lines += [",".join(map(str, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    lines += [",".join(map(cell, row)) for row in zip(*(c.tolist() for c in columns.values()))]
     return "".join(line + "\n" for line in lines)
 
 
-_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 1e22, 0.1]
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 9.999999999999999e-05, 1e22, 0.1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -457,7 +525,10 @@ _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5,
         lambda rows: st.tuples(
             st.lists(st.integers(-(2**63), 2**63 - 1), min_size=rows, max_size=rows),
             st.lists(
-                st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+                st.one_of(
+                    st.sampled_from(_SPECIAL_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
                 min_size=rows,
                 max_size=rows,
             ),
@@ -480,20 +551,14 @@ def test_write_table_matches_row_wise_writer(data, block):
 
 
 def test_write_table_float_cells_match_row_wise_writer_on_every_exponent():
-    # write_table's orjson text equals repr only for 1e-4 <= |x| < 1e16 and +-0;
-    # fully random bit patterns cover every exponent, subnormals and nan payloads,
-    # and patterns with an exponent in [2**-14, 2**53] the cells orjson writes
+    # finite random bit patterns cover every exponent and the subnormals; each
+    # block's text must equal the cells spelled one at a time
     rng = np.random.default_rng(2018)
-    edges = np.array([1e-4, 1e16])
+    edges = np.array([1e-5, 1e-4, 1e16])
     near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
-    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
-    rows, random_rows = 2**18, 2**15
-    bits = np.frombuffer(rng.bytes(8 * rows), dtype=np.uint64).copy()
-    exponent = rng.integers(1023 - 14, 1023 + 53, rows - random_rows, endpoint=True)
-    bits[random_rows:] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
-    bits[random_rows:] |= exponent.astype(np.uint64) << np.uint64(52)
-    x = np.concatenate([near, -near, special, bits.view(np.float64)])
-    tables = [{"x": x}, {"x32": np.frombuffer(rng.bytes(4 * 2**14), dtype=np.float32)}]
+    special = np.concatenate([near, -near, [0.0, -0.0, 5e-324, -5e-324]])
+    x = np.concatenate([special, _finite_bit_patterns(rng, 2**18, np.float64)])
+    tables = [{"x": x}, {"x32": _finite_bit_patterns(rng, 2**14, np.float32)}]
     for columns in tables:
         out = io.StringIO(newline="")
         write_table(out, columns)

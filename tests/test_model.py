@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import warnings
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from drpsim import online
 from drpsim.analysis import build_regret_report, summarize
+from drpsim.experiments import write_regret_csv, write_trajectory_csv
 from drpsim.model import (
     Population,
     Scenario,
@@ -250,6 +252,19 @@ def test_parameter_validation():
         kwargs = {"alpha_rev": 1.0, key: value}
         with pytest.raises(TypeError, match=rf"^{key} must be a real number, got {value!r}$"):
             Scenario(pop, (1.0,), **kwargs)
+
+
+def test_float32_inputs_run_in_float64():
+    # float32 products overflow near alpha_rev = 3e38; the run must compute in float64
+    pop = Population([1.5] * 2, [6.0] * 2)
+    sc = Scenario(pop, np.full(20, 4.0), alpha_rev=np.float32(3e38), noise_sd=np.float32(0.5))
+    assert type(sc.alpha_rev) is float and type(sc.noise_sd) is float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = compute_y_star(sc)
+        sweep = run_replications(sc, 1.0, 3, 42)
+    assert math.isfinite(y)
+    assert np.isfinite(sweep.cost_online).all() and np.isfinite(sweep.lambda_online).all()
 
 
 def test_population_cached_aggregates(rng):
@@ -495,7 +510,8 @@ def test_out_of_scale_inputs_fail_by_name_before_any_stream(run):
 @example(_run(alpha_rev=4e60))
 @example(_run(alpha_rev=8e-100, demand=np.full(20, 1e-100)))
 def test_every_input_is_refused_by_name_or_runs_finite(run):
-    # the contract's specification: a named error at construction, or finite outputs
+    # the contract's specification: a named error at construction, or finite outputs;
+    # the CSV writer refuses a non-finite cell, so writing each table checks every column
     try:
         sc, y, config = _construct(run)
     except (ValueError, TypeError) as exc:
@@ -506,15 +522,17 @@ def test_every_input_is_refused_by_name_or_runs_finite(run):
         if run["lambda_init"] is not None:
             for r in range(run["reps"]):
                 traj = run_episode(config, substream(7, 1, r))
-                for name in ("lambda_online", "gamma1_hat", "q_online", "cost_online", "cost_star"):
-                    assert np.isfinite(getattr(traj, name)).all(), name
+                write_trajectory_csv(os.devnull, traj)
             return
         sweep = run_replications(sc, y, run["reps"], 7, run["ridge"])
         for name in ("lambda_online", "lambda_star", "gamma1_hat", "cost_online", "cost_star"):
             assert np.isfinite(getattr(sweep, name)).all(), name
+        write_trajectory_csv(os.devnull, sweep.first_trajectory)
         try:
-            summary = summarize(build_regret_report(sweep))
+            report = build_regret_report(sweep)
         except ValueError as exc:  # run_experiment records these as analysis_note
             assert re.search("nonpositive value|tracking error undefined", str(exc)), exc
             return
+        write_regret_csv(os.devnull, report)
+        summary = summarize(report)
     assert all(math.isfinite(v) for v in summary.values() if isinstance(v, float)), summary

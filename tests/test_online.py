@@ -204,7 +204,8 @@ def test_slot1_price_keeps_the_bits_of_a_uniform_draw(alpha_rev):
     config = OnlineConfig(scenario=sc, y_capacity=0.5)
     for r in range(20):
         lam = run_episode(config, substream(12, 1, r)).lambda_online[0]
-        want = float(substream(12, 1, r).uniform(0.0, 2.0 * alpha_rev / sc.n))
+        # Scenario stores alpha_rev as float, so a float32 input prices in float64
+        want = float(substream(12, 1, r).uniform(0.0, 2.0 * float(alpha_rev) / sc.n))
         assert _bits(lam) == _bits(want)
 
 
