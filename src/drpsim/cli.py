@@ -25,7 +25,6 @@ import numpy as np
 
 from .experiments import (
     ExperimentConfig,
-    _parse_number,
     parse_config,
     run_experiment,
     scenario_and_capacity,
@@ -45,6 +44,16 @@ SWEEP_GRID = (
     "blocked-dt:4",
 )
 
+#: each override flag, the ExperimentConfig field it sets and its metavar; its help is the field's
+FLAGS = {
+    "--seed": ("seed", "U64"),
+    "--reps": ("reps", "INT"),
+    "--out": ("out_dir", "DIR"),
+    "--experiment": ("experiment", "KIND"),
+    "--y-capacity": ("y_capacity", "FLOAT"),
+}
+
+
 def _config_help() -> str:
     """The --help epilog: every ExperimentConfig field, its default and description."""
     lines = []
@@ -60,18 +69,12 @@ def _config_help() -> str:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults <- config file <- flags <- environment."""
-    config = parse_config(Path(args.config).read_text() if args.config is not None else "")
-    # every override flag's dest is its field name
-    flags = {key.name: getattr(args, key.name, None) for key in fields(ExperimentConfig)}
-    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
-    env_seed = os.environ.get("DRPSIM_SEED")
-    if env_seed is not None:
-        config = replace(config, seed=_parse_number(int, env_seed, "DRPSIM_SEED"))
-    env_out = os.environ.get("DRPSIM_OUT")
-    if env_out is not None:
-        config = replace(config, out_dir=env_out)
-    return config
+    """Merge defaults <- config file <- flags <- environment into one config."""
+    text = Path(args.config).read_text() if args.config is not None else ""
+    overrides = [(flag, key, getattr(args, key)) for flag, (key, _) in FLAGS.items()]
+    for var, key in (("DRPSIM_SEED", "seed"), ("DRPSIM_OUT", "out_dir")):
+        overrides.append((var, key, os.environ.get(var)))
+    return parse_config(text, [entry for entry in overrides if entry[2] is not None])
 
 
 def cmd_offline(args: argparse.Namespace) -> int:
@@ -152,17 +155,9 @@ def main(argv=None) -> int:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value config file")
-    common.add_argument("--seed", type=int, metavar="U64", help="master seed")
-    common.add_argument("--reps", type=int, metavar="INT", help="replication count")
-    common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    common.add_argument(
-        "--experiment",
-        metavar="KIND",
-        help="baseline | paramset2 | repeated-dt:P | blocked-dt:B",
-    )
-    common.add_argument(
-        "--y-capacity", type=float, metavar="FLOAT", help="override committed capacity"
-    )
+    settings = {key.name: key for key in fields(ExperimentConfig)}
+    for flag, (key, metavar) in FLAGS.items():
+        common.add_argument(flag, dest=key, metavar=metavar, help=settings[key].metadata["help"])
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
         "offline", parents=[common], help="print capacity and optimal price path"

@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, TextIO, get_args, get_type_hints
+from typing import Iterable, Optional, TextIO, get_args, get_type_hints
 
 import numpy as np
 import orjson
@@ -35,7 +35,7 @@ from numpy.typing import NDArray
 from .analysis import RegretReport, build_regret_report, summarize
 from .model import Population, Scenario, _check_finite, _check_scale
 from .offline import compute_y_star
-from .online import OnlineConfig, Trajectory, init, run_replications
+from .online import OnlineConfig, Trajectory, run_replications
 from .rng import substream
 
 __all__ = [
@@ -60,12 +60,14 @@ KIND_INTERVALS = {
 }
 
 
-def _parse_number(number: type, text: str, what: str):
-    """int(text) or float(text); the error names what was being parsed."""
+def _parse_value(kind: type, text: str, what: str):
+    """text as a str, an int or a float (kind); the ValueError names what was being parsed."""
+    if kind is str:
+        return text
     try:
-        return number(text)
+        return kind(text)
     except ValueError:
-        expected = "an integer" if number is int else "a number"
+        expected = "an integer" if kind is int else "a number"
         raise ValueError(f"{what} must be {expected}, got '{text}'") from None
 
 
@@ -82,14 +84,14 @@ def parse_experiment_kind(kind: str) -> tuple[str, Optional[float]]:
     if family == "repeated-dt":
         if not sep:
             raise ValueError("repeated-dt requires a fraction, e.g. repeated-dt:0.3")
-        p = _parse_number(float, arg, "repeated-dt fraction")
+        p = _parse_value(float, arg, "repeated-dt fraction")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"repeated-dt fraction must be in [0, 1], got {p}")
         return family, p
     if family == "blocked-dt":
         if not sep:
             raise ValueError("blocked-dt requires a block size, e.g. blocked-dt:4")
-        b = _parse_number(int, arg, "blocked-dt block size")
+        b = _parse_value(int, arg, "blocked-dt block size")
         if b < 1:
             raise ValueError(f"blocked-dt block size must be >= 1, got {b}")
         return family, b
@@ -113,8 +115,10 @@ class ExperimentConfig:
     None means commit the closed-form optimum of the drawn scenario.
     The fields are the only list of run settings: parse_config reads
     each by its annotated type, run_experiment writes all but out_dir
-    to summary.json, and the cli's --help reads each name, default and
-    description (_key). Every field must have its annotated type
+    to summary.json, and the cli's --help and override flags read each
+    name, default and description (_key). Construction parses the kind
+    once and keeps its (family, parameter) for intervals() and
+    build_scenario. Every field must have its annotated type
     (a bool is not an int, an int is accepted for a float), else
     TypeError names the key; a float field must be finite
     (model._check_finite), n_users, horizon and reps in [1, sys.maxsize]
@@ -150,7 +154,7 @@ class ExperimentConfig:
             if kind is float:
                 _check_finite(name, value)
                 object.__setattr__(self, name, float(value))
-        parse_experiment_kind(self.experiment)
+        object.__setattr__(self, "_kind", parse_experiment_kind(self.experiment))
         for name in ("n_users", "horizon", "reps"):
             if not 1 <= getattr(self, name) <= sys.maxsize:
                 raise ValueError(f"{name} must be in [1, {sys.maxsize}], got {getattr(self, name)}")
@@ -159,10 +163,6 @@ class ExperimentConfig:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.c_rev <= 0:
             raise ValueError(f"c_rev must be > 0, got {self.c_rev}")
-        try:
-            init(self.ridge)  # online.init owns the rule
-        except ValueError as exc:
-            raise ValueError(f"ridge: {exc}") from None
         (a_lo, a_hi), (b_lo, b_hi), (d_lo, d_hi) = self.intervals()
         n = self.n_users
         # the kind's extremes (the largest gamma1, |gamma2| and alpha_rev, the least d_t^2) for
@@ -174,8 +174,7 @@ class ExperimentConfig:
 
     def intervals(self) -> tuple[tuple[float, float], ...]:
         """The kind's (alpha, beta, d) sampling intervals; the variants use baseline's."""
-        family, _ = parse_experiment_kind(self.experiment)
-        return KIND_INTERVALS.get(family, KIND_INTERVALS["baseline"])
+        return KIND_INTERVALS.get(self._kind[0], KIND_INTERVALS["baseline"])
 
 
 _HINTS = get_type_hints(ExperimentConfig)
@@ -186,12 +185,15 @@ _KEY_TYPES = {
 _OPTIONAL_KEYS = {k for k, h in _HINTS.items() if type(None) in get_args(h)}
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat key = value text ('#' starts a comment) into a config.
+def parse_config(text: str, overrides: Iterable[tuple[str, str, str]] = ()) -> ExperimentConfig:
+    """Parse flat key = value text ('#' starts a comment), then overrides, into one config.
 
-    Unknown or duplicate keys, and values that do not parse as the key's
-    type, are rejected with the offending line number; omitted keys keep
-    their defaults.
+    Each override is (source, key, value text) and replaces the key's
+    value, a later one an earlier one. A line with an unknown or duplicate
+    key, or not of the form key = value, is rejected with its line number.
+    A value that does not parse as its key's type is rejected naming its
+    source: 'config line 3: seed' for a line, else the override's source
+    (a flag, an environment variable). Omitted keys keep their defaults.
     """
     data: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -207,11 +209,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: unknown key '{key}'")
         if key in data:
             raise ValueError(f"config line {lineno}: duplicate key '{key}'")
-        kind = _KEY_TYPES[key]
-        if kind is str:
-            data[key] = value
-        else:
-            data[key] = _parse_number(kind, value, f"config line {lineno}: {key}")
+        data[key] = _parse_value(_KEY_TYPES[key], value, f"config line {lineno}: {key}")
+    for source, key, value in overrides:
+        data[key] = _parse_value(_KEY_TYPES[key], value, source)
     return ExperimentConfig(**data)
 
 
@@ -223,7 +223,7 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
     (config, stream).
     """
     (a_lo, a_hi), (b_lo, b_hi), (d_lo, d_hi) = config.intervals()
-    family, param = parse_experiment_kind(config.experiment)
+    family, param = config._kind
     n = config.n_users
     t_hor = config.horizon
     # Population copies the draws; freeing them here lets Scenario's scale check reuse their memory
@@ -269,27 +269,33 @@ def write_table(f: TextIO, columns: dict[str, NDArray]) -> None:
     text that parses back to its bits, in exponent form (1.234e-7, 1e16)
     unless 0 or 1e-5 <= |x| < 1e16. Bool and string columns take str value
     by value. Open files with newline="" so every line ends in "\\n". Columns
-    of unequal lengths, or a nan or +-inf cell (it has no CSV spelling), raise
+    of unequal lengths, or a cell that is nan or +-inf as written (it has no
+    CSV spelling; a long double past float64's range casts to inf) raise
     ValueError before any write; the latter names its column and 1-based row.
     """
     lengths = {name: len(col) for name, col in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"columns must have equal lengths, got {lengths}")
+    written = dict(columns)
     for name, col in columns.items():
-        finite = np.isfinite(col) if col.dtype.kind == "f" else True
-        if not np.all(finite):
-            i = int(np.argmin(finite))
-            raise ValueError(f"column {name} row {i + 1} is {col[i]}: CSV cells must be finite")
+        if col.dtype.kind in "fiu":
+            # orjson reads a C-contiguous array in native byte order
+            dtype = np.float64 if col.dtype.kind == "f" else col.dtype.newbyteorder("=")
+            with np.errstate(over="ignore"):  # the finiteness check below names the cell
+                written[name] = x = np.ascontiguousarray(col, dtype=dtype)
+            finite = np.isfinite(x)
+            if not np.all(finite):
+                i = int(np.argmin(finite))
+                raise ValueError(  # !s: format() shows a long double past float64 as inf
+                    f"column {name} row {i + 1} is {col[i]!s}: CSV cells must be finite"
+                )
     f.write(",".join(columns) + "\n")
     for start in range(0, min(lengths.values(), default=0), TABLE_BLOCK):
         cells = []
-        for col in columns.values():
+        for col in written.values():
             block = col[start : start + TABLE_BLOCK]
             if col.dtype.kind in "fiu":
-                # orjson reads a C-contiguous array in native byte order
-                dtype = np.float64 if col.dtype.kind == "f" else col.dtype.newbyteorder("=")
-                x = np.ascontiguousarray(block, dtype=dtype)
-                text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+                text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
                 cells.append(text.split(","))
             else:
                 cells.append(map(str, block.tolist()))

@@ -98,14 +98,11 @@ class UnidentifiableError(RuntimeError):
 def init(ridge_param: float) -> tuple[int, float, float, float, float, float]:
     """State with no observations: (m, sum u, sum u^2, sum Z, sum u*Z, ridge).
 
-    ridge_param is the regularization weight, >= 0. With a positive
-    weight the zero-data estimate is the prior mean (0, 0); with 0 the
-    estimator refuses to produce estimates until the data identify the
-    line.
+    ridge_param is the regularization weight, which OnlineConfig checks.
+    With a positive weight the zero-data estimate is the prior mean
+    (0, 0); with 0 the estimator refuses to produce estimates until the
+    data identify the line.
     """
-    _check_finite("ridge_param", ridge_param)
-    if ridge_param < 0:
-        raise ValueError(f"ridge_param must be >= 0, got {ridge_param}")
     return 0, 0.0, 0.0, 0.0, 0.0, float(ridge_param)
 
 
@@ -146,10 +143,11 @@ class OnlineConfig:
         scenario: population, demand, noise level.
         y_capacity: committed capacity (offline Y* or externally chosen).
         lambda_init: slot-1 price; None draws U[0, 2*alpha_rev/N].
-        ridge_param: estimator regularization weight, >= 0 (init).
+        ridge_param: estimator regularization weight, >= 0.
 
     Construction applies the scale contract (model._check_scale) to these
-    against the scenario, so run_replications fails before any stream opens.
+    against the scenario, the ridge weight's domain included, so
+    run_replications fails before any stream opens.
     """
 
     scenario: Scenario
@@ -161,7 +159,7 @@ class OnlineConfig:
         _check_finite("y_capacity", self.y_capacity)
         if self.lambda_init is not None:
             _check_finite("lambda_init", self.lambda_init)
-        init(self.ridge_param)  # raises here, naming ridge_param, before any draw
+        _check_finite("ridge_param", self.ridge_param)
         _check_scale(self.scenario._scales(), self.y_capacity, self.lambda_init, self.ridge_param)
 
 

@@ -144,6 +144,30 @@ MUTANTS = (
             "tests/test_experiments.py::test_write_table_spells_floats_as_orjson_does",
         ),
     ),
+    # the finiteness check reads the column before its float64 cast: 1e400 is written as null
+    Mutant(
+        "src/drpsim/experiments.py",
+        "finite = np.isfinite(x)",
+        "finite = np.isfinite(col)",
+        ("tests/test_experiments.py::test_write_table_refuses_unequal_columns_and_nonfinite_cells",),
+    ),
+    # a flag's or an environment variable's text reaches ExperimentConfig unconverted
+    Mutant(
+        "src/drpsim/experiments.py",
+        "data[key] = _parse_value(_KEY_TYPES[key], value, source)",
+        "data[key] = value",
+        ("tests/test_cli.py::test_refused_settings_exit_2_naming_their_source",),
+    ),
+    # the scale contract's ridge row accepts a negative weight
+    Mutant(
+        "src/drpsim/model.py",
+        '("ridge_param", "the ridge weight", ridge, 0.0, top),',
+        '("ridge_param", "the ridge weight", ridge, -top, top),',
+        (
+            "tests/test_estimator.py::test_bad_ridge_param_is_named",
+            "tests/test_experiments.py::test_bad_ridge_names_its_key_and_follows_the_estimator",
+        ),
+    ),
     # a nan or +-inf cell reaches orjson, which writes it as null
     Mutant(
         "src/drpsim/experiments.py",

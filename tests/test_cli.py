@@ -14,8 +14,13 @@ import pytest
 
 import drpsim
 from drpsim import experiments, online
-from drpsim.cli import SWEEP_GRID, main
-from drpsim.experiments import ExperimentConfig, run_experiment, scenario_and_capacity
+from drpsim.cli import FLAGS, SWEEP_GRID, main
+from drpsim.experiments import (
+    ExperimentConfig,
+    parse_experiment_kind,
+    run_experiment,
+    scenario_and_capacity,
+)
 from drpsim.model import aggregate_from_noise
 from drpsim.offline import closed_form_solve, lambda_star_path
 
@@ -111,6 +116,19 @@ def test_help_names_every_config_key_with_its_default(capsys):
         assert match is not None, field.name
         assert match.group(1) == shown, field.name
         assert match.group(2) == field.metadata["help"], field.name
+
+
+def test_override_flags_are_config_fields_with_their_help(monkeypatch, capsys):
+    # the fields are the only settings list: no flag of its own type, help or key
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    with pytest.raises(SystemExit):
+        main(["regret", "--help"])
+    text = capsys.readouterr().out
+    settings = {field.name: field for field in fields(ExperimentConfig)}
+    for flag, (key, metavar) in FLAGS.items():
+        help_text = re.escape(settings[key].metadata["help"])
+        assert re.search(rf"(?m)^  {flag} {metavar} +{help_text}$", text), flag
+    assert re.findall(r"(?m)^  (--[a-z-]+)", text) == ["--config", *FLAGS]
 
 
 HELP_SCREENS = Path(__file__).with_name("golden")
@@ -315,6 +333,48 @@ def test_unparsable_numbers_name_their_source(small_config, clean_env, capsys, t
     clean_env.setenv("DRPSIM_SEED", "abc")
     assert main(["offline", "--config", small_config]) == 2
     assert capsys.readouterr().err == "error: DRPSIM_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "args, text, error",
+    [
+        (["--seed", "abc"], "", "--seed must be an integer, got 'abc'"),
+        (["--reps", "1.5"], "", "--reps must be an integer, got '1.5'"),
+        (["--y-capacity", "x"], "", "--y-capacity must be a number, got 'x'"),
+        (["--y-capacity", "nan"], "", "y_capacity must be finite, got nan"),
+        ([], "ridge = -1\n", "ridge out of range: the ridge weight is -1, outside [0, 3.66e+69]"),
+        ([], "experiment = repeated-dt:1.5\n", "repeated-dt fraction must be in [0, 1], got 1.5"),
+    ],
+)
+def test_refused_settings_exit_2_naming_their_source(
+    args, text, error, clean_env, tmp_path, capsys
+):
+    config = tmp_path / "bad.cfg"
+    config.write_text("n_users = 5\nhorizon = 12\nreps = 3\n" + text)
+    out_dir = tmp_path / "o"
+    assert main(["regret", "--config", str(config), "--out", str(out_dir), *args]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out_dir.exists()
+
+
+def test_regret_builds_one_config_and_parses_its_kind_once(
+    sweep_config, clean_env, tmp_path, capsys
+):
+    # defaults <- file <- flags <- environment merge into one ExperimentConfig construction
+    calls = []
+
+    def counted(kind):
+        calls.append(kind)
+        return parse_experiment_kind(kind)
+
+    clean_env.setattr(experiments, "parse_experiment_kind", counted)
+    clean_env.setenv("DRPSIM_SEED", "5")
+    args = ["--experiment", "repeated-dt:0.3", "--reps", "3", "--out", str(tmp_path / "o")]
+    assert main(["regret", "--config", sweep_config, *args]) == 0
+    capsys.readouterr()
+    assert calls == ["repeated-dt:0.3"]
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert (summary["experiment"], summary["reps"], summary["seed"]) == ("repeated-dt:0.3", 3, 5)
 
 
 def test_missing_config_file_is_a_clean_error(clean_env, capsys, tmp_path):

@@ -3,7 +3,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from drpsim.model import Population, Scenario
 from drpsim.online import (
+    OnlineConfig,
     UnidentifiableError,
     init,
     solve_normal_equations,
@@ -33,11 +35,17 @@ def _feed(state, pairs):
     return State(m, su, suu, sz, suz, ridge)
 
 
+def _ridge_config(ridge_param):
+    """An OnlineConfig with this ridge weight: OnlineConfig owns the weight's rule, not init."""
+    scenario = Scenario(Population([1.0], [2.0]), demand=(1.0,), alpha_rev=1.0)
+    return OnlineConfig(scenario=scenario, y_capacity=1.0, ridge_param=ridge_param)
+
+
 def test_init_validation():
-    with pytest.raises(ValueError):
-        init(-1.0)
-    with pytest.raises(ValueError):
-        init(float("nan"))
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            _ridge_config(bad)
+    assert init(2) == (0, 0.0, 0.0, 0.0, 0.0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -47,12 +55,16 @@ def test_init_validation():
         (None, TypeError, "ridge_param must be a real number, got None"),
         (True, TypeError, "ridge_param must be a real number, got True"),
         (float("-inf"), ValueError, "ridge_param must be finite, got -inf"),
-        (-1.0, ValueError, "ridge_param must be >= 0, got -1.0"),
+        (
+            -1.0,
+            ValueError,
+            "ridge_param out of range: the ridge weight is -1, outside [0, 3.66e+69]",
+        ),
     ],
 )
 def test_bad_ridge_param_is_named(value, error, message):
     with pytest.raises(error) as caught:
-        init(value)
+        _ridge_config(value)
     assert str(caught.value) == message
 
 

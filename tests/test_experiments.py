@@ -32,7 +32,7 @@ from drpsim import build_regret_report, compute_y_star, run_replications
 from drpsim.analysis import summarize
 from drpsim.cli import SWEEP_GRID
 from drpsim.model import Population, Scenario
-from drpsim.online import init
+from drpsim.online import OnlineConfig
 from drpsim.rng import substream
 
 
@@ -147,11 +147,13 @@ def test_bad_ridge_names_its_key_and_follows_the_estimator(value):
     with pytest.raises(ValueError) as caught:
         ExperimentConfig(ridge=value)
     assert re.match(r"ridge\b(?!_)", str(caught.value)), caught.value
+    assert "ridge_param" not in str(caught.value)
     if value < 0:
-        # online.init's rule is the only copy of it
+        # the scale contract's ridge row is the only copy of the rule
+        scenario = build_scenario(ExperimentConfig(), substream(42, 0))
         with pytest.raises(ValueError) as rule:
-            init(float(value))
-        assert str(caught.value) == f"ridge: {rule.value}"
+            OnlineConfig(scenario=scenario, y_capacity=1.0, ridge_param=value)
+        assert str(caught.value) == str(rule.value).replace("ridge_param", "ridge")
 
 
 @pytest.mark.parametrize("capacity", ["one", "closed form"])
@@ -440,6 +442,13 @@ def test_write_table_refuses_unequal_columns_and_nonfinite_cells(tmp_path):
                 with pytest.raises(ValueError, match=rf"^column x row 3 is {bad}: CSV cells must"):
                     write_table(f, {"n": np.arange(4), "x": x})
             assert path.read_bytes() == b""
+    if np.finfo(np.longdouble).maxexp > 1024:  # a long double wider than float64
+        # it is written as float64, where 1e400 is inf: refused on the cast value, no warning
+        x = np.array([0.5, 2.0, np.longdouble("1e400"), 1.0])
+        with open(path, "w", newline="") as f:
+            with pytest.raises(ValueError, match=r"^column x row 3 is 1e\+400: CSV cells must"):
+                write_table(f, {"n": np.arange(4), "x": x})
+        assert path.read_bytes() == b""
     with open(path, "w", newline="") as f:
         write_table(f, {"n": np.arange(3), "x": np.array([0.5, -0.0, 1e-7])})
     assert path.read_bytes() == b"n,x\n0,0.5\n1,-0.0\n2,1e-7\n"
