@@ -71,6 +71,10 @@ def _parse_value(kind: type, text: str, what: str):
         raise ValueError(f"{what} must be {expected}, got '{text}'") from None
 
 
+class _KindError(ValueError):
+    """An experiment kind parse_experiment_kind refuses; parse_config names its source."""
+
+
 def parse_experiment_kind(kind: str) -> tuple[str, Optional[float]]:
     """Split an experiment-kind string into (family, parameter).
 
@@ -154,7 +158,11 @@ class ExperimentConfig:
             if kind is float:
                 _check_finite(name, value)
                 object.__setattr__(self, name, float(value))
-        object.__setattr__(self, "_kind", parse_experiment_kind(self.experiment))
+        try:
+            kind = parse_experiment_kind(self.experiment)
+        except ValueError as exc:
+            raise _KindError(exc) from None
+        object.__setattr__(self, "_kind", kind)
         for name in ("n_users", "horizon", "reps"):
             if not 1 <= getattr(self, name) <= sys.maxsize:
                 raise ValueError(f"{name} must be in [1, {sys.maxsize}], got {getattr(self, name)}")
@@ -191,11 +199,13 @@ def parse_config(text: str, overrides: Iterable[tuple[str, str, str]] = ()) -> E
     Each override is (source, key, value text) and replaces the key's
     value, a later one an earlier one. A line with an unknown or duplicate
     key, or not of the form key = value, is rejected with its line number.
-    A value that does not parse as its key's type is rejected naming its
-    source: 'config line 3: seed' for a line, else the override's source
-    (a flag, an environment variable). Omitted keys keep their defaults.
+    A value that does not parse as its key's type, or an experiment kind
+    parse_experiment_kind refuses, is rejected naming its source: 'config
+    line 3: seed' for a line, else the override's source (a flag, an
+    environment variable). Omitted keys keep their defaults.
     """
     data: dict[str, object] = {}
+    sources: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -209,10 +219,15 @@ def parse_config(text: str, overrides: Iterable[tuple[str, str, str]] = ()) -> E
             raise ValueError(f"config line {lineno}: unknown key '{key}'")
         if key in data:
             raise ValueError(f"config line {lineno}: duplicate key '{key}'")
-        data[key] = _parse_value(_KEY_TYPES[key], value, f"config line {lineno}: {key}")
+        sources[key] = f"config line {lineno}: {key}"
+        data[key] = _parse_value(_KEY_TYPES[key], value, sources[key])
     for source, key, value in overrides:
+        sources[key] = source
         data[key] = _parse_value(_KEY_TYPES[key], value, source)
-    return ExperimentConfig(**data)
+    try:
+        return ExperimentConfig(**data)
+    except _KindError as exc:
+        raise ValueError(f"{sources['experiment']}: {exc}") from None
 
 
 def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenario:

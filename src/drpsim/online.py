@@ -82,9 +82,9 @@ __all__ = [
     "run_replications",
 ]
 
-#: most normals one run_episode or run_replications call holds in noise
-#: buffers (4 MB), or one slot's 2*N when that is more, whatever its worker
-#: count: _noise_buffers splits it into one buffer per worker thread.
+#: normals (4 MB) in one episode's noise buffer, which _noise_buffers splits
+#: between run_replications' worker threads; a call holds at most
+#: max(NOISE_BLOCK, workers * 2*N), since each buffer holds one slot at least.
 NOISE_BLOCK = 1 << 19
 
 #: condition numbers beyond this are treated as rank deficiency
@@ -326,17 +326,17 @@ def _finish_episode(
 
 
 def _noise_buffers(scenario: Scenario, count: int) -> NDArray[np.float64]:
-    """Up to count (k, 2, N) noise buffers in one array, splitting one episode's buffer.
+    """count (k, 2, N) noise buffers in one array, splitting one episode's buffer.
 
     An episode's buffer holds NOISE_BLOCK normals, or T slots when fewer,
-    or one slot when 2*N is more. Each buffer gets at least one slot (k is
-    0 when noise_sd = 0: then nothing is drawn), so there are fewer than
-    count when the episode's buffer has fewer slots.
+    or one slot when 2*N is more. Each buffer gets an equal share of its
+    slots, but one slot at least (k is 0 when noise_sd = 0: then nothing
+    is drawn), so count buffers hold more than the episode's buffer only
+    when it has fewer than count slots, and then count slots of 2*N.
     """
     n = scenario.n
     episode_slots = min(max(1, NOISE_BLOCK // (2 * n)), scenario.horizon)
-    count = min(count, episode_slots)
-    k = 0 if scenario.noise_sd == 0.0 else episode_slots // count
+    k = 0 if scenario.noise_sd == 0.0 else max(1, episode_slots // count)
     return np.empty((count, k, 2, n))
 
 
@@ -411,14 +411,14 @@ def run_replications(
     are independent of execution order and reproducible rep by rep.
 
     Each replication's draw (run_episode's slot-1 uniform and step 1) runs
-    on a pool of up to one worker thread per usable CPU; numpy releases
-    the GIL while it fills and reduces the noise. Steps 2 and 3 run here,
-    in replication order, while later replications are drawn, so every
-    output equals the sequential run_episode loop bit for bit, whatever
-    the worker count. Substreams are opened here, in replication order;
-    each worker thread draws into its own share of one episode's noise
-    buffer (_noise_buffers), and a finished draw holds only its (T, 2)
-    statistics until its turn. No thread outlives the call; an error in
+    on a pool of worker threads (_draw_pool); numpy releases the GIL while
+    it fills and reduces the noise. Steps 2 and 3 run here, in replication
+    order, while later replications are drawn, so every output equals the
+    sequential run_episode loop bit for bit, whatever the worker count.
+    Substreams are opened here, in replication order; each worker thread
+    draws into its own share of one episode's noise buffer
+    (_noise_buffers), and a finished draw holds only its (T, 2) statistics
+    until its turn. No thread outlives the call; an error in
     a draw is raised here once the earlier replications are done, and
     the draws not yet started are cancelled.
 
@@ -498,13 +498,21 @@ def _draw_pool(
 ) -> tuple[ThreadPoolExecutor, Callable[[np.random.Generator], tuple]]:
     """A thread pool for reps draws, and the function its threads draw with.
 
+    The pool has one thread per replication when reps < 2 * usable CPUs,
+    else one per usable CPU. With C CPUs and C <= reps < 2C, a thread per
+    CPU would draw the last reps - C replications in a second wave with
+    CPUs idle; one per replication shares every CPU among all the draws,
+    which then take about reps/C draw-times instead of 2 (README,
+    Simulation engine).
+
     Each pool thread takes one of the buffers _noise_buffers splits one
     episode's buffer into when it starts, and draws only into it. The
     buffers are allocated once per call, here in the calling thread;
     allocating each draw's block on its pool thread measured slower to
     set up on large-pop (README, Simulation engine).
     """
-    free = list(_noise_buffers(config.scenario, min(reps, _usable_cpus())))
+    cpus = _usable_cpus()
+    free = list(_noise_buffers(config.scenario, reps if reps < 2 * cpus else cpus))
     local = threading.local()
 
     def claim_buffer() -> None:

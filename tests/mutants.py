@@ -175,6 +175,20 @@ MUTANTS = (
         "if False:",
         ("tests/test_experiments.py::test_write_table_refuses_unequal_columns_and_nonfinite_cells",),
     ),
+    # the draw pool caps its threads at the CPUs: 3 reps on 2 CPUs draw in two waves
+    Mutant(
+        "src/drpsim/online.py",
+        "reps if reps < 2 * cpus else cpus",
+        "min(reps, cpus)",
+        ("tests/test_online.py::test_draw_pool_starts_a_thread_per_replication_below_twice_the_cpus",),
+    ),
+    # a refused experiment kind reaches the CLI without its config line or flag
+    Mutant(
+        "src/drpsim/experiments.py",
+        "except _KindError as exc:",
+        "except TypeError as exc:",
+        ("tests/test_cli.py::test_refused_settings_exit_2_naming_their_source",),
+    ),
     # summary.json written with NaN, which strict JSON cannot hold
     Mutant(
         "src/drpsim/experiments.py",

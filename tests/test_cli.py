@@ -310,7 +310,7 @@ def test_unknown_experiment_is_a_clean_error(small_config, clean_env, capsys):
     rc = main(["regret", "--config", small_config, "--experiment", "warmstart"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: unknown experiment kind")
+    assert err.startswith("error: --experiment: unknown experiment kind")
 
 
 def test_seed_beyond_64_bits_is_a_clean_error(small_config, clean_env, capsys):
@@ -343,7 +343,21 @@ def test_unparsable_numbers_name_their_source(small_config, clean_env, capsys, t
         (["--y-capacity", "x"], "", "--y-capacity must be a number, got 'x'"),
         (["--y-capacity", "nan"], "", "y_capacity must be finite, got nan"),
         ([], "ridge = -1\n", "ridge out of range: the ridge weight is -1, outside [0, 3.66e+69]"),
-        ([], "experiment = repeated-dt:1.5\n", "repeated-dt fraction must be in [0, 1], got 1.5"),
+        (
+            [],
+            "experiment = repeated-dt:1.5\n",
+            "config line 4: experiment: repeated-dt fraction must be in [0, 1], got 1.5",
+        ),
+        (
+            ["--experiment", "repeated-dt:abc"],
+            "",
+            "--experiment: repeated-dt fraction must be a number, got 'abc'",
+        ),
+        (
+            [],
+            "experiment = blocked-dt:0\n",
+            "config line 4: experiment: blocked-dt block size must be >= 1, got 0",
+        ),
     ],
 )
 def test_refused_settings_exit_2_naming_their_source(

@@ -582,16 +582,20 @@ def test_episode_warning_points_at_the_caller(monkeypatch):
 
 
 def test_replications_hold_one_noise_block_between_workers(monkeypatch):
-    # two workers share NOISE_BLOCK; a full block each would read ~2x
+    # the workers share NOISE_BLOCK, or hold one slot of 2N each when that is
+    # more: 4 reps on 2 CPUs draw on 2 threads, 3 reps on 3, one slot each at
+    # N=100000; a full block each would read ~2x
     _cpus(monkeypatch, 2)
-    sc = _noise_scenario(100_000, 10, 1.0)
-    tracemalloc.start()
-    try:
-        run_replications(sc, 0.5, 4, master_seed=9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * online.NOISE_BLOCK * 8
+    n = 100_000
+    sc = _noise_scenario(n, 10, 1.0)
+    for reps, workers in ((4, 2), (3, 3)):
+        tracemalloc.start()
+        try:
+            run_replications(sc, 0.5, reps, master_seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * max(online.NOISE_BLOCK, workers * 2 * n) * 8
 
 
 def test_a_failed_draw_is_raised_and_leaves_no_thread(monkeypatch):
@@ -669,6 +673,40 @@ def test_each_pool_thread_draws_into_one_buffer_of_its_own(monkeypatch):
     _assert_sweep_is_episodes(sweep, _episodes(sc, 0.5, 40, 35))
 
 
+@pytest.mark.parametrize("reps, threads", [(1, 1), (2, 2), (3, 3), (4, 2), (8, 2)])
+def test_draw_pool_starts_a_thread_per_replication_below_twice_the_cpus(
+    monkeypatch, pools, reps, threads
+):
+    # on 2 CPUs, 3 draws share both at once where 2 threads would draw the
+    # third alone; at 2N > NOISE_BLOCK each thread draws into a one-slot
+    # buffer of its own, so 3 threads hold more than NOISE_BLOCK
+    _cpus(monkeypatch, 2)
+    sc = _noise_scenario(online.NOISE_BLOCK // 2 + 1, 2, 0.8)
+    together = threading.Barrier(threads, timeout=10)
+    drawn = []
+    real = online._noise_statistics
+
+    def all_threads_at_once(scenario, rng, buffer):
+        # each draw waits for threads - 1 others: with fewer threads it times out
+        drawn.append((threading.current_thread(), buffer.ctypes.data, buffer.shape))
+        together.wait()
+        return real(scenario, rng, buffer)
+
+    monkeypatch.setattr(online, "_noise_statistics", all_threads_at_once)
+    sweep = run_replications(sc, 0.5, reps, master_seed=36)
+    monkeypatch.setattr(online, "_noise_statistics", real)
+    (pool,) = pools
+    assert pool._max_workers == threads
+    buffers = {}
+    for thread, address, shape in drawn:
+        assert shape == (1, 2, sc.n)
+        buffers.setdefault(thread, set()).add(address)
+    assert len(buffers) == threads
+    assert all(len(addresses) == 1 for addresses in buffers.values())
+    assert len(set.union(*buffers.values())) == threads
+    _assert_sweep_is_episodes(sweep, _episodes(sc, 0.5, reps, 36))
+
+
 @pytest.mark.parametrize("noise_sd", [0.0, 0.8])
 @pytest.mark.parametrize(
     "n", [4000, online.NOISE_BLOCK // 2 + 1], ids=["65-slot block", "2N > NOISE_BLOCK"]
@@ -679,12 +717,14 @@ def test_noise_buffers_split_one_episode_buffer(n, noise_sd):
         episode_slots = min(t_hor, max(1, online.NOISE_BLOCK // (2 * n)))
         for count in (1, 2, 3, 8):
             buffers = online._noise_buffers(sc, count)
-            assert 1 <= len(buffers) <= count
+            assert len(buffers) == count
             assert buffers.shape[2:] == (2, n)
             slots = buffers.shape[1]
-            # one slot at least each, so T < count gives fewer buffers
+            # one slot at least each, so count buffers may hold more slots
+            # than the episode's buffer, but then one slot each
             assert slots >= 1 if noise_sd else slots == 0
-            assert len(buffers) * slots <= episode_slots
+            assert count * slots <= max(episode_slots, count)
+            assert buffers.size <= max(online.NOISE_BLOCK, count * 2 * n)
 
 
 # ------------------------------------------------------------ shared draws
