@@ -146,6 +146,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if any_failed else 0
 
 
+#: each subcommand, its handler and its --help line, in --help order
+COMMANDS = {
+    "offline": (cmd_offline, "print capacity and optimal price path"),
+    "simulate": (cmd_simulate, "run one episode, write per-slot CSV"),
+    "regret": (cmd_regret, "replication sweep + regret analysis"),
+    "sweep": (cmd_sweep, "run the full experiment grid"),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="drpsim",
@@ -159,18 +168,8 @@ def main(argv=None) -> int:
     for flag, (key, metavar) in FLAGS.items():
         common.add_argument(flag, dest=key, metavar=metavar, help=settings[key].metadata["help"])
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "offline", parents=[common], help="print capacity and optimal price path"
-    ).set_defaults(handler=cmd_offline)
-    sub.add_parser(
-        "simulate", parents=[common], help="run one episode, write per-slot CSV"
-    ).set_defaults(handler=cmd_simulate)
-    sub.add_parser(
-        "regret", parents=[common], help="replication sweep + regret analysis"
-    ).set_defaults(handler=cmd_regret)
-    sub.add_parser(
-        "sweep", parents=[common], help="run the full experiment grid"
-    ).set_defaults(handler=cmd_sweep)
+    for name, (handler, text) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text).set_defaults(handler=handler)
 
     args = parser.parse_args(argv)
     try:

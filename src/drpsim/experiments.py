@@ -126,11 +126,12 @@ class ExperimentConfig:
     (a bool is not an int, an int is accepted for a float), else
     TypeError names the key; a float field must be finite
     (model._check_finite), n_users, horizon and reps in [1, sys.maxsize]
-    (a size in range but too large for memory still fails in numpy), and
-    c_rev, noise_sd, y_capacity and ridge must keep the magnitudes a run
-    forms, at the extremes of the kind's intervals, within the scale
-    contract (model._check_scale), else ValueError names the key. Float
-    fields are stored as float, so a config equals the one parse_config reads.
+    (a size in range but too large for memory still fails in numpy),
+    out_dir non-empty, and c_rev, noise_sd, y_capacity and ridge must
+    keep the magnitudes a run forms, at the extremes of the kind's
+    intervals, within the scale contract (model._check_scale), else
+    ValueError names the key. Float fields are stored as float, so a
+    config equals the one parse_config reads.
     """
 
     experiment: str = _key("baseline", "baseline | paramset2 | repeated-dt:P | blocked-dt:B")
@@ -171,6 +172,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.c_rev <= 0:
             raise ValueError(f"c_rev must be > 0, got {self.c_rev}")
+        if not self.out_dir:  # Path("") is the working directory
+            raise ValueError("out_dir must not be empty")
         (a_lo, a_hi), (b_lo, b_hi), (d_lo, d_hi) = self.intervals()
         n = self.n_users
         # the kind's extremes (the largest gamma1, |gamma2| and alpha_rev, the least d_t^2) for

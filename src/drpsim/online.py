@@ -17,15 +17,16 @@ The estimate is an iterative linear regression of the aggregate
 response on the price. Each slot adds one pair (u_s, Z_s) with
 regressor u_s = N*lambda_s and Z_s = gamma1*u_s + gamma2 + noise. The
 state is the sample count m, four running sums and the ridge weight r,
-as a tuple of plain numbers (m, sum u, sum u^2, sum Z, sum u*Z, r):
+six plain numbers (m, sum u, sum u^2, sum Z, sum u*Z, r):
 
     X'X = [[sum u^2, sum u], [sum u, m]]      X'Z = [sum u*Z, sum Z]
 
-init gives the state with no observations, _finish_episode keeps it in
-locals and adds each observation in O(1), and solve_normal_equations
-solves (X'X + r*I) theta = X'Z in closed form. With r = 0 this is plain
-least squares and needs two distinct prices; with r > 0 it is defined
-from zero data and shrinks toward the prior mean (0, 0).
+_finish_episode keeps the state in locals, starts it with no
+observations and adds each observation in O(1); solve_normal_equations
+takes the six in that order and solves (X'X + r*I) theta = X'Z in
+closed form. With r = 0 this is plain least squares and needs two
+distinct prices; with r > 0 it is defined from zero data and shrinks
+toward the prior mean (0, 0).
 
 The operator observes only the aggregate response, and the loop forms
 it from the slot's noise sum by the identity
@@ -73,7 +74,6 @@ from .rng import substream
 
 __all__ = [
     "UnidentifiableError",
-    "init",
     "solve_normal_equations",
     "OnlineConfig",
     "Trajectory",
@@ -95,24 +95,14 @@ class UnidentifiableError(RuntimeError):
     """Normal matrix numerically singular (not enough price variation)."""
 
 
-def init(ridge_param: float) -> tuple[int, float, float, float, float, float]:
-    """State with no observations: (m, sum u, sum u^2, sum Z, sum u*Z, ridge).
-
-    ridge_param is the regularization weight, which OnlineConfig checks.
-    With a positive weight the zero-data estimate is the prior mean
-    (0, 0); with 0 the estimator refuses to produce estimates until the
-    data identify the line.
-    """
-    return 0, 0.0, 0.0, 0.0, 0.0, float(ridge_param)
-
-
 def solve_normal_equations(
     m: int, su: float, suu: float, sz: float, suz: float, ridge: float
 ) -> tuple[float, float]:
     """(gamma1_hat, gamma2_hat) solving (X'X + ridge*I) theta = X'Z in closed form.
 
-    Scalar arithmetic on the state init gives, cheap enough for the online
-    kernel to call every slot; gamma2_hat estimates -sum_i alpha_i/beta_i.
+    Scalar arithmetic on the regression state (m, sum u, sum u^2, sum Z,
+    sum u*Z, ridge), cheap enough for the online kernel to call every
+    slot; gamma2_hat estimates -sum_i alpha_i/beta_i.
 
     Raises:
         UnidentifiableError: condition number of the regularized normal
@@ -245,7 +235,7 @@ def _finish_episode(
 ) -> Trajectory:
     """Steps 2 and 3 of run_episode from one _draw's uniform and noise statistics.
 
-    Step 2 is one kernel over locals (the regression state from init, N,
+    Step 2 is one kernel over locals (the regression state, N,
     gamma1, gamma2, y, the price) that calls only solve_normal_equations and
     next_price each slot, through this module's globals, and forms Q_t in
     model.aggregate_from_noise's operation order. A non-finite Q_t raises
@@ -260,7 +250,7 @@ def _finish_episode(
     y = float(config.y_capacity)
     lam = float(config.lambda_init) if u is None else float(2.0 * scenario.alpha_rev / n) * u
     lam_star = lambda_star_path(scenario, y)
-    m, su, suu, sz, suz, ridge = init(config.ridge_param)
+    m, su, suu, sz, suz, ridge = 0, 0.0, 0.0, 0.0, 0.0, float(config.ridge_param)
 
     lam_path = [0.0] * t_hor
     g1_path = [0.0] * t_hor

@@ -45,14 +45,14 @@ MUTANTS = (
         "src/drpsim/online.py",
         "det = a00 * a11 - su * su",
         "det = a00 * a11 - su * su * (1 + 1e-9)",
-        ("tests/test_estimator.py::test_single_sample_ridge_solve",),
+        ("tests/test_online.py::test_single_sample_ridge_solve",),
     ),
     # the whole determinant off by a relative 1e-9
     Mutant(
         "src/drpsim/online.py",
         "det = a00 * a11 - su * su",
         "det = (a00 * a11 - su * su) * (1 + 1e-9)",
-        ("tests/test_estimator.py::test_single_sample_ridge_solve",),
+        ("tests/test_online.py::test_single_sample_ridge_solve",),
     ),
     # the kernel's regressor u = N * lambda off by a relative 1e-12
     Mutant(
@@ -164,7 +164,7 @@ MUTANTS = (
         '("ridge_param", "the ridge weight", ridge, 0.0, top),',
         '("ridge_param", "the ridge weight", ridge, -top, top),',
         (
-            "tests/test_estimator.py::test_bad_ridge_param_is_named",
+            "tests/test_online.py::test_bad_ridge_param_is_named",
             "tests/test_experiments.py::test_bad_ridge_names_its_key_and_follows_the_estimator",
         ),
     ),
@@ -188,6 +188,16 @@ MUTANTS = (
         "except _KindError as exc:",
         "except TypeError as exc:",
         ("tests/test_cli.py::test_refused_settings_exit_2_naming_their_source",),
+    ),
+    # an empty out_dir runs, writing its outputs into the working directory
+    Mutant(
+        "src/drpsim/experiments.py",
+        "if not self.out_dir:",
+        "if False:",
+        (
+            "tests/test_cli.py::test_refused_settings_exit_2_naming_their_source",
+            "tests/test_cli.py::test_unparsable_numbers_name_their_source",
+        ),
     ),
     # summary.json written with NaN, which strict JSON cannot hold
     Mutant(

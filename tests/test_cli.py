@@ -333,6 +333,13 @@ def test_unparsable_numbers_name_their_source(small_config, clean_env, capsys, t
     clean_env.setenv("DRPSIM_SEED", "abc")
     assert main(["offline", "--config", small_config]) == 2
     assert capsys.readouterr().err == "error: DRPSIM_SEED must be an integer, got 'abc'\n"
+    clean_env.delenv("DRPSIM_SEED")
+    clean_env.setenv("DRPSIM_OUT", "")
+    clean_env.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(["regret", "--config", small_config]) == 2
+    assert capsys.readouterr() == ("", "error: out_dir must not be empty\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize(
@@ -358,6 +365,7 @@ def test_unparsable_numbers_name_their_source(small_config, clean_env, capsys, t
             "experiment = blocked-dt:0\n",
             "config line 4: experiment: blocked-dt block size must be >= 1, got 0",
         ),
+        (["--out", ""], "", "out_dir must not be empty"),
     ],
 )
 def test_refused_settings_exit_2_naming_their_source(
@@ -365,10 +373,12 @@ def test_refused_settings_exit_2_naming_their_source(
 ):
     config = tmp_path / "bad.cfg"
     config.write_text("n_users = 5\nhorizon = 12\nreps = 3\n" + text)
+    # run in tmp_path, so a run that writes into the working directory writes there
+    clean_env.chdir(tmp_path)
     out_dir = tmp_path / "o"
     assert main(["regret", "--config", str(config), "--out", str(out_dir), *args]) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert not out_dir.exists()
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_regret_builds_one_config_and_parses_its_kind_once(

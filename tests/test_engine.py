@@ -3,10 +3,12 @@
 loop_episode is the slot-by-slot body of run_episode before noise was
 drawn in blocks and costs were formed from noise statistics: one noise
 vector per call, realize_outcome and stage_cost on the N responses of
-both streams, solve_normal_equations on sums the loop forms itself. The
-estimator observes Q_t = N*lambda_t*gamma1 + gamma2 + sum_i eps_it, the
-identity run_episode uses, and each slot checks that Q_t against the
-summed responses. Prices, gamma estimates and Q_online must agree bit
+both streams, and a regression state the loop starts and sums itself,
+so of the recursion it shares only solve_normal_equations and next_price
+with the engine. The estimator observes
+Q_t = N*lambda_t*gamma1 + gamma2 + sum_i eps_it, the identity
+run_episode uses, and each slot checks that Q_t against the summed
+responses. Prices, gamma estimates and Q_online must agree bit
 for bit; stage costs and Q_star come from algebraically equal formulas
 and agree to rounding.
 """
@@ -25,7 +27,6 @@ from drpsim.online import (
     NOISE_BLOCK,
     OnlineConfig,
     UnidentifiableError,
-    init,
     run_episode,
     solve_normal_equations,
 )
@@ -45,7 +46,7 @@ def loop_episode(config, rng):
     y = config.y_capacity
     noise_sd = scenario.noise_sd
     lam_star = lambda_star_path(scenario, y)
-    m, su, suu, sz, suz, ridge = init(config.ridge_param)
+    m, su, suu, sz, suz, ridge = 0, 0.0, 0.0, 0.0, 0.0, float(config.ridge_param)
     if config.lambda_init is not None:
         lam = float(config.lambda_init)
     else:

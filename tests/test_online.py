@@ -23,7 +23,13 @@ from drpsim.offline import (
     lambda_star_path,
     next_price,
 )
-from drpsim.online import OnlineConfig, run_episode, run_replications
+from drpsim.online import (
+    OnlineConfig,
+    UnidentifiableError,
+    run_episode,
+    run_replications,
+    solve_normal_equations,
+)
 from drpsim.rng import substream
 
 
@@ -59,6 +65,108 @@ def test_next_price_at_truth_equals_lambda_star(scenario_factory, rng):
             lam = next_price(pop.gamma1, pop.gamma2, y, float(sc.demand[t - 1]), sc.n)
             assert lam == pytest.approx(path[t - 1], rel=1e-12)
 
+
+
+def _solve(u, z, ridge):
+    """solve_normal_equations on the pairs (u, z), their sums formed by numpy."""
+    return solve_normal_equations(
+        len(u), float(u.sum()), float(u @ u), float(z.sum()), float(u @ z), ridge
+    )
+
+
+def test_zero_data_ridge_returns_prior_mean():
+    g1, g2 = solve_normal_equations(0, 0.0, 0.0, 0.0, 0.0, 0.001)
+    assert g1 == 0.0
+    assert g2 == 0.0
+
+
+def test_zero_data_no_ridge_is_insufficient():
+    # the normal matrix is zero, so the condition test rejects it
+    with pytest.raises(UnidentifiableError, match="unidentifiable"):
+        solve_normal_equations(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_single_sample_ridge_solve():
+    # one pair (u=1, Z=1), ridge 0.001: ([[1,1],[1,1]] + 0.001*I) beta = [1,1]
+    # has the symmetric solution 1/(2.001) in both components.  The closed-form
+    # 2x2 solve may lose cond*eps ~ 4e-13 here (cond ~ 2e3); it is off by 4.1e-14
+    # against an exact rational solve.  Pin at 1e-11 relative, so a relative
+    # 1e-9 error in the determinant fails.
+    g1, g2 = solve_normal_equations(1, 1.0, 1.0, 1.0, 1.0, 0.001)
+    assert g1 == pytest.approx(1.0 / 2.001, rel=1e-11)
+    assert g2 == pytest.approx(1.0 / 2.001, rel=1e-11)
+
+
+def test_single_sample_no_ridge_unidentifiable():
+    with pytest.raises(UnidentifiableError, match="unidentifiable: insufficient price variation"):
+        solve_normal_equations(1, 1.0, 1.0, 1.0, 1.0, 0.0)
+
+
+def test_two_point_exact_ols():
+    # Noiseless line Z = 2u - 1 through (1, 1) and (2, 3): X'X = [[5, 3], [3, 2]],
+    # X'Z = [7, 4]; integer arithmetic, exact.
+    g1, g2 = solve_normal_equations(2, 3.0, 5.0, 4.0, 7.0, 0.0)
+    assert g1 == 2.0
+    assert g2 == -1.0
+
+
+def test_identical_prices_unidentifiable():
+    # three pairs (1, 1)
+    with pytest.raises(UnidentifiableError, match="insufficient price variation"):
+        solve_normal_equations(3, 3.0, 3.0, 3.0, 3.0, 0.0)
+
+
+def test_exact_recovery_random_design(rng):
+    for _ in range(10):
+        n = int(rng.integers(2, 20))
+        g1 = float(rng.uniform(0.5, 5.0))
+        g2 = float(rng.uniform(-3.0, 0.0))
+        lams = rng.uniform(0.1, 1.0, 6)
+        g1_hat, g2_hat = _solve(n * lams, g1 * n * lams + g2, 0.0)
+        assert g1_hat == pytest.approx(g1, rel=1e-10)
+        assert g2_hat == pytest.approx(g2, rel=1e-10, abs=1e-10)
+
+
+def test_ridge_shrinkage_bound_and_explicit_solution():
+    # Noiseless Z = 2u - 1, 50 prices spread over [0.3, 0.6], ridge 0.001:
+    # shrinkage moves the estimate by well under 1% of the truth, and the
+    # closed-form solve matches the explicit dense ridge solution.
+    lams = np.linspace(0.3, 0.6, 50)
+    z = 2.0 * lams - 1.0
+    g1, g2 = _solve(lams, z, 0.001)
+    assert abs(g1 - 2.0) <= 1e-2 * 2.0
+    assert abs(g2 - (-1.0)) <= 1e-2 * 1.0
+    x = np.column_stack([lams, np.ones_like(lams)])
+    dense = np.linalg.solve(x.T @ x + 0.001 * np.eye(2), x.T @ z)
+    assert g1 == pytest.approx(dense[0], rel=1e-9)
+    assert g2 == pytest.approx(dense[1], rel=1e-9)
+
+
+def test_ridge_to_ols_monotone_approach(rng):
+    lams = rng.uniform(0.2, 0.8, 30)
+    zs = 3.0 * lams - 0.5
+    errs = []
+    for ridge in (1e-3, 1e-6, 1e-9):
+        g1, g2 = _solve(lams, zs, ridge)
+        errs.append(abs(g1 - 3.0) + abs(g2 + 0.5))
+    assert errs[0] > errs[1] > errs[2]
+    g1, g2 = _solve(lams, zs, 0.0)
+    assert abs(g1 - 3.0) + abs(g2 + 0.5) <= 1e-10
+
+
+def test_fixed_design_unbiasedness():
+    # OLS on a fixed (non-adaptive) design is unbiased; the Monte Carlo mean
+    # over 1e4 draws stays within 4 standard errors of the truth.
+    rng = np.random.default_rng(314)
+    lams = np.linspace(0.1, 1.0, 10)
+    g1, g2 = 2.5, -1.5
+    m = 10_000
+    draws = np.empty((m, 2))
+    for i in range(m):
+        draws[i] = _solve(lams, g1 * lams + g2 + rng.normal(size=lams.size), 0.0)
+    se = draws.std(axis=0, ddof=1) / np.sqrt(m)
+    assert abs(draws[:, 0].mean() - g1) <= 4.0 * se[0]
+    assert abs(draws[:, 1].mean() - g2) <= 4.0 * se[1]
 
 def test_noiseless_identification_from_arbitrary_init():
     sc = _noiseless_table_scenario()
@@ -394,6 +502,38 @@ def test_bad_ridge_param_fails_before_any_draw(monkeypatch, value, error):
     # no substream opened, no thread started
     assert calls == []
 
+
+
+def _ridge_config(ridge_param):
+    """An OnlineConfig with this ridge weight on a one-user, one-slot scenario."""
+    scenario = Scenario(Population([1.0], [2.0]), demand=(1.0,), alpha_rev=1.0)
+    return OnlineConfig(scenario=scenario, y_capacity=1.0, ridge_param=ridge_param)
+
+
+def test_ridge_param_validation():
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            _ridge_config(bad)
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        ("1", TypeError, "ridge_param must be a real number, got '1'"),
+        (None, TypeError, "ridge_param must be a real number, got None"),
+        (True, TypeError, "ridge_param must be a real number, got True"),
+        (float("-inf"), ValueError, "ridge_param must be finite, got -inf"),
+        (
+            -1.0,
+            ValueError,
+            "ridge_param out of range: the ridge weight is -1, outside [0, 3.66e+69]",
+        ),
+    ],
+)
+def test_bad_ridge_param_is_named(value, error, message):
+    with pytest.raises(error) as caught:
+        _ridge_config(value)
+    assert str(caught.value) == message
 
 @pytest.mark.parametrize("reps", [True, 2.0, "3", None])
 def test_reps_must_be_an_integer(reps):
