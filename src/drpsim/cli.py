@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .experiments import (
     ExperimentConfig,
+    build_scenario,
     parse_config,
     run_experiment,
     scenario_and_capacity,
@@ -32,6 +32,8 @@ from .experiments import (
 )
 from .model import aggregate_from_noise
 from .offline import lambda_star_path
+from .online import draw_replications
+from .rng import substream
 
 __all__ = ["main"]
 
@@ -125,13 +127,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         replace(config, experiment=kind, out_dir=str(base_out / kind.replace(":", "-")))
         for kind in SWEEP_GRID
     ]
-    # kinds with equal intervals draw one population from substream (seed, 0),
-    # so they share its draws; a kind alone with its population keeps none
-    populations = Counter(c.intervals() for c in configs)
-    shared_draws: dict = {}
-    for sub_config in configs:
-        store = shared_draws if populations[sub_config.intervals()] > 1 else None
-        summary = run_experiment(sub_config, shared_draws=store)
+    # the kinds share N, noise_sd, T, reps and seed, so their episodes read the
+    # same normals: draw them once, against each distinct population's betas
+    scenarios = [build_scenario(c, substream(c.seed, 0)) for c in configs]
+    draws = draw_replications(scenarios, config.reps, config.seed)
+    for sub_config, scenario in zip(configs, scenarios):
+        summary = run_experiment(sub_config, scenario=scenario, draws=draws)
         analysis = summary["analysis"]
         if analysis is None:
             status = summary["analysis_note"]

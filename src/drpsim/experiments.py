@@ -35,7 +35,7 @@ from numpy.typing import NDArray
 from .analysis import RegretReport, build_regret_report, summarize
 from .model import Population, Scenario, _check_finite, _check_scale
 from .offline import compute_y_star
-from .online import OnlineConfig, Trajectory, run_replications
+from .online import Draws, OnlineConfig, Trajectory, run_replications
 from .rng import substream
 
 __all__ = [
@@ -268,13 +268,16 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
     )
 
 
-def scenario_and_capacity(config: ExperimentConfig) -> tuple[Scenario, float]:
-    """The config's scenario, drawn from substream (seed, 0), and its capacity.
+def scenario_and_capacity(
+    config: ExperimentConfig, scenario: Optional[Scenario] = None
+) -> tuple[Scenario, float]:
+    """The config's scenario, drawn from substream (seed, 0) unless given, and its capacity.
 
     The capacity is config.y_capacity when set, without computing the
     closed-form optimum; otherwise compute_y_star, which may be negative.
     """
-    scenario = build_scenario(config, substream(config.seed, 0))
+    if scenario is None:
+        scenario = build_scenario(config, substream(config.seed, 0))
     y = compute_y_star(scenario) if config.y_capacity is None else config.y_capacity
     return scenario, y
 
@@ -354,7 +357,12 @@ def write_regret_csv(path: Path, report: RegretReport) -> None:
         write_table(f, columns)
 
 
-def run_experiment(config: ExperimentConfig, *, shared_draws: Optional[dict] = None) -> dict:
+def run_experiment(
+    config: ExperimentConfig,
+    *,
+    scenario: Optional[Scenario] = None,
+    draws: Optional[Draws] = None,
+) -> dict:
     """Scenario draw, offline solve, replication sweep, analysis, files.
 
     Writes trajectory.csv (replication 0), regret.csv (when analysis is
@@ -367,23 +375,21 @@ def run_experiment(config: ExperimentConfig, *, shared_draws: Optional[dict] = N
     ~0 where the relative tracking error is undefined) are reported in
     the summary instead of aborting. A summary value that is not finite
     raises ValueError naming its keys, and no file is written.
-    shared_draws is passed to run_replications: experiments run with one
-    store draw each population's noise once, with unchanged outputs.
+    scenario, when given, is the config's scenario as build_scenario
+    draws it from substream (seed, 0), built by the caller, and draws
+    are passed to run_replications: drpsim sweep builds each kind's
+    scenario once and draws every kind's noise in one pass
+    (online.draw_replications), with unchanged outputs.
     """
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory '{out_dir}': {exc}") from exc
-    scenario, y = scenario_and_capacity(config)
+    scenario, y = scenario_and_capacity(config, scenario)
     y_closed = y if config.y_capacity is None else compute_y_star(scenario)
     sweep = run_replications(
-        scenario,
-        y,
-        config.reps,
-        config.seed,
-        ridge_param=config.ridge,
-        shared_draws=shared_draws,
+        scenario, y, config.reps, config.seed, ridge_param=config.ridge, draws=draws
     )
 
     (a_int, b_int, d_int) = config.intervals()

@@ -40,12 +40,13 @@ threads and runs their recursions in replication order, so its outputs
 do not depend on the thread count.
 
 An episode's draw (_draw) is the unit uniform u behind the slot-1 price
-and the noise statistics. It depends on the population's betas,
-noise_sd, T and the stream, not on alpha_rev or the demand, so scenarios
-that share a population share their draws: run_replications can reuse
-the draws of an earlier call through a store its caller owns
-(shared_draws), and drpsim sweep passes one store to the kinds that
-share a population.
+and the noise statistics. It depends on N, noise_sd, T and the stream,
+not on alpha_rev, the demand or the alphas, and the betas enter only
+sum_i beta_i*eps_i^2. So one pass over a replication's normals serves
+every population that shares N, noise_sd and T: draw_replications
+reduces each fill against several betas arrays, and run_replications runs a
+scenario over those draws (draws=...). drpsim sweep draws its kinds'
+noise once this way.
 
 Each slot also realizes the counterfactual outcome at the optimal price
 so that online and optimal stage costs are recorded side by side. The
@@ -61,8 +62,9 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -78,7 +80,9 @@ __all__ = [
     "OnlineConfig",
     "Trajectory",
     "SweepResult",
+    "Draws",
     "run_episode",
+    "draw_replications",
     "run_replications",
 ]
 
@@ -204,12 +208,21 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
     run_episode(config, substream(seed, 1, r)) bit for bit. Degenerate
     prices are counted and reported by one RuntimeWarning per episode.
     """
-    (buffer,) = _noise_buffers(config.scenario, 1)
-    return _finish_episode(config, *_draw(config, rng, buffer), stacklevel=3)
+    scenario = config.scenario
+    (buffer,) = _noise_buffers(scenario, 1)
+    betas = (scenario.population.betas,)
+    uniform = config.lambda_init is None
+    u, eps_sum, beta_eps2_sum = _draw(scenario, betas, rng, buffer, uniform=uniform)
+    return _finish_episode(config, u, eps_sum, beta_eps2_sum[0], stacklevel=3)
 
 
 def _draw(
-    config: OnlineConfig, rng: np.random.Generator, buffer: NDArray[np.float64]
+    scenario: Scenario,
+    betas: Sequence[NDArray[np.float64]],
+    rng: np.random.Generator,
+    buffer: NDArray[np.float64],
+    products: Optional[NDArray[np.float64]] = None,
+    uniform: bool = True,
 ) -> tuple[Optional[float], NDArray[np.float64], NDArray[np.float64]]:
     """An episode's random inputs: the slot-1 unit uniform and the noise statistics.
 
@@ -217,13 +230,16 @@ def _draw(
     h = 2*alpha_rev/N (_finish_episode). numpy forms rng.uniform(0, h) as
     0 + h*u over the same u and the same stream position, so the price has
     the bits of a U[0, h] draw, while the draw itself does not depend on
-    alpha_rev. u is None, and not drawn, when lambda_init sets the price.
+    alpha_rev. u is None, and not drawn, when uniform is False (lambda_init
+    sets the price). The statistics are _noise_statistics' against the
+    P betas arrays.
 
     Consumes the stream in run_episode's order and touches nothing but
-    rng and buffer, so draws on different streams may run concurrently.
+    rng, buffer and products, so draws on different streams may run
+    concurrently.
     """
-    u = rng.random() if config.lambda_init is None else None
-    return (u, *_noise_statistics(config.scenario, rng, buffer))
+    u = rng.random() if uniform else None
+    return (u, *_noise_statistics(scenario, betas, rng, buffer, products))
 
 
 def _finish_episode(
@@ -331,25 +347,36 @@ def _noise_buffers(scenario: Scenario, count: int) -> NDArray[np.float64]:
 
 
 def _noise_statistics(
-    scenario: Scenario, rng: np.random.Generator, buffer: NDArray[np.float64]
+    scenario: Scenario,
+    betas: Sequence[NDArray[np.float64]],
+    rng: np.random.Generator,
+    buffer: NDArray[np.float64],
+    products: Optional[NDArray[np.float64]] = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """(T, 2) arrays of sum_i eps_i and sum_i beta_i*eps_i^2 per slot and row.
+    """Per-slot noise sums: (T, 2) of sum_i eps_i, (P, T, 2) of sum_i beta_i*eps_i^2.
 
-    Row 0 is the online noise vector, row 1 the counterfactual one. The
-    normals fill leading (k, 2, N) views of buffer (from _noise_buffers),
-    k slots at a time: each view is filled with standard normals, scaled
-    by noise_sd in place and reduced before the next is filled. That
-    gives the same values and consumes the same stream as
-    rng.normal(0, noise_sd, (k, 2, N)), which forms 0 + noise_sd*z over
-    the same z, for any k: each slot's row is reduced on its own. With
-    noise_sd = 0 nothing is drawn; both statistics are zero.
+    Row 0 is the online noise vector, row 1 the counterfactual one; the
+    second array's [p] is reduced against betas[p], one of P arrays of N.
+    The scenario gives noise_sd and T. The normals fill leading (k, 2, N)
+    views of buffer (from _noise_buffers), k slots at a time: each view
+    is filled with standard normals, scaled by noise_sd in place, reduced
+    to sum_i eps_i, squared in place and reduced against each beta before
+    the next is filled. That gives the same values and consumes the same
+    stream as rng.normal(0, noise_sd, (k, 2, N)), which forms
+    0 + noise_sd*z over the same z, for any k: each slot's row is reduced
+    on its own. The last beta multiplies the squares in place, so P = 1
+    allocates nothing but the statistics; the others' products go to the
+    same view of products, a block of buffer's shape. Each product and
+    sum is the one a call with that beta alone makes, so every
+    population's statistics are bit-equal to its own call's. With
+    noise_sd = 0 nothing is drawn; both are zero.
     """
     t_hor = scenario.horizon
+    last = len(betas) - 1
     eps_sum = np.zeros((t_hor, 2))
-    beta_eps2_sum = np.zeros((t_hor, 2))
+    beta_eps2_sum = np.zeros((last + 1, t_hor, 2))
     if scenario.noise_sd == 0.0:
         return eps_sum, beta_eps2_sum
-    betas = scenario.population.betas
     block = buffer.shape[0]
     for start in range(0, t_hor, block):
         k = min(block, t_hor - start)
@@ -358,8 +385,10 @@ def _noise_statistics(
         eps *= scenario.noise_sd
         eps.sum(axis=2, out=eps_sum[start : start + k])
         np.square(eps, out=eps)
-        eps *= betas
-        eps.sum(axis=2, out=beta_eps2_sum[start : start + k])
+        for p, beta in enumerate(betas):
+            product = eps if p == last else products[:k]
+            np.multiply(eps, beta, out=product)
+            product.sum(axis=2, out=beta_eps2_sum[p, start : start + k])
     return eps_sum, beta_eps2_sum
 
 
@@ -386,6 +415,81 @@ class SweepResult:
         return self.lambda_online.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
+class Draws:
+    """Every replication's draw, reduced against several populations' betas.
+
+    draw_replications makes them and run_replications(..., draws=...)
+    reads them. replications[r] is replication r's draw: the slot-1 unit
+    uniform, the (T, 2) array of sum_i eps_i and the (P, T, 2) array of
+    sum_i beta_i*eps_i^2, whose [p] is reduced against betas[p]. The
+    draws hold 16*(P + 1)*T + 8 bytes of statistics per replication.
+    """
+
+    betas: tuple[NDArray[np.float64], ...]
+    noise_sd: float
+    horizon: int
+    master_seed: int
+    replications: tuple[tuple[float, NDArray[np.float64], NDArray[np.float64]], ...]
+
+    def row(self, scenario: Scenario, reps: int, master_seed: int) -> int:
+        """The index of scenario's betas in self.betas.
+
+        Raises:
+            ValueError: the draws were made for another N, noise_sd, T,
+                replication count or master seed (the message names it),
+                or no array of self.betas equals the scenario's.
+        """
+        made = (
+            ("N", len(self.betas[0]), scenario.n),
+            ("noise_sd", self.noise_sd, scenario.noise_sd),
+            ("horizon", self.horizon, scenario.horizon),
+            ("reps", len(self.replications), reps),
+            ("master_seed", self.master_seed, master_seed),
+        )
+        for name, drawn, wanted in made:
+            if drawn != wanted:
+                raise ValueError(f"draws were made for {name} = {drawn}, not {wanted}")
+        for p, betas in enumerate(self.betas):
+            if np.array_equal(betas, scenario.population.betas):
+                return p
+        raise ValueError("draws were not made for the scenario's betas")
+
+
+def _check_reps(reps: int) -> None:
+    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral):
+        raise TypeError(f"reps must be an integer, got {reps!r}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+
+
+def draw_replications(scenarios: Sequence[Scenario], reps: int, master_seed: int) -> Draws:
+    """Draw each replication once for every distinct population of scenarios.
+
+    The scenarios must share N, noise_sd and T, else ValueError names
+    the first that differs; alpha_rev, the demand and the alphas may
+    differ. Their distinct betas (compared by content, in first-seen
+    order) form Draws.betas, and replication r's draw is run_episode's
+    slot-1 uniform and noise statistics on substream (seed, 1, r),
+    reduced against each of them: one fill of the normals serves all.
+    The draws run on run_replications' thread pool; an error in one is
+    raised here and no thread outlives the call.
+    """
+    _check_reps(reps)
+    first = scenarios[0]
+    betas: list[NDArray[np.float64]] = []
+    for scenario in scenarios:
+        for name, attr in (("N", "n"), ("noise_sd", "noise_sd"), ("horizon", "horizon")):
+            if getattr(scenario, attr) != getattr(first, attr):
+                raise ValueError(f"scenarios to draw for must share {name}")
+        own = scenario.population.betas
+        if not any(np.array_equal(own, seen) for seen in betas):
+            betas.append(own)
+    with _drawing(first, betas, reps, master_seed) as drawn:
+        replications = tuple(drawn)
+    return Draws(tuple(betas), first.noise_sd, first.horizon, master_seed, replications)
+
+
 def run_replications(
     scenario: Scenario,
     y: float,
@@ -393,7 +497,7 @@ def run_replications(
     master_seed: int,
     ridge_param: float = OnlineConfig.ridge_param,
     *,
-    shared_draws: Optional[dict] = None,
+    draws: Optional[Draws] = None,
 ) -> SweepResult:
     """Independent episodes on one scenario, one substream per replication.
 
@@ -401,41 +505,32 @@ def run_replications(
     are independent of execution order and reproducible rep by rep.
 
     Each replication's draw (run_episode's slot-1 uniform and step 1) runs
-    on a pool of worker threads (_draw_pool); numpy releases the GIL while
+    on a pool of worker threads (_drawing); numpy releases the GIL while
     it fills and reduces the noise. Steps 2 and 3 run here, in replication
     order, while later replications are drawn, so every output equals the
     sequential run_episode loop bit for bit, whatever the worker count.
     Substreams are opened here, in replication order; each worker thread
     draws into its own share of one episode's noise buffer
-    (_noise_buffers), and a finished draw holds only its (T, 2) statistics
-    until its turn. No thread outlives the call; an error in
+    (_noise_buffers), and a finished draw holds only its statistics until
+    its turn. No thread outlives the call; an error in
     a draw is raised here once the earlier replications are done, and
     the draws not yet started are cancelled.
 
-    shared_draws is a dict the caller owns and passes to every call that
-    may share draws; drpsim sweep passes one to the kinds that share a
-    population. A draw depends only on the population's betas, noise_sd,
-    T and its substream, so the store keys its entries by betas (by
-    content), noise_sd, T, reps and master_seed; alpha_rev, the demand, y
-    and ridge_param may differ. A call that finds its entry runs steps 2
-    and 3 over the stored draws, in replication order, and starts no
-    thread: its outputs are those of a fresh draw, bit for bit.
-    A call that misses draws as above and stores its draws once every
-    replication has been drawn and finished, so a call that raises
-    stores nothing. An entry holds 32*T + 8 bytes of statistics per
-    replication.
+    draws, from draw_replications, replaces the pool: steps 2 and 3 run
+    over their rows for the scenario's betas (Draws.row, which raises
+    ValueError when they were made for another N, noise_sd, T, reps or
+    master_seed, or lack the betas), in replication order, and no thread
+    starts. A draw does not depend on alpha_rev, the demand, y or
+    ridge_param, so the outputs are those of a fresh draw, bit for bit.
     """
-    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral):
-        raise TypeError(f"reps must be an integer, got {reps!r}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    _check_reps(reps)
     config = OnlineConfig(scenario=scenario, y_capacity=y, ridge_param=ridge_param)
-    stored = kept = None
-    if shared_draws is not None:
-        betas = scenario.population.betas.tobytes()
-        key = (betas, scenario.noise_sd, scenario.horizon, reps, master_seed)
-        stored = shared_draws.get(key)
-        kept = [] if stored is None else None
+    if draws is None:
+        drawing = _drawing(scenario, (scenario.population.betas,), reps, master_seed)
+        row = 0
+    else:
+        row = draws.row(scenario, reps, master_seed)
+        drawing = nullcontext(draws.replications)
 
     t_hor = scenario.horizon
     lam = np.empty((reps, t_hor))
@@ -445,16 +540,9 @@ def run_replications(
     first = None
     degenerate = 0
     fallback = 0
-    pool = None
-    try:
-        if stored is None:
-            pool, draw = _draw_pool(config, reps)
-            # map reads the generator here: substreams open in this thread, in order
-            draws = pool.map(draw, (substream(master_seed, 1, r) for r in range(reps)))
-        else:
-            draws = stored
-        for r, drawn in enumerate(draws):
-            traj = _finish_episode(config, *drawn, stacklevel=2)
+    with drawing as drawn:
+        for r, (u, eps_sum, beta_eps2_sum) in enumerate(drawn):
+            traj = _finish_episode(config, u, eps_sum, beta_eps2_sum[row], stacklevel=2)
             lam[r] = traj.lambda_online
             g1[r] = traj.gamma1_hat
             c_on[r] = traj.cost_online
@@ -463,13 +551,6 @@ def run_replications(
             fallback += traj.fallback_events
             if first is None:
                 first = traj
-            if kept is not None:
-                kept.append(drawn)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    if kept is not None:
-        shared_draws[key] = kept
     return SweepResult(
         scenario=scenario,
         lambda_star=first.lambda_star,
@@ -483,36 +564,49 @@ def run_replications(
     )
 
 
-def _draw_pool(
-    config: OnlineConfig, reps: int
-) -> tuple[ThreadPoolExecutor, Callable[[np.random.Generator], tuple]]:
-    """A thread pool for reps draws, and the function its threads draw with.
+@contextmanager
+def _drawing(
+    scenario: Scenario, betas: Sequence[NDArray[np.float64]], reps: int, master_seed: int
+) -> Iterator[Iterator[tuple]]:
+    """Each replication's _draw against betas, in replication order, from a thread pool.
 
-    The pool has one thread per replication when reps < 2 * usable CPUs,
-    else one per usable CPU. With C CPUs and C <= reps < 2C, a thread per
-    CPU would draw the last reps - C replications in a second wave with
-    CPUs idle; one per replication shares every CPU among all the draws,
-    which then take about reps/C draw-times instead of 2 (README,
-    Simulation engine).
+    The scenario gives N, noise_sd and T. The pool has one thread per
+    replication when reps < 2 * usable CPUs, else one per usable CPU.
+    With C CPUs and C <= reps < 2C, a thread per CPU would draw the last
+    reps - C replications in a second wave with CPUs idle; one per
+    replication shares every CPU among all the draws, which then take
+    about reps/C draw-times instead of 2 (README, Simulation engine).
 
-    Each pool thread takes one of the buffers _noise_buffers splits one
-    episode's buffer into when it starts, and draws only into it. The
+    Each pool thread takes its share of the buffers _noise_buffers splits
+    one episode's buffer into when it starts, and draws only into it: one
+    buffer, or with several betas two, the second for _noise_statistics'
+    products, so the draws hold one episode's buffer whatever P is. The
     buffers are allocated once per call, here in the calling thread;
     allocating each draw's block on its pool thread measured slower to
-    set up on large-pop (README, Simulation engine).
+    set up on large-pop (README, Simulation engine). The substreams open
+    here, in replication order. On leaving, the draws not yet started
+    are cancelled and the pool's threads are joined.
     """
     cpus = _usable_cpus()
-    free = list(_noise_buffers(config.scenario, reps if reps < 2 * cpus else cpus))
+    threads = reps if reps < 2 * cpus else cpus
+    per_thread = 1 if len(betas) == 1 else 2
+    buffers = _noise_buffers(scenario, threads * per_thread)
+    free = list(buffers.reshape(threads, per_thread, *buffers.shape[1:]))
     local = threading.local()
 
-    def claim_buffer() -> None:
-        # runs once in each pool thread; the pool starts at most one per buffer
-        local.buffer = free.pop()
+    def claim_buffers() -> None:
+        # runs once in each pool thread; the pool starts at most one per share
+        local.buffers = free.pop()
 
     def draw(rng: np.random.Generator) -> tuple:
-        return _draw(config, rng, local.buffer)
+        return _draw(scenario, betas, rng, *local.buffers)
 
-    return ThreadPoolExecutor(max_workers=len(free), initializer=claim_buffer), draw
+    pool = ThreadPoolExecutor(max_workers=threads, initializer=claim_buffers)
+    try:
+        # map reads the generator here: substreams open in this thread, in order
+        yield pool.map(draw, (substream(master_seed, 1, r) for r in range(reps)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _usable_cpus() -> int:

@@ -199,6 +199,30 @@ MUTANTS = (
             "tests/test_cli.py::test_unparsable_numbers_name_their_source",
         ),
     ),
+    # the sweep's draws reduce every population's squares against the first beta
+    Mutant(
+        "src/drpsim/online.py",
+        "np.multiply(eps, beta, out=product)",
+        "np.multiply(eps, betas[0], out=product)",
+        (
+            "tests/test_online.py::test_noise_statistics_follow_the_normal_block_layout",
+            "tests/test_cli.py::test_sweep_shares_draws_and_writes_the_bytes_of_separate_runs",
+        ),
+    ),
+    # tracking_pass tolerates a 50% median tracking error, not 5%
+    Mutant(
+        "src/drpsim/analysis.py",
+        "TRACKING_TOL = 0.05",
+        "TRACKING_TOL = 0.5",
+        ("tests/test_analysis.py::test_tracking_pass_holds_strictly_below_five_percent",),
+    ),
+    # tracking_pass compares against ten times its tolerance
+    Mutant(
+        "src/drpsim/analysis.py",
+        "tracking < TRACKING_TOL",
+        "tracking < 10 * TRACKING_TOL",
+        ("tests/test_analysis.py::test_tracking_pass_holds_strictly_below_five_percent",),
+    ),
     # summary.json written with NaN, which strict JSON cannot hold
     Mutant(
         "src/drpsim/experiments.py",

@@ -299,6 +299,18 @@ def test_report_tracking_max_and_summary_checks(small_sweep, excited_sweep):
 
 
 @pytest.mark.parametrize(
+    "tracking_max, passes",
+    [(0.0, True), (float(np.nextafter(0.05, 0.0)), True), (0.05, False), (0.051, False), (0.3, False)],
+)
+def test_tracking_pass_holds_strictly_below_five_percent(small_sweep, tracking_max, passes):
+    # the paper's 5% tracking tolerance, written out: a wider one passes 0.051 and 0.3
+    report = replace(build_regret_report(small_sweep), tracking_max=tracking_max)
+    summary = summarize(report)
+    assert summary["tracking_median_max_from_50"] == tracking_max
+    assert summary["checks"]["tracking_pass"] is passes
+
+
+@pytest.mark.parametrize(
     "horizon, decided", [(11, False), (12, False), (18, False), (19, True), (40, True)]
 )
 def test_checks_need_ten_slots_in_their_window(horizon, decided):

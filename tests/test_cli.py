@@ -227,19 +227,29 @@ def test_sweep_runs_whole_grid(sweep_config, clean_env, tmp_path, capsys):
 
 
 def test_sweep_shares_draws_and_writes_the_bytes_of_separate_runs(
-    clean_env, pools, tmp_path, capsys
+    clean_env, monkeypatch, pools, tmp_path, capsys
 ):
     config = ExperimentConfig(n_users=20, horizon=40, reps=4, seed=7)
     path = tmp_path / "sweep.cfg"
     path.write_text("n_users = 20\nhorizon = 40\nreps = 4\nseed = 7\n")
+    fills = []
+    real = online._noise_statistics
+
+    def record(scenario, betas, rng, buffer, products):
+        fills.append(len(betas))
+        return real(scenario, betas, rng, buffer, products)
+
+    monkeypatch.setattr(online, "_noise_statistics", record)
     main(["sweep", "--config", str(path), "--out", str(tmp_path / "shared")])
     capsys.readouterr()
-    # paramset2 draws its own population; the other five kinds reuse baseline's
-    assert len(pools) == 2
+    # one pool fills each replication's normals once, for baseline's population
+    # (which four variants share) and paramset2's
+    assert len(pools) == 1
+    assert fills == [2] * 4
     for kind in SWEEP_GRID:
         sub = kind.replace(":", "-")
         run_experiment(replace(config, experiment=kind, out_dir=str(tmp_path / "alone" / sub)))
-    assert len(pools) == 2 + len(SWEEP_GRID)
+    assert len(pools) == 1 + len(SWEEP_GRID)
     for kind in SWEEP_GRID:
         sub = kind.replace(":", "-")
         names = sorted(p.name for p in (tmp_path / "alone" / sub).iterdir())
@@ -247,26 +257,6 @@ def test_sweep_shares_draws_and_writes_the_bytes_of_separate_runs(
         for name in names:
             shared = (tmp_path / "shared" / sub / name).read_bytes()
             assert shared == (tmp_path / "alone" / sub / name).read_bytes(), (kind, name)
-
-
-def test_sweep_keeps_no_draws_of_a_population_no_other_kind_shares(
-    sweep_config, clean_env, monkeypatch, tmp_path, capsys
-):
-    stores = {}
-
-    def recording_run_experiment(config, *, shared_draws=None):
-        stores[config.experiment] = shared_draws
-        return run_experiment(config, shared_draws=shared_draws)
-
-    monkeypatch.setattr("drpsim.cli.run_experiment", recording_run_experiment)
-    main(["sweep", "--config", sweep_config, "--out", str(tmp_path)])
-    capsys.readouterr()
-    assert list(stores) == list(SWEEP_GRID)
-    assert stores.pop("paramset2") is None
-    store = stores["baseline"]
-    assert isinstance(store, dict)
-    assert all(s is store for s in stores.values())
-    assert len(store) == 1
 
 
 def test_env_seed_overrides_flag(small_config, clean_env, capsys):

@@ -366,6 +366,13 @@ def _noise_statistics_from_normal_blocks(scenario, rng):
     return eps_sum, beta_eps2_sum
 
 
+def _beta_stack(scenario, populations):
+    """The scenario's betas and populations - 1 others of the same N."""
+    g = np.random.default_rng(populations)
+    others = [g.uniform(3.0, 10.0, scenario.n) for _ in range(populations - 1)]
+    return (scenario.population.betas, *others)
+
+
 @pytest.mark.parametrize(
     "n, t_hor, noise_sd, block_slots",
     [
@@ -375,15 +382,30 @@ def _noise_statistics_from_normal_blocks(scenario, rng):
     ],
 )
 def test_noise_statistics_follow_the_normal_block_layout(n, t_hor, noise_sd, block_slots):
+    # one fill reduced against a stack of P betas gives each population the
+    # bits of a one-beta call on a fresh stream with the same key
     assert online.NOISE_BLOCK // (2 * n) == block_slots
     scenario = _noise_scenario(n, t_hor, noise_sd)
-    rng, want_rng = substream(9, 1, 0), substream(9, 1, 0)
-    (buffer,) = online._noise_buffers(scenario, 1)
-    got = online._noise_statistics(scenario, rng, buffer)
-    want = _noise_statistics_from_normal_blocks(scenario, want_rng)
-    for g, w in zip(got, want):
-        assert np.array_equal(g.view(np.int64), w.view(np.int64))
-    assert _same_state(rng.bit_generator.state, want_rng.bit_generator.state)
+    for populations in (1, 2, 3):
+        betas = _beta_stack(scenario, populations)
+        rng = substream(9, 1, 0)
+        # as a draw thread does: P > 1 splits the episode's buffer for the products
+        buffer, *products = online._noise_buffers(scenario, 1 if populations == 1 else 2)
+        eps_sum, beta_eps2_sum = online._noise_statistics(scenario, betas, rng, buffer, *products)
+        assert beta_eps2_sum.shape == (populations, t_hor, 2)
+        for p, beta in enumerate(betas):
+            alone = replace(scenario, population=Population(scenario.population.alphas, beta))
+            one_rng, want_rng = substream(9, 1, 0), substream(9, 1, 0)
+            one = online._noise_statistics(alone, (beta,), one_rng, buffer)
+            want = _noise_statistics_from_normal_blocks(alone, want_rng)
+            for got, o, w in zip((eps_sum, beta_eps2_sum[p]), (one[0], one[1][0]), want):
+                assert np.array_equal(got.view(np.int64), o.view(np.int64))
+                assert np.array_equal(got.view(np.int64), w.view(np.int64))
+            for other in (one_rng, want_rng):
+                assert _same_state(rng.bit_generator.state, other.bit_generator.state)
+        if noise_sd and populations > 1:
+            # distinct betas give distinct statistics: a mixed-up row shows
+            assert not np.array_equal(beta_eps2_sum[0], beta_eps2_sum[1])
 
 
 def _noise_statistics_peak_bytes(scenario):
@@ -391,7 +413,7 @@ def _noise_statistics_peak_bytes(scenario):
     tracemalloc.start()
     try:
         (buffer,) = online._noise_buffers(scenario, 1)
-        online._noise_statistics(scenario, rng, buffer)
+        online._noise_statistics(scenario, (scenario.population.betas,), rng, buffer)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -691,11 +713,11 @@ def test_replications_warn_per_episode_in_order_from_the_calling_thread(monkeypa
         return sweep, caught
 
     sweep, caught = run()
-    # draws stored for a later call, then reused by it without a pool, warn alike
-    store = {}
-    assert run(shared_draws=store)[1] == caught
+    # draws made beforehand, then run over without a pool, warn alike
+    draws = online.draw_replications([sc], 5, 4)
     assert len(pools) == 2
-    assert run(shared_draws=store)[1] == caught
+    assert run(draws=draws)[1] == caught
+    assert run(draws=draws)[1] == caught
     assert len(pools) == 2
     assert [c[0] for c in caught] == [
         f"degenerate estimate: reusing previous price in {r + 1} of 8 slots" for r in range(5)
@@ -725,17 +747,24 @@ def test_replications_hold_one_noise_block_between_workers(monkeypatch):
     # the workers share NOISE_BLOCK, or hold one slot of 2N each when that is
     # more: 4 reps on 2 CPUs draw on 2 threads, 3 reps on 3, one slot each at
     # N=100000; a full block each would read ~2x
+    # N=100000; drawing for two populations, each worker holds a second
+    # one-slot buffer for the products
     _cpus(monkeypatch, 2)
     n = 100_000
     sc = _noise_scenario(n, 10, 1.0)
+    other = replace(sc, population=Population(sc.population.alphas, sc.population.betas + 1.0))
     for reps, workers in ((4, 2), (3, 3)):
-        tracemalloc.start()
-        try:
-            run_replications(sc, 0.5, reps, master_seed=9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * max(online.NOISE_BLOCK, workers * 2 * n) * 8
+        for populations, draw in (
+            (1, lambda: run_replications(sc, 0.5, reps, master_seed=9)),
+            (2, lambda: online.draw_replications([sc, other], reps, 9)),
+        ):
+            tracemalloc.start()
+            try:
+                draw()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * max(online.NOISE_BLOCK, populations * workers * 2 * n) * 8
 
 
 def test_a_failed_draw_is_raised_and_leaves_no_thread(monkeypatch):
@@ -747,7 +776,7 @@ def test_a_failed_draw_is_raised_and_leaves_no_thread(monkeypatch):
     started = []
     real = online._noise_statistics
 
-    def fail_on_replication_2(scenario, rng, buffer):
+    def fail_on_replication_2(scenario, betas, rng, buffer, products):
         r = replication[rng.bit_generator.state["state"]["key"].tobytes()]
         started.append(r)
         if r == 2:
@@ -756,7 +785,7 @@ def test_a_failed_draw_is_raised_and_leaves_no_thread(monkeypatch):
             # hold both workers until the failure has been read and the
             # queued draws cancelled
             threading.Event().wait(0.5)
-        return real(scenario, rng, buffer)
+        return real(scenario, betas, rng, buffer, products)
 
     monkeypatch.setattr(online, "_noise_statistics", fail_on_replication_2)
     threads = threading.active_count()
@@ -790,9 +819,9 @@ def test_each_pool_thread_draws_into_one_buffer_of_its_own(monkeypatch):
     drawn = []
     real = online._noise_statistics
 
-    def record(scenario, rng, buffer):
+    def record(scenario, betas, rng, buffer, products):
         drawn.append((threading.current_thread(), buffer.ctypes.data))
-        return real(scenario, rng, buffer)
+        return real(scenario, betas, rng, buffer, products)
 
     monkeypatch.setattr(online, "_noise_statistics", record)
     interval = sys.getswitchinterval()
@@ -826,11 +855,11 @@ def test_draw_pool_starts_a_thread_per_replication_below_twice_the_cpus(
     drawn = []
     real = online._noise_statistics
 
-    def all_threads_at_once(scenario, rng, buffer):
+    def all_threads_at_once(scenario, betas, rng, buffer, products):
         # each draw waits for threads - 1 others: with fewer threads it times out
         drawn.append((threading.current_thread(), buffer.ctypes.data, buffer.shape))
         together.wait()
-        return real(scenario, rng, buffer)
+        return real(scenario, betas, rng, buffer, products)
 
     monkeypatch.setattr(online, "_noise_statistics", all_threads_at_once)
     sweep = run_replications(sc, 0.5, reps, master_seed=36)
@@ -867,32 +896,44 @@ def test_noise_buffers_split_one_episode_buffer(n, noise_sd):
             assert buffers.size <= max(online.NOISE_BLOCK, count * 2 * n)
 
 
-# ------------------------------------------------------------ shared draws
+# --------------------------------------------------------- draws made once
 
 
-def test_shared_draws_are_reused_across_revenue_prices(monkeypatch, pools):
-    # c_rev moves alpha_rev, so the slot-1 price and every later one, but
-    # not the population or the noise
+def _kind_scenarios(kinds, **settings):
+    configs = [ExperimentConfig(experiment=kind, **settings) for kind in kinds]
+    return [build_scenario(cfg, substream(cfg.seed, 0)) for cfg in configs]
+
+
+def test_shared_draws_serve_every_revenue_price_and_population(monkeypatch, pools):
+    # c_rev moves alpha_rev, so the slot-1 price and every later one, and
+    # paramset2 draws another population: one pass serves all four
     _cpus(monkeypatch, 2)
-    configs = [ExperimentConfig(n_users=30, horizon=25, c_rev=c_rev) for c_rev in (1.0, 3.0)]
-    scenarios = [build_scenario(cfg, substream(cfg.seed, 0)) for cfg in configs]
-    assert scenarios[0].alpha_rev != scenarios[1].alpha_rev
-    store = {}
-    shared = [run_replications(sc, 2.0, 6, 42, shared_draws=store) for sc in scenarios]
-    assert len(pools) == 1 and len(store) == 1
+    scenarios = [
+        sc
+        for c_rev in (1.0, 3.0)
+        for sc in _kind_scenarios(("baseline", "paramset2"), n_users=30, horizon=25, c_rev=c_rev)
+    ]
+    assert scenarios[0].alpha_rev != scenarios[2].alpha_rev
+    draws = online.draw_replications(scenarios, 6, 42)
+    assert len(pools) == 1
+    assert [len(b) for b in draws.betas] == [30, 30]
+    assert [draws.row(sc, 6, 42) for sc in scenarios] == [0, 1, 0, 1]
+    shared = [run_replications(sc, 2.0, 6, 42, draws=draws) for sc in scenarios]
+    assert len(pools) == 1
     for got, sc in zip(shared, scenarios):
         _assert_sweep_is_episodes(got, _episodes(sc, 2.0, 6, 42))
-    assert not np.array_equal(shared[0].lambda_online[:, 0], shared[1].lambda_online[:, 0])
+    assert not np.array_equal(shared[0].lambda_online[:, 0], shared[2].lambda_online[:, 0])
+    assert not np.array_equal(shared[0].cost_online, shared[1].cost_online)
 
 
 def test_shared_draws_compare_betas_by_content(pools):
     sc = _noise_scenario(20, 15, 0.8)
     pop = sc.population
     twin = replace(sc, population=Population(pop.alphas.copy() * 1.5, pop.betas.copy()))
-    store = {}
-    run_replications(sc, 0.5, 4, 3, shared_draws=store)
-    got = run_replications(twin, 0.5, 4, 3, shared_draws=store)
-    assert len(pools) == 1 and len(store) == 1
+    draws = online.draw_replications([sc, twin], 4, 3)
+    assert len(draws.betas) == 1
+    got = run_replications(twin, 0.5, 4, 3, draws=draws)
+    assert len(pools) == 1
     _assert_sweep_is_episodes(got, _episodes(twin, 0.5, 4, 3))
 
 
@@ -901,6 +942,7 @@ def _population_variants(sc):
     betas[-1] = np.nextafter(betas[-1], np.inf)
     longer = _noise_scenario(sc.n, sc.horizon + 1, sc.noise_sd)
     return {
+        "N": (_noise_scenario(sc.n + 1, sc.horizon, sc.noise_sd), 4, 3),
         "betas": (replace(sc, population=Population(sc.population.alphas, betas)), 4, 3),
         "noise_sd": (replace(sc, noise_sd=0.9), 4, 3),
         "horizon": (replace(longer, population=sc.population), 4, 3),
@@ -909,34 +951,39 @@ def _population_variants(sc):
     }
 
 
-@pytest.mark.parametrize("what", ["betas", "noise_sd", "horizon", "reps", "seed"])
+@pytest.mark.parametrize("what", ["N", "betas", "noise_sd", "horizon", "reps", "seed"])
 def test_shared_draws_are_not_reused_for_another_population(pools, what):
     sc = _noise_scenario(20, 15, 0.8)
     other, reps, seed = _population_variants(sc)[what]
-    store = {}
-    run_replications(sc, 0.5, 4, 3, shared_draws=store)
-    got = run_replications(other, 0.5, reps, seed, shared_draws=store)
-    assert len(pools) == 2 and len(store) == 2
-    _assert_sweep_is_episodes(got, _episodes(other, 0.5, reps, seed))
+    draws = online.draw_replications([sc], 4, 3)
+    # each mismatch is named as Draws.row names it
+    named = {"betas": "not made for the scenario's betas", "seed": "made for master_seed = "}
+    message = named.get(what, f"made for {what} = ")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_replications(other, 0.5, reps, seed, draws=draws)
+    assert len(pools) == 1
+    if what in ("N", "noise_sd", "horizon"):
+        with pytest.raises(ValueError, match=f"must share {what}$"):
+            online.draw_replications([sc, other], 4, 3)
+        assert len(pools) == 1
 
 
-def test_a_failed_draw_leaves_no_shared_entry(monkeypatch):
+def test_a_failed_shared_draw_is_raised_and_leaves_no_thread(monkeypatch, pools):
     _cpus(monkeypatch, 2)
-    sc = _noise_scenario(40, 10, 1.0)
+    scenarios = _kind_scenarios(("baseline", "paramset2"), n_users=40, horizon=10)
     real = online._noise_statistics
     calls = itertools.count()
 
-    def fail_on_the_third_draw(scenario, rng, buffer):
+    def fail_on_the_third_draw(scenario, betas, rng, buffer, products):
+        assert len(betas) == 2
         if next(calls) == 2:
             raise RuntimeError("draw failed")
-        return real(scenario, rng, buffer)
+        return real(scenario, betas, rng, buffer, products)
 
     monkeypatch.setattr(online, "_noise_statistics", fail_on_the_third_draw)
-    store = {}
+    threads = threading.active_count()
     with pytest.raises(RuntimeError, match="^draw failed$"):
-        run_replications(sc, 0.5, 6, 8, shared_draws=store)
-    assert store == {}
-    monkeypatch.setattr(online, "_noise_statistics", real)
-    got = run_replications(sc, 0.5, 6, 8, shared_draws=store)
-    assert len(store) == 1
-    _assert_sweep_is_episodes(got, _episodes(sc, 0.5, 6, 8))
+        online.draw_replications(scenarios, 6, 8)
+    assert threading.active_count() == threads
+    (pool,) = pools
+    assert pool._shutdown
