@@ -21,7 +21,7 @@ six plain numbers (m, sum u, sum u^2, sum Z, sum u*Z, r):
 
     X'X = [[sum u^2, sum u], [sum u, m]]      X'Z = [sum u*Z, sum Z]
 
-_finish_episode keeps the state in locals, starts it with no
+The kernel (_run_draws) keeps the state in locals, starts it with no
 observations and adds each observation in O(1); solve_normal_equations
 takes the six in that order and solves (X'X + r*I) theta = X'Z in
 closed form. With r = 0 this is plain least squares and needs two
@@ -33,11 +33,13 @@ it from the slot's noise sum by the identity
 Q_t = N*gamma1*lambda_t + gamma2 + sum_i eps_it
 (model.aggregate_from_noise); the N individual responses are never
 built. The noise is reduced to per-slot statistics before the loop, so
-the recursion is one kernel over local floats (_finish_episode) that
-calls only solve_normal_equations and the price rule each slot.
+the recursion is one kernel over local floats (_run_draws) that calls
+only solve_normal_equations and the price rule each slot; it holds N
+and m as floats, which keeps every bit (_run_draws says why).
 run_replications draws several replications' noise at once on worker
 threads and runs their recursions in replication order, so its outputs
-do not depend on the thread count.
+do not depend on the thread count; run_episode is the one-replication
+case of the same code.
 
 An episode's draw (_draw) is the unit uniform u behind the slot-1 price
 and the noise statistics. It depends on N, noise_sd, T and the stream,
@@ -64,7 +66,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -100,13 +102,15 @@ class UnidentifiableError(RuntimeError):
 
 
 def solve_normal_equations(
-    m: int, su: float, suu: float, sz: float, suz: float, ridge: float
+    m: float, su: float, suu: float, sz: float, suz: float, ridge: float
 ) -> tuple[float, float]:
     """(gamma1_hat, gamma2_hat) solving (X'X + ridge*I) theta = X'Z in closed form.
 
     Scalar arithmetic on the regression state (m, sum u, sum u^2, sum Z,
     sum u*Z, ridge), cheap enough for the online kernel to call every
-    slot; gamma2_hat estimates -sum_i alpha_i/beta_i.
+    slot; gamma2_hat estimates -sum_i alpha_i/beta_i. The sample count m
+    may be an int or a float holding one (the kernel's): m + ridge is
+    the same float either way.
 
     Raises:
         UnidentifiableError: condition number of the regularized normal
@@ -203,17 +207,17 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
        formed after the loop (model.stage_costs_from_noise,
        model.aggregate_from_noise).
 
-    Steps 2 and 3 are the code run_replications runs on each
-    replication's draws, so a sweep's replication r equals
-    run_episode(config, substream(seed, 1, r)) bit for bit. Degenerate
-    prices are counted and reported by one RuntimeWarning per episode.
+    Steps 2 and 3 are _run_draws, the code run_replications runs on
+    every replication's draw, here on one; so a sweep's replication r
+    equals run_episode(config, substream(seed, 1, r)) bit for bit.
+    Degenerate prices are counted and reported by one RuntimeWarning per
+    episode.
     """
     scenario = config.scenario
     (buffer,) = _noise_buffers(scenario, 1)
     betas = (scenario.population.betas,)
-    uniform = config.lambda_init is None
-    u, eps_sum, beta_eps2_sum = _draw(scenario, betas, rng, buffer, uniform=uniform)
-    return _finish_episode(config, u, eps_sum, beta_eps2_sum[0], stacklevel=3)
+    draw = _draw(scenario, betas, rng, buffer, uniform=config.lambda_init is None)
+    return _run_draws(config, (draw,), 1, 0, stacklevel=3).first_trajectory
 
 
 def _draw(
@@ -227,7 +231,7 @@ def _draw(
     """An episode's random inputs: the slot-1 unit uniform and the noise statistics.
 
     The uniform u = rng.random() sets the slot-1 price h*u with
-    h = 2*alpha_rev/N (_finish_episode). numpy forms rng.uniform(0, h) as
+    h = 2*alpha_rev/N (_run_draws). numpy forms rng.uniform(0, h) as
     0 + h*u over the same u and the same stream position, so the price has
     the bits of a U[0, h] draw, while the draw itself does not depend on
     alpha_rev. u is None, and not drawn, when uniform is False (lambda_init
@@ -242,92 +246,134 @@ def _draw(
     return (u, *_noise_statistics(scenario, betas, rng, buffer, products))
 
 
-def _finish_episode(
+def _run_draws(
     config: OnlineConfig,
-    u: Optional[float],
-    eps_sum: NDArray[np.float64],
-    beta_eps2_sum: NDArray[np.float64],
+    drawn: Iterable[tuple],
+    reps: int,
+    row: int,
     stacklevel: int,
-) -> Trajectory:
-    """Steps 2 and 3 of run_episode from one _draw's uniform and noise statistics.
+) -> SweepResult:
+    """Steps 2 and 3 of run_episode on each of reps draws, in order, as a sweep.
 
-    Step 2 is one kernel over locals (the regression state, N,
-    gamma1, gamma2, y, the price) that calls only solve_normal_equations and
-    next_price each slot, through this module's globals, and forms Q_t in
-    model.aggregate_from_noise's operation order. A non-finite Q_t raises
-    ValueError (gamma1 > 0, so a non-finite price gives one). The
-    degenerate-price warning is attributed stacklevel frames up.
+    row picks the config's population among the betas the draws were
+    reduced against. N as a float, the slot-1 scale h = 2*alpha_rev/N,
+    the demand as floats and lambda* are formed once per call. Each
+    replication runs one kernel over locals (the regression state, N,
+    gamma1, gamma2, y, the price) that calls only solve_normal_equations
+    and next_price each slot, through this module's globals, and forms
+    Q_t in model.aggregate_from_noise's operation order. A non-finite
+    Q_t raises ValueError (gamma1 > 0, so a non-finite price gives one).
+
+    N and the sample count m are floats (nf, m += 1.0), since CPython
+    specialises arithmetic on two floats only. The bits are those of
+    ints: an int operand of a float operation is converted with
+    PyLong_AsDouble, as float(N) is, and m counts exactly below 2**53.
+
+    A replication keeps only its rows and event counts; replication 0
+    alone is kept whole, as first_trajectory. Each replication with
+    degenerate prices warns when it ends, attributed stacklevel frames up.
     """
     scenario = config.scenario
     pop = scenario.population
-    n = pop.n
+    nf = float(pop.n)
     gamma1, gamma2 = pop.gamma1, pop.gamma2
     t_hor = scenario.horizon
     y = float(config.y_capacity)
-    lam = float(config.lambda_init) if u is None else float(2.0 * scenario.alpha_rev / n) * u
+    ridge = float(config.ridge_param)
+    h = float(2.0 * scenario.alpha_rev / pop.n)
+    demand = scenario.demand.tolist()
     lam_star = lambda_star_path(scenario, y)
-    m, su, suu, sz, suz, ridge = 0, 0.0, 0.0, 0.0, 0.0, float(config.ridge_param)
 
-    lam_path = [0.0] * t_hor
-    g1_path = [0.0] * t_hor
-    g2_path = [0.0] * t_hor
-    q_path = [0.0] * t_hor
-    degenerate_events = fallback_events = 0
-    g1 = g2 = 0.0
+    lam_rows = np.empty((reps, t_hor))
+    g1_rows = np.empty((reps, t_hor))
+    c_on = np.empty((reps, t_hor))
+    c_st = np.empty((reps, t_hor))
+    first = None
+    degenerate = fallback = 0
     inf = math.inf
-    for t, d_t, s_t in zip(range(t_hor), scenario.demand.tolist(), eps_sum[:, 0].tolist()):
-        if t:
-            try:
-                g1, g2 = solve_normal_equations(m, su, suu, sz, suz, ridge)
-            except UnidentifiableError:
-                g1 = g2 = 0.0
-                fallback_events += 1
-            try:
-                lam = next_price(g1, g2, y, d_t, n)
-            except DegenerateEstimateError:
-                degenerate_events += 1
-        u_t = n * lam
-        q = u_t * gamma1 + gamma2 + s_t
-        if not -inf < q < inf:
-            raise ValueError(f"observation must be finite, got ({lam}, {q})")
-        lam_path[t] = lam
-        g1_path[t] = g1
-        g2_path[t] = g2
-        q_path[t] = q
-        m += 1
-        su += u_t
-        suu += u_t * u_t
-        sz += q
-        suz += u_t * q
+    for r, (u, eps_sum, beta_eps2_sums) in enumerate(drawn):
+        lam = float(config.lambda_init) if u is None else h * u
+        m, su, suu, sz, suz = 0.0, 0.0, 0.0, 0.0, 0.0
+        lam_path = [0.0] * t_hor
+        g1_path = [0.0] * t_hor
+        g2_path = [0.0] * t_hor
+        q_path = [0.0] * t_hor
+        degenerate_events = fallback_events = 0
+        g1 = g2 = 0.0
+        for t, d_t, s_t in zip(range(t_hor), demand, eps_sum[:, 0].tolist()):
+            if t:
+                try:
+                    g1, g2 = solve_normal_equations(m, su, suu, sz, suz, ridge)
+                except UnidentifiableError:
+                    g1 = g2 = 0.0
+                    fallback_events += 1
+                try:
+                    lam = next_price(g1, g2, y, d_t, nf)
+                except DegenerateEstimateError:
+                    degenerate_events += 1
+            u_t = nf * lam
+            q = u_t * gamma1 + gamma2 + s_t
+            if not -inf < q < inf:
+                raise ValueError(f"observation must be finite, got ({lam}, {q})")
+            lam_path[t] = lam
+            g1_path[t] = g1
+            g2_path[t] = g2
+            q_path[t] = q
+            m += 1.0
+            su += u_t
+            suu += u_t * u_t
+            sz += q
+            suz += u_t * q
 
-    if degenerate_events:
-        warnings.warn(
-            "degenerate estimate: reusing previous price "
-            f"in {degenerate_events} of {t_hor} slots",
-            RuntimeWarning,
-            stacklevel=stacklevel,
-        )
+        if degenerate_events:
+            warnings.warn(
+                "degenerate estimate: reusing previous price "
+                f"in {degenerate_events} of {t_hor} slots",
+                RuntimeWarning,
+                stacklevel=stacklevel,
+            )
+        degenerate += degenerate_events
+        fallback += fallback_events
 
-    lambda_online = np.array(lam_path)
-    q_online = np.array(q_path)
-    q_star = aggregate_from_noise(scenario, lam_star, eps_sum[:, 1])
-    return Trajectory(
-        t=np.arange(1, t_hor + 1, dtype=np.int64),
-        d=scenario.demand.copy(),
-        lambda_online=lambda_online,
-        lambda_star=lam_star,
-        gamma1_hat=np.array(g1_path),
-        gamma2_hat=np.array(g2_path),
-        q_online=q_online,
-        q_star=q_star,
-        cost_online=stage_costs_from_noise(
+        beta_eps2_sum = beta_eps2_sums[row]
+        lambda_online = np.array(lam_path)
+        q_online = np.array(q_path)
+        q_star = aggregate_from_noise(scenario, lam_star, eps_sum[:, 1])
+        cost_online = stage_costs_from_noise(
             scenario, y, lambda_online, q_online, eps_sum[:, 0], beta_eps2_sum[:, 0]
-        ),
-        cost_star=stage_costs_from_noise(
+        )
+        cost_star = stage_costs_from_noise(
             scenario, y, lam_star, q_star, eps_sum[:, 1], beta_eps2_sum[:, 1]
-        ),
-        degenerate_events=degenerate_events,
-        fallback_events=fallback_events,
+        )
+        lam_rows[r] = lambda_online
+        g1_rows[r] = g1_path
+        c_on[r] = cost_online
+        c_st[r] = cost_star
+        if r == 0:
+            first = Trajectory(
+                t=np.arange(1, t_hor + 1, dtype=np.int64),
+                d=scenario.demand.copy(),
+                lambda_online=lambda_online,
+                lambda_star=lam_star,
+                gamma1_hat=np.array(g1_path),
+                gamma2_hat=np.array(g2_path),
+                q_online=q_online,
+                q_star=q_star,
+                cost_online=cost_online,
+                cost_star=cost_star,
+                degenerate_events=degenerate_events,
+                fallback_events=fallback_events,
+            )
+    return SweepResult(
+        scenario=scenario,
+        lambda_star=lam_star,
+        lambda_online=lam_rows,
+        gamma1_hat=g1_rows,
+        cost_online=c_on,
+        cost_star=c_st,
+        first_trajectory=first,
+        degenerate_events=degenerate,
+        fallback_events=fallback,
     )
 
 
@@ -506,9 +552,10 @@ def run_replications(
 
     Each replication's draw (run_episode's slot-1 uniform and step 1) runs
     on a pool of worker threads (_drawing); numpy releases the GIL while
-    it fills and reduces the noise. Steps 2 and 3 run here, in replication
-    order, while later replications are drawn, so every output equals the
-    sequential run_episode loop bit for bit, whatever the worker count.
+    it fills and reduces the noise. Steps 2 and 3 run here (_run_draws),
+    in replication order, while later replications are drawn, so every
+    output equals the sequential run_episode loop bit for bit, whatever
+    the worker count.
     Substreams are opened here, in replication order; each worker thread
     draws into its own share of one episode's noise buffer
     (_noise_buffers), and a finished draw holds only its statistics until
@@ -532,36 +579,8 @@ def run_replications(
         row = draws.row(scenario, reps, master_seed)
         drawing = nullcontext(draws.replications)
 
-    t_hor = scenario.horizon
-    lam = np.empty((reps, t_hor))
-    g1 = np.empty((reps, t_hor))
-    c_on = np.empty((reps, t_hor))
-    c_st = np.empty((reps, t_hor))
-    first = None
-    degenerate = 0
-    fallback = 0
     with drawing as drawn:
-        for r, (u, eps_sum, beta_eps2_sum) in enumerate(drawn):
-            traj = _finish_episode(config, u, eps_sum, beta_eps2_sum[row], stacklevel=2)
-            lam[r] = traj.lambda_online
-            g1[r] = traj.gamma1_hat
-            c_on[r] = traj.cost_online
-            c_st[r] = traj.cost_star
-            degenerate += traj.degenerate_events
-            fallback += traj.fallback_events
-            if first is None:
-                first = traj
-    return SweepResult(
-        scenario=scenario,
-        lambda_star=first.lambda_star,
-        lambda_online=lam,
-        gamma1_hat=g1,
-        cost_online=c_on,
-        cost_star=c_st,
-        first_trajectory=first,
-        degenerate_events=degenerate,
-        fallback_events=fallback,
-    )
+        return _run_draws(config, drawn, reps, row, stacklevel=2)
 
 
 @contextmanager

@@ -57,9 +57,23 @@ MUTANTS = (
     # the kernel's regressor u = N * lambda off by a relative 1e-12
     Mutant(
         "src/drpsim/online.py",
-        "u_t = n * lam",
-        "u_t = n * lam * (1 + 1e-12)",
+        "u_t = nf * lam",
+        "u_t = nf * lam * (1 + 1e-12)",
         ("tests/test_engine.py::test_engine_matches_per_slot_loop",),
+    ),
+    # the kernel's float N, which prices and regresses, off by a relative 1e-12
+    Mutant(
+        "src/drpsim/online.py",
+        "nf = float(pop.n)",
+        "nf = float(pop.n) * (1 + 1e-12)",
+        ("tests/test_engine.py::test_engine_matches_per_slot_loop",),
+    ),
+    # a sweep's first_trajectory is its last replication, not replication 0
+    Mutant(
+        "src/drpsim/online.py",
+        "if r == 0:",
+        "if r == reps - 1:",
+        ("tests/test_online.py::test_first_trajectory_is_replication_zero_in_full",),
     ),
     # the kernel's running sum u*Z off by a relative 1e-12
     Mutant(

@@ -6,7 +6,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -65,6 +65,32 @@ def test_next_price_at_truth_equals_lambda_star(scenario_factory, rng):
             lam = next_price(pop.gamma1, pop.gamma2, y, float(sc.demand[t - 1]), sc.n)
             assert lam == pytest.approx(path[t - 1], rel=1e-12)
 
+
+def _float_bits_or_error(op, *args):
+    """op(*args) as float.hex (which tells -0.0 and inf apart), or the type it raised."""
+    try:
+        return float.hex(op(*args))
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    n=st.integers(1, sys.maxsize),
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    m=st.integers(0, 2**53 - 1),
+    r=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_float_kernel_state_keeps_the_bits(n, x, m, r):
+    # the kernel holds N and the sample count m as floats where
+    # tests/test_engine.py's loop holds ints: CPython converts an int operand
+    # of a float operation with PyLong_AsDouble, the conversion float(n)
+    # makes, and below 2**53 float(m) is m exactly, so m += 1.0 counts. The
+    # operations are the kernel's: u = N*lambda, the price denominator
+    # N*gamma1_hat + N, and the solve's m + ridge.
+    for op, k in ((lambda k: k * x, n), (lambda k: k * x + k, n), (lambda k: k + r, m)):
+        assert _float_bits_or_error(op, float(k)) == _float_bits_or_error(op, k)
+    assert float(m) + 1.0 == float(m + 1)
 
 
 def _solve(u, z, ridge):
@@ -435,16 +461,21 @@ def test_zero_noise_allocates_no_noise_buffer():
 @pytest.mark.parametrize("slot", [0, 2])
 def test_episode_rejects_nonfinite_observation(bad, slot):
     # a non-finite noise sum makes Q_t non-finite; the kernel raises at that
-    # slot instead of carrying it into the sums and pricing from nan
+    # slot instead of carrying it into the sums and pricing from nan. The
+    # statistics reach the kernel as a hand-made one-replication draw.
     sc = _noise_scenario(3, 4, 1.0)
-    config = OnlineConfig(scenario=sc, y_capacity=1.0, lambda_init=0.5)
+
+    def run(eps_sum):
+        replication = (0.25, eps_sum, np.zeros((1, 4, 2)))
+        draws = online.Draws((sc.population.betas,), sc.noise_sd, sc.horizon, 5, (replication,))
+        return run_replications(sc, 1.0, 1, 5, draws=draws)
+
     eps_sum = np.zeros((4, 2))
     eps_sum[slot, 0] = bad
-    clean = online._finish_episode(config, None, np.zeros((4, 2)), np.zeros((4, 2)), stacklevel=2)
-    lam = clean.lambda_online[slot]
+    lam = run(np.zeros((4, 2))).lambda_online[0, slot]
     message = f"observation must be finite, got ({lam}, {bad})"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        online._finish_episode(config, None, eps_sum, np.zeros((4, 2)), stacklevel=2)
+        run(eps_sum)
 
 
 def _degenerate_estimates(monkeypatch):
@@ -604,10 +635,15 @@ def _assert_sweep_is_episodes(sweep, episodes):
         _assert_bits_equal(
             getattr(sweep, field), np.stack([getattr(e, field) for e in episodes]), field
         )
-    for field in ("lambda_star", "gamma2_hat", "q_online", "q_star"):
-        _assert_bits_equal(
-            getattr(sweep.first_trajectory, field), getattr(episodes[0], field), field
-        )
+    _assert_bits_equal(sweep.lambda_star, episodes[0].lambda_star, "lambda_star")
+    # replication 0 in full: every array of the Trajectory and both counts
+    for field in fields(online.Trajectory):
+        got, want = getattr(sweep.first_trajectory, field.name), getattr(episodes[0], field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, field.name
+            _assert_bits_equal(got, want, field.name)
+        else:
+            assert got == want, field.name
     assert sweep.degenerate_events == sum(e.degenerate_events for e in episodes)
     assert sweep.fallback_events == sum(e.fallback_events for e in episodes)
 
@@ -637,6 +673,35 @@ def test_replication_variants_equal_sequential_episodes(monkeypatch, noise_sd, k
     if kwargs.get("ridge_param") == 0.0:
         # slot 2 has one sample: every episode falls back at least once
         assert sweep.fallback_events >= 7
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["pool", "draws"])
+@pytest.mark.parametrize("reps", [1, 2, 5])
+def test_first_trajectory_is_replication_zero_in_full(monkeypatch, reps, shared):
+    _cpus(monkeypatch, 2)
+    sc = _noise_scenario(50, 30, 0.8)
+    draws = online.draw_replications([sc], reps, 37) if shared else None
+    sweep = run_replications(sc, 0.5, reps, 37, draws=draws)
+    _assert_sweep_is_episodes(sweep, _episodes(sc, 0.5, reps, 37))
+
+
+@pytest.mark.parametrize("reps", [1, 2, 5])
+def test_a_set_slot1_price_runs_as_a_drawn_one(monkeypatch, reps):
+    # with noise_sd = 0 a replication draws only the unit uniform u behind
+    # its slot-1 price h*u, so run_episode with lambda_init = h*u is that
+    # replication in every field
+    _cpus(monkeypatch, 2)
+    sc = _noise_scenario(50, 30, 0.0)
+    sweep = run_replications(sc, 0.5, reps, 38)
+    h = float(2.0 * sc.alpha_rev / sc.n)
+    episodes = [
+        run_episode(
+            OnlineConfig(scenario=sc, y_capacity=0.5, lambda_init=h * substream(38, 1, r).random()),
+            np.random.default_rng(0),
+        )
+        for r in range(reps)
+    ]
+    _assert_sweep_is_episodes(sweep, episodes)
 
 
 def test_replications_solve_through_the_module_name(monkeypatch):
