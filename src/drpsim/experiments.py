@@ -148,32 +148,14 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, kind in _KEY_TYPES.items():
             value = getattr(self, name)
-            optional = name in _OPTIONAL_KEYS
-            if value is None and optional:
-                continue
-            # bool is an int subclass, and no key holds one
-            allowed = (int, float) if kind is float else kind
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                expected = kind.__name__ + (" or None" if optional else "")
-                raise TypeError(f"{name} must be {expected}, got {value!r}")
-            if kind is float:
-                _check_finite(name, value)
+            _check_key(name, value)
+            if kind is float and value is not None:
                 object.__setattr__(self, name, float(value))
         try:
             kind = parse_experiment_kind(self.experiment)
         except ValueError as exc:
             raise _KindError(exc) from None
         object.__setattr__(self, "_kind", kind)
-        for name in ("n_users", "horizon", "reps"):
-            if not 1 <= getattr(self, name) <= sys.maxsize:
-                raise ValueError(f"{name} must be in [1, {sys.maxsize}], got {getattr(self, name)}")
-        # substream takes only u64 seeds; reject others here, where the key is known
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.c_rev <= 0:
-            raise ValueError(f"c_rev must be > 0, got {self.c_rev}")
-        if not self.out_dir:  # Path("") is the working directory
-            raise ValueError("out_dir must not be empty")
         (a_lo, a_hi), (b_lo, b_hi), (d_lo, d_hi) = self.intervals()
         n = self.n_users
         # the kind's extremes (the largest gamma1, |gamma2| and alpha_rev, the least d_t^2) for
@@ -196,6 +178,29 @@ _KEY_TYPES = {
 _OPTIONAL_KEYS = {k for k, h in _HINTS.items() if type(None) in get_args(h)}
 
 
+def _check_key(name: str, value) -> None:
+    """ExperimentConfig's checks of one key's value on its own: type, finiteness, range."""
+    kind, optional = _KEY_TYPES[name], name in _OPTIONAL_KEYS
+    if value is None and optional:
+        return
+    # bool is an int subclass, and no key holds one
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        expected = kind.__name__ + (" or None" if optional else "")
+        raise TypeError(f"{name} must be {expected}, got {value!r}")
+    if kind is float:
+        _check_finite(name, value)
+    if name in ("n_users", "horizon", "reps") and not 1 <= value <= sys.maxsize:
+        raise ValueError(f"{name} must be in [1, {sys.maxsize}], got {value}")
+    # substream takes only u64 seeds; reject others here, where the key is known
+    if name == "seed" and not 0 <= value < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {value}")
+    if name == "c_rev" and value <= 0:
+        raise ValueError(f"c_rev must be > 0, got {value}")
+    if name == "out_dir" and not value:  # Path("") is the working directory
+        raise ValueError("out_dir must not be empty")
+
+
 def parse_config(text: str, overrides: Iterable[tuple[str, str, str]] = ()) -> ExperimentConfig:
     """Parse flat key = value text ('#' starts a comment), then overrides, into one config.
 
@@ -205,7 +210,8 @@ def parse_config(text: str, overrides: Iterable[tuple[str, str, str]] = ()) -> E
     A value that does not parse as its key's type, or an experiment kind
     parse_experiment_kind refuses, is rejected naming its source: 'config
     line 3: seed' for a line, else the override's source (a flag, an
-    environment variable). Omitted keys keep their defaults.
+    environment variable). Omitted keys keep their defaults. A value that
+    an override replaces must still pass its key's own checks (_check_key).
     """
     data: dict[str, object] = {}
     sources: dict[str, str] = {}
@@ -225,6 +231,8 @@ def parse_config(text: str, overrides: Iterable[tuple[str, str, str]] = ()) -> E
         sources[key] = f"config line {lineno}: {key}"
         data[key] = _parse_value(_KEY_TYPES[key], value, sources[key])
     for source, key, value in overrides:
+        if key in data:
+            _check_key(key, data[key])
         sources[key] = source
         data[key] = _parse_value(_KEY_TYPES[key], value, source)
     try:

@@ -36,19 +36,19 @@ built. The noise is reduced to per-slot statistics before the loop, so
 the recursion is one kernel over local floats (_run_draws) that calls
 only solve_normal_equations and the price rule each slot; it holds N
 and m as floats, which keeps every bit (_run_draws says why).
-run_replications draws several replications' noise at once on worker
-threads and runs their recursions in replication order, so its outputs
-do not depend on the thread count; run_episode is the one-replication
-case of the same code.
+Every run draws first, then runs its kernels: run_replications takes
+its draws from draw_replications (worker threads) and runs their
+recursions in replication order, so its outputs do not depend on the
+thread count; run_episode is the one-replication case of the same code.
 
 An episode's draw (_draw) is the unit uniform u behind the slot-1 price
 and the noise statistics. It depends on N, noise_sd, T and the stream,
 not on alpha_rev, the demand or the alphas, and the betas enter only
 sum_i beta_i*eps_i^2. So one pass over a replication's normals serves
 every population that shares N, noise_sd and T: draw_replications
-reduces each fill against several betas arrays, and run_replications runs a
-scenario over those draws (draws=...). drpsim sweep draws its kinds'
-noise once this way.
+reduces each fill against several betas arrays, and run_replications
+runs a scenario over those draws (draws=...) in place of its own.
+drpsim sweep draws its kinds' noise once this way.
 
 Each slot also realizes the counterfactual outcome at the optimal price
 so that online and optimal stage costs are recorded side by side. The
@@ -64,9 +64,8 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -89,7 +88,7 @@ __all__ = [
 ]
 
 #: normals (4 MB) in one episode's noise buffer, which _noise_buffers splits
-#: between run_replications' worker threads; a call holds at most
+#: between draw_replications' worker threads; a call holds at most
 #: max(NOISE_BLOCK, workers * 2*N), since each buffer holds one slot at least.
 NOISE_BLOCK = 1 << 19
 
@@ -217,7 +216,7 @@ def run_episode(config: OnlineConfig, rng: np.random.Generator) -> Trajectory:
     (buffer,) = _noise_buffers(scenario, 1)
     betas = (scenario.population.betas,)
     draw = _draw(scenario, betas, rng, buffer, uniform=config.lambda_init is None)
-    return _run_draws(config, (draw,), 1, 0, stacklevel=3).first_trajectory
+    return _run_draws(config, (draw,), 0, stacklevel=3).first_trajectory
 
 
 def _draw(
@@ -247,13 +246,9 @@ def _draw(
 
 
 def _run_draws(
-    config: OnlineConfig,
-    drawn: Iterable[tuple],
-    reps: int,
-    row: int,
-    stacklevel: int,
+    config: OnlineConfig, drawn: tuple[tuple, ...], row: int, stacklevel: int
 ) -> SweepResult:
-    """Steps 2 and 3 of run_episode on each of reps draws, in order, as a sweep.
+    """Steps 2 and 3 of run_episode on each draw, in order, as a sweep.
 
     row picks the config's population among the betas the draws were
     reduced against. N as a float, the slot-1 scale h = 2*alpha_rev/N,
@@ -284,6 +279,7 @@ def _run_draws(
     demand = scenario.demand.tolist()
     lam_star = lambda_star_path(scenario, y)
 
+    reps = len(drawn)
     lam_rows = np.empty((reps, t_hor))
     g1_rows = np.empty((reps, t_hor))
     c_on = np.empty((reps, t_hor))
@@ -465,11 +461,11 @@ class SweepResult:
 class Draws:
     """Every replication's draw, reduced against several populations' betas.
 
-    draw_replications makes them and run_replications(..., draws=...)
-    reads them. replications[r] is replication r's draw: the slot-1 unit
-    uniform, the (T, 2) array of sum_i eps_i and the (P, T, 2) array of
-    sum_i beta_i*eps_i^2, whose [p] is reduced against betas[p]. The
-    draws hold 16*(P + 1)*T + 8 bytes of statistics per replication.
+    draw_replications makes them; every run_replications call runs over
+    its own or over draws=.... replications[r] is replication r's draw:
+    the slot-1 unit uniform, the (T, 2) array of sum_i eps_i and the
+    (P, T, 2) array of sum_i beta_i*eps_i^2, whose [p] is reduced against
+    betas[p]. They hold 16*(P + 1)*T + 8 bytes of statistics per replication.
     """
 
     betas: tuple[NDArray[np.float64], ...]
@@ -518,8 +514,16 @@ def draw_replications(scenarios: Sequence[Scenario], reps: int, master_seed: int
     order) form Draws.betas, and replication r's draw is run_episode's
     slot-1 uniform and noise statistics on substream (seed, 1, r),
     reduced against each of them: one fill of the normals serves all.
-    The draws run on run_replications' thread pool; an error in one is
-    raised here and no thread outlives the call.
+
+    The draws run on a thread pool: one thread per replication when
+    reps < 2 * usable CPUs, so that C <= reps < 2C draws share all C CPUs
+    instead of leaving reps - C to a second wave, else one per CPU. One
+    episode's buffer, allocated here and split by _noise_buffers, gives
+    each pool thread a share (two with several betas, the second for
+    _noise_statistics' products) that it claims when it starts; README,
+    Simulation engine, measures both rules. The substreams open here, in
+    replication order. A failed draw is raised here, shutdown cancels the
+    draws not yet started, and no thread outlives the call.
     """
     _check_reps(reps)
     first = scenarios[0]
@@ -531,8 +535,26 @@ def draw_replications(scenarios: Sequence[Scenario], reps: int, master_seed: int
         own = scenario.population.betas
         if not any(np.array_equal(own, seen) for seen in betas):
             betas.append(own)
-    with _drawing(first, betas, reps, master_seed) as drawn:
-        replications = tuple(drawn)
+    cpus = _usable_cpus()
+    threads = reps if reps < 2 * cpus else cpus
+    per_thread = 1 if len(betas) == 1 else 2
+    buffers = _noise_buffers(first, threads * per_thread)
+    free = list(buffers.reshape(threads, per_thread, *buffers.shape[1:]))
+    local = threading.local()
+
+    def claim_buffers() -> None:
+        # runs once in each pool thread; the pool starts at most one per share
+        local.buffers = free.pop()
+
+    def draw(rng: np.random.Generator) -> tuple:
+        return _draw(first, betas, rng, *local.buffers)
+
+    pool = ThreadPoolExecutor(max_workers=threads, initializer=claim_buffers)
+    try:
+        futures = [pool.submit(draw, substream(master_seed, 1, r)) for r in range(reps)]
+        replications = tuple(future.result() for future in futures)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return Draws(tuple(betas), first.noise_sd, first.horizon, master_seed, replications)
 
 
@@ -550,82 +572,26 @@ def run_replications(
     Replication r uses substream (1, r) of the master seed, so results
     are independent of execution order and reproducible rep by rep.
 
-    Each replication's draw (run_episode's slot-1 uniform and step 1) runs
-    on a pool of worker threads (_drawing); numpy releases the GIL while
-    it fills and reduces the noise. Steps 2 and 3 run here (_run_draws),
-    in replication order, while later replications are drawn, so every
-    output equals the sequential run_episode loop bit for bit, whatever
-    the worker count.
-    Substreams are opened here, in replication order; each worker thread
-    draws into its own share of one episode's noise buffer
-    (_noise_buffers), and a finished draw holds only its statistics until
-    its turn. No thread outlives the call; an error in
-    a draw is raised here once the earlier replications are done, and
-    the draws not yet started are cancelled.
+    Every replication is drawn first (run_episode's slot-1 uniform and
+    step 1, by draw_replications on its thread pool); then steps 2 and 3
+    run here (_run_draws), in replication order, so every output equals
+    the sequential run_episode loop bit for bit, whatever the worker
+    count. An error in a draw is raised before any replication runs.
 
-    draws, from draw_replications, replaces the pool: steps 2 and 3 run
-    over their rows for the scenario's betas (Draws.row, which raises
-    ValueError when they were made for another N, noise_sd, T, reps or
-    master_seed, or lack the betas), in replication order, and no thread
-    starts. A draw does not depend on alpha_rev, the demand, y or
-    ridge_param, so the outputs are those of a fresh draw, bit for bit.
+    draws, from draw_replications, replaces the call's own: steps 2 and
+    3 run over their rows for the scenario's betas (Draws.row, which
+    raises ValueError when they were made for another N, noise_sd, T,
+    reps or master_seed, or lack the betas), and no thread starts. A
+    draw does not depend on alpha_rev, the demand, y or ridge_param, so
+    the outputs are those of a fresh draw, bit for bit.
     """
-    _check_reps(reps)
     config = OnlineConfig(scenario=scenario, y_capacity=y, ridge_param=ridge_param)
     if draws is None:
-        drawing = _drawing(scenario, (scenario.population.betas,), reps, master_seed)
-        row = 0
+        draws = draw_replications([scenario], reps, master_seed)
     else:
-        row = draws.row(scenario, reps, master_seed)
-        drawing = nullcontext(draws.replications)
-
-    with drawing as drawn:
-        return _run_draws(config, drawn, reps, row, stacklevel=2)
-
-
-@contextmanager
-def _drawing(
-    scenario: Scenario, betas: Sequence[NDArray[np.float64]], reps: int, master_seed: int
-) -> Iterator[Iterator[tuple]]:
-    """Each replication's _draw against betas, in replication order, from a thread pool.
-
-    The scenario gives N, noise_sd and T. The pool has one thread per
-    replication when reps < 2 * usable CPUs, else one per usable CPU.
-    With C CPUs and C <= reps < 2C, a thread per CPU would draw the last
-    reps - C replications in a second wave with CPUs idle; one per
-    replication shares every CPU among all the draws, which then take
-    about reps/C draw-times instead of 2 (README, Simulation engine).
-
-    Each pool thread takes its share of the buffers _noise_buffers splits
-    one episode's buffer into when it starts, and draws only into it: one
-    buffer, or with several betas two, the second for _noise_statistics'
-    products, so the draws hold one episode's buffer whatever P is. The
-    buffers are allocated once per call, here in the calling thread;
-    allocating each draw's block on its pool thread measured slower to
-    set up on large-pop (README, Simulation engine). The substreams open
-    here, in replication order. On leaving, the draws not yet started
-    are cancelled and the pool's threads are joined.
-    """
-    cpus = _usable_cpus()
-    threads = reps if reps < 2 * cpus else cpus
-    per_thread = 1 if len(betas) == 1 else 2
-    buffers = _noise_buffers(scenario, threads * per_thread)
-    free = list(buffers.reshape(threads, per_thread, *buffers.shape[1:]))
-    local = threading.local()
-
-    def claim_buffers() -> None:
-        # runs once in each pool thread; the pool starts at most one per share
-        local.buffers = free.pop()
-
-    def draw(rng: np.random.Generator) -> tuple:
-        return _draw(scenario, betas, rng, *local.buffers)
-
-    pool = ThreadPoolExecutor(max_workers=threads, initializer=claim_buffers)
-    try:
-        # map reads the generator here: substreams open in this thread, in order
-        yield pool.map(draw, (substream(master_seed, 1, r) for r in range(reps)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+        _check_reps(reps)
+    row = draws.row(scenario, reps, master_seed)
+    return _run_draws(config, draws.replications, row, stacklevel=2)
 
 
 def _usable_cpus() -> int:

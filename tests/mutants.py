@@ -206,7 +206,7 @@ MUTANTS = (
     # an empty out_dir runs, writing its outputs into the working directory
     Mutant(
         "src/drpsim/experiments.py",
-        "if not self.out_dir:",
+        'if name == "out_dir" and not value:',
         "if False:",
         (
             "tests/test_cli.py::test_refused_settings_exit_2_naming_their_source",
@@ -222,6 +222,20 @@ MUTANTS = (
             "tests/test_online.py::test_noise_statistics_follow_the_normal_block_layout",
             "tests/test_cli.py::test_sweep_shares_draws_and_writes_the_bytes_of_separate_runs",
         ),
+    ),
+    # a failed draw leaves the queued draws to run before the pool shuts down
+    Mutant(
+        "src/drpsim/online.py",
+        "pool.shutdown(cancel_futures=True)",
+        "pool.shutdown()",
+        ("tests/test_online.py::test_a_failed_draw_is_raised_and_leaves_no_thread",),
+    ),
+    # a config-file value that a flag or an environment variable replaces goes unchecked
+    Mutant(
+        "src/drpsim/experiments.py",
+        "_check_key(key, data[key])",
+        "pass",
+        ("tests/test_cli.py::test_a_replaced_value_is_still_range_checked",),
     ),
     # tracking_pass tolerates a 50% median tracking error, not 5%
     Mutant(

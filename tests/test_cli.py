@@ -285,6 +285,22 @@ def test_flag_overrides_config_file(small_config, tmp_path, clean_env, capsys):
     assert capsys.readouterr().out == flagged
 
 
+@pytest.mark.parametrize(
+    "text, args, env",
+    [("seed = -1\n", ["--seed", "5"], None), ("seed = -1\n", [], "5"), ("", ["--seed", "-1"], "5")],
+    ids=["file-flag", "file-env", "flag-env"],
+)
+def test_a_replaced_value_is_still_range_checked(text, args, env, tmp_path, clean_env, capsys):
+    cfg = tmp_path / "replaced.cfg"
+    cfg.write_text("n_users = 5\nhorizon = 12\nreps = 3\n" + text)
+    if env is not None:
+        clean_env.setenv("DRPSIM_SEED", env)
+    out_dir = tmp_path / "o"
+    assert main(["regret", "--config", str(cfg), "--out", str(out_dir), *args]) == 2
+    assert capsys.readouterr() == ("", "error: seed must be in [0, 2**64), got -1\n")
+    assert not out_dir.exists()
+
+
 def test_unset_flags_keep_config_file_values(tmp_path, clean_env, capsys):
     cfg = tmp_path / "ridge.cfg"
     cfg.write_text("n_users = 5\nhorizon = 12\nreps = 6\nseed = 3\nridge = 0.01\n")

@@ -832,36 +832,6 @@ def test_replications_hold_one_noise_block_between_workers(monkeypatch):
             assert peak <= 1.25 * max(online.NOISE_BLOCK, populations * workers * 2 * n) * 8
 
 
-def test_a_failed_draw_is_raised_and_leaves_no_thread(monkeypatch):
-    _cpus(monkeypatch, 2)
-    sc = _noise_scenario(4000, 10, 1.0)
-    replication = {
-        substream(5, 1, r).bit_generator.state["state"]["key"].tobytes(): r for r in range(40)
-    }
-    started = []
-    real = online._noise_statistics
-
-    def fail_on_replication_2(scenario, betas, rng, buffer, products):
-        r = replication[rng.bit_generator.state["state"]["key"].tobytes()]
-        started.append(r)
-        if r == 2:
-            raise RuntimeError("draw failed")
-        if r > 2:
-            # hold both workers until the failure has been read and the
-            # queued draws cancelled
-            threading.Event().wait(0.5)
-        return real(scenario, betas, rng, buffer, products)
-
-    monkeypatch.setattr(online, "_noise_statistics", fail_on_replication_2)
-    threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="^draw failed$"):
-        run_replications(sc, 0.5, 40, master_seed=5)
-    assert threading.active_count() == threads
-    # replications 0-2, then 3 and 4 on the two workers; 5 and later were
-    # queued and cancelled
-    assert sorted(started) == [0, 1, 2, 3, 4]
-
-
 def test_replications_open_substreams_in_the_calling_thread_in_order(monkeypatch):
     # the benchmark's spans tracer wraps substream and is not thread-safe
     _cpus(monkeypatch, 3)
@@ -1033,22 +1003,60 @@ def test_shared_draws_are_not_reused_for_another_population(pools, what):
         assert len(pools) == 1
 
 
-def test_a_failed_shared_draw_is_raised_and_leaves_no_thread(monkeypatch, pools):
+@pytest.mark.parametrize("entry", ["run_replications", "draw_replications"])
+def test_a_failed_draw_is_raised_and_leaves_no_thread(monkeypatch, pools, entry):
+    # both entry points draw on one pool: run_replications for its one
+    # population, draw_replications here for two
     _cpus(monkeypatch, 2)
     scenarios = _kind_scenarios(("baseline", "paramset2"), n_users=40, horizon=10)
-    real = online._noise_statistics
-    calls = itertools.count()
+    run, populations = {
+        "run_replications": (lambda: run_replications(scenarios[0], 0.5, 40, 5), 1),
+        "draw_replications": (lambda: online.draw_replications(scenarios, 40, 5), 2),
+    }[entry]
+    replication = {
+        substream(5, 1, r).bit_generator.state["state"]["key"].tobytes(): r for r in range(40)
+    }
+    started = []
+    in_flight = threading.Semaphore(0)
+    real_draw, real_substream = online._noise_statistics, online.substream
+    solve = online.solve_normal_equations
+    solves = itertools.count()
 
-    def fail_on_the_third_draw(scenario, betas, rng, buffer, products):
-        assert len(betas) == 2
-        if next(calls) == 2:
+    def fail_on_replication_2(scenario, betas, rng, buffer, products):
+        assert len(betas) == populations
+        r = replication[rng.bit_generator.state["state"]["key"].tobytes()]
+        started.append(r)
+        if r == 2:
             raise RuntimeError("draw failed")
-        return real(scenario, betas, rng, buffer, products)
+        if r in (3, 4):
+            # hold both workers until the failure has been read and the
+            # queued draws cancelled
+            in_flight.release()
+            threading.Event().wait(1.0)
+        return real_draw(scenario, betas, rng, buffer, products)
 
-    monkeypatch.setattr(online, "_noise_statistics", fail_on_the_third_draw)
+    def last_opens_once_3_and_4_run(seed, *key):
+        # the caller reads no draw before it has queued all 40, so it
+        # reads the failure only once both workers hold 3 and 4
+        if key == (1, 39):
+            assert in_flight.acquire(timeout=10) and in_flight.acquire(timeout=10)
+        return real_substream(seed, *key)
+
+    def counted(*state):
+        next(solves)
+        return solve(*state)
+
+    monkeypatch.setattr(online, "_noise_statistics", fail_on_replication_2)
+    monkeypatch.setattr(online, "substream", last_opens_once_3_and_4_run)
+    monkeypatch.setattr(online, "solve_normal_equations", counted)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="^draw failed$"):
-        online.draw_replications(scenarios, 6, 8)
+        run()
     assert threading.active_count() == threads
     (pool,) = pools
     assert pool._shutdown
+    # replications 0-2, then 3 and 4 on the two workers; 5 and later were
+    # queued and cancelled
+    assert sorted(started) == [0, 1, 2, 3, 4]
+    # every draw comes before any replication's kernel: none ran a slot
+    assert next(solves) == 0
